@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -137,11 +136,10 @@ def cmd_sigma(args):
            "normalized": bool(args.normalized)}
     if args.grid is not None:
         lo, hi, n = _parse_grid(args.grid)
-        rows = []
-        for u3 in np.linspace(lo, hi, n):
-            for u1 in np.linspace(lo, hi, n):
-                val = sg.sigma2(ctx, u3, u1, normalized=args.normalized)
-                rows.append((u3, u1, val.real, val.imag))
+        g = np.linspace(lo, hi, n)
+        u3, u1 = (a.ravel() for a in np.meshgrid(g, g, indexing="ij"))  # u3 outer
+        val = sg.sigma2(ctx, u3, u1, normalized=args.normalized)
+        rows = np.column_stack((u3, u1, val.real, val.imag))
         _write_csv(args.out, ("u3", "u1", "re", "im"), rows)
         rec["rows"] = len(rows)
         rec["csv"] = args.out
@@ -180,7 +178,7 @@ def cmd_potential(args):
     lo, hi, n = _parse_grid(args.grid)
     grid = np.linspace(lo, hi, n)
     sample = sp.real_family(ctx, args.family, args.phi, grid, cfg)
-    rows = [(x, v.real, v.imag) for x, v in zip(sample.grid, sample.values)]
+    rows = np.column_stack((sample.grid, sample.values.real, sample.values.imag))
     out = args.out or "potential.csv"
     _write_csv(out, ("x", "re", "im"), rows)
     sidecar = {"command": "potential", "family": sample.family,
@@ -223,12 +221,8 @@ def cmd_verify(args):
         kwargs = {n: {sample_keys[n]: args.samples}
                   for n in names if n in sample_keys}
 
-    def run(name):
-        return vf.run_suite(name, seed=seed, cfg=cfg, **kwargs.get(name, {}))
-
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-        results = list(pool.map(run, names))
-    results.sort(key=lambda r: r.name)
+    results = sorted((vf.run_suite(name, seed=seed, cfg=cfg, **kwargs.get(name, {}))
+                      for name in names), key=lambda r: r.name)
     for r in results:
         print(r.line())
     rec = {"command": "verify", "seed": seed,
@@ -250,14 +244,14 @@ def _parse_grid(text):
 
 
 def _write_csv(path, header, rows):
+    """Header, then one line per row of the float ndarray (repr of each value)."""
     if path is None:
         raise UsageError("grid output needs --out")
     import csv
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(x)) for x in row])
+        w.writerows(rows.tolist())
 
 
 def build_parser():
@@ -298,7 +292,6 @@ def build_parser():
     q.add_argument("--suite", default="all")
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--samples", type=int, default=None)
-    q.add_argument("--workers", type=int, default=4)
     common(q)
     q.set_defaults(fn=cmd_verify)
     return p

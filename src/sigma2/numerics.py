@@ -7,6 +7,7 @@ step sizes and tolerances live.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,9 +187,29 @@ def cluster_points(points, radius):
     return clusters
 
 
+def all_finite(v):
+    """True when the scalar or every entry of the ndarray v is finite."""
+    if isinstance(v, np.ndarray):
+        return bool(np.isfinite(v).all())
+    return cmath.isfinite(v)
+
+
+def any_true(mask):
+    """Whether a scalar comparison holds, or any entry of an array one does
+    (np.any on a Python bool costs microseconds)."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def complex_args(*values):
+    """The values as complex scalars, or, when any of them is an ndarray,
+    as complex ndarrays broadcast to one shape."""
+    if any(isinstance(v, np.ndarray) for v in values):
+        return np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in values))
+    return [complex(v) for v in values]
+
+
 def require_finite(name, *values):
     """Reject NaN/Inf at API boundaries."""
     for v in values:
-        z = complex(v)
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+        if not all_finite(v):
             raise ValueError(f"{name}: non-finite value {v!r}")

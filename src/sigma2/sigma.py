@@ -28,7 +28,8 @@ from . import elliptic as el
 from .elliptic import EllipticCurveParams
 from .errors import (BranchPointCase, NotOnStratum, PoleAtArgument,
                      SingularConfiguration)
-from .numerics import NumericsConfig, DEFAULT_CONFIG, derivative, require_finite
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, any_true, complex_args,
+                       derivative, require_finite)
 from .strata import (G2Params, StratumClassification, classify,
                      lambda_from_lambda1, lambda_from_lambda0)
 
@@ -185,11 +186,14 @@ def _sigma2_raw_l1(ctx, u3, u1):
 
 
 def _shc(c, z):
-    """sinh(c z)/c, even in c and finite at c = 0."""
+    """sinh(c z)/c, even in c and finite at c = 0; elementwise on arrays."""
     w = c * z
-    if abs(w) < 1e-4:
-        return z * (1.0 + w * w / 6.0 + w ** 4 / 120.0)
-    return np.sinh(w) / c
+    series = z * (1.0 + w * w / 6.0 + w ** 4 / 120.0)
+    if not isinstance(w, np.ndarray):
+        return series if abs(w) < 1e-4 else np.sinh(w) / c
+    big = abs(w) >= 1e-4
+    series[big] = np.sinh(w[big]) / c
+    return series
 
 
 def _sigma2_raw_l0_direct(a2, b2, p, q, u3, u1):
@@ -223,20 +227,26 @@ def _sigma2_raw(ctx, u3, u1):
     return _sigma2_raw_l0(ctx, u3, u1)
 
 
-def sigma2(ctx: DegenSigmaContext, u3, u1, normalized: bool = False) -> complex:
+def _result(val):
+    """A complex ndarray as it is, anything else as a Python complex."""
+    return val if isinstance(val, np.ndarray) else complex(val)
+
+
+def sigma2(ctx: DegenSigmaContext, u3, u1, normalized: bool = False):
     """Degenerate genus-2 sigma at (u3, u1); entire, no poles.
 
     ``normalized`` rescales by the cached constant so the Taylor leading part
     is exactly u3 - u1^3/3 (the closed forms on the two strata differ from that
-    normalization by stratum-dependent constants).
+    normalization by stratum-dependent constants).  Scalars give a complex;
+    ndarrays, broadcast together, give a complex ndarray in one evaluation.
     """
-    u3, u1 = complex(u3), complex(u1)
+    u3, u1 = complex_args(u3, u1)
     require_finite("sigma2", u3, u1)
     val = _sigma2_raw(ctx, u3, u1)
-    return complex(val / ctx.norm_c) if normalized else complex(val)
+    return _result(val / ctx.norm_c if normalized else val)
 
 
-def sigma2_u(ctx: DegenSigmaContext, u3, U1, normalized: bool = False) -> complex:
+def sigma2_u(ctx: DegenSigmaContext, u3, U1, normalized: bool = False):
     """sigma2 in shifted coordinates: u1 = U1 + (3/5) wp(alpha) u3."""
     return sigma2(ctx, u3, U1 + ctx.shift() * u3, normalized)
 
@@ -269,17 +279,20 @@ def sigma2_baker_form(ctx: DegenSigmaContext, u3, u1) -> complex:
                       + phi(w) * np.exp(-0.5 * wppa * u3)))
 
 
-def p_function_u(ctx: DegenSigmaContext, U3, U1) -> complex:
-    """Transcendental generator sigma(a+U1)/sigma(a-U1) e^{wp'(a)U3 - 2 zeta(a)U1}."""
+def p_function_u(ctx: DegenSigmaContext, U3, U1):
+    """Transcendental generator sigma(a+U1)/sigma(a-U1) e^{wp'(a)U3 - 2 zeta(a)U1}.
+
+    Elementwise on ndarrays, like s_function.
+    """
     if ctx.kind != "lambda1":
         raise NotOnStratum("p_function lives on the Lambda1 stratum")
     ec = ctx.ectx
-    U3, U1 = complex(U3), complex(U1)
+    U3, U1 = complex_args(U3, U1)
     den = el.sigma_w(ec, ctx.alpha - U1)
-    if abs(den) < ctx.cfg.cluster_tol * ec.scale():
+    if any_true(abs(den) < ctx.cfg.cluster_tol * ec.scale()):
         raise PoleAtArgument("U1 hits alpha modulo the lattice")
     num = el.sigma_w(ec, ctx.alpha + U1)
-    return complex(num / den * np.exp(ctx.wpp_alpha * U3 - 2 * ctx.zeta_alpha * U1))
+    return _result(num / den * np.exp(ctx.wpp_alpha * U3 - 2 * ctx.zeta_alpha * U1))
 
 
 def p_function(ctx: DegenSigmaContext, u3, u1) -> complex:
@@ -288,15 +301,15 @@ def p_function(ctx: DegenSigmaContext, u3, u1) -> complex:
     return p_function_u(ctx, complex(u3), complex(u1) - sh * complex(u3))
 
 
-def s_function(ctx: DegenSigmaContext, U3, U1) -> complex:
+def s_function(ctx: DegenSigmaContext, U3, U1):
     """S = (wp'(U1) - wp'(a) (P+1)/(P-1)) / (2 (wp(U1) - wp(a)))."""
     pval = p_function_u(ctx, U3, U1)
-    if abs(pval - 1.0) < 1e-8 * (1.0 + abs(pval)):
+    if any_true(abs(pval - 1.0) < 1e-8 * (1.0 + abs(pval))):
         raise SingularConfiguration("P ~ 1: the configuration sits on the sigma divisor")
     ec = ctx.ectx
     pu, ppu = el.wp(ec, U1), el.wp_prime(ec, U1)
     wpa, wppa = ctx.wp_alpha, ctx.wpp_alpha
-    return complex((ppu - wppa * (pval + 1.0) / (pval - 1.0)) / (2.0 * (pu - wpa)))
+    return _result((ppu - wppa * (pval + 1.0) / (pval - 1.0)) / (2.0 * (pu - wpa)))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from . import lattice as lt
 from . import sigma as sg
 from .errors import (NotRealAlpha, NotRealLattice, PoleAtArgument,
                      SingularConfiguration)
-from .numerics import NumericsConfig, DEFAULT_CONFIG, derivative
+from .numerics import NumericsConfig, DEFAULT_CONFIG, complex_args, derivative
 
 __all__ = [
     "PotentialSample", "baker_psi", "eigen_residual", "potential_u",
@@ -97,25 +97,41 @@ def wronskian(ctx: sg.DegenSigmaContext, B1, U3, U1,
     return complex(pp * dm - pm * dp)
 
 
-def potential_u(ctx: sg.DegenSigmaContext, U3, U1) -> complex:
+def potential_u(ctx: sg.DegenSigmaContext, U3, U1):
     """U(U1) = 2 S^2 - 2 wp(U1) - 2 wp(alpha).
 
     The wp poles at lattice U1 cancel against S^2, so those points are
     evaluated by a small ring average; true poles (the sigma2 divisor, where
-    P = 1) still raise SingularConfiguration.
+    P = 1) still raise SingularConfiguration.  ndarrays, broadcast together,
+    are evaluated in one pass, the ring-averaged points picked by a mask.
     """
     _require_generic(ctx)
-    U3, U1 = complex(U3), complex(U1)
+    ec = ctx.ectx
+    U3, U1 = complex_args(U3, U1)
+    h = 1e-3 * ec.scale()
 
-    def direct(u1):
-        s = sg.s_function(ctx, U3, u1)
-        return complex(2.0 * s * s - 2.0 * el.wp(ctx.ectx, u1) - 2.0 * ctx.wp_alpha)
+    def direct(u3, u1):
+        s = sg.s_function(ctx, u3, u1)
+        return 2.0 * s * s - 2.0 * el.wp(ec, u1) - 2.0 * ctx.wp_alpha
 
-    try:
-        return direct(U1)
-    except PoleAtArgument:
-        h = 1e-3 * ctx.ectx.scale()
-        return complex(sum(direct(U1 + h * 1j ** k) for k in range(4)) / 4.0)
+    def ring(u3, u1):
+        return sum(direct(u3, u1 + h * 1j ** k) for k in range(4)) / 4.0
+
+    if not isinstance(U1, np.ndarray):
+        try:
+            return complex(direct(U3, U1))
+        except PoleAtArgument:
+            return complex(ring(U3, U1))
+    # where the scalar path meets PoleAtArgument: a lattice point of wp(U1),
+    # or sigma(alpha - U1) ~ 0 in the generator P
+    lim = ctx.cfg.cluster_tol * ec.scale()
+    on_pole = ((abs(el._reduce(ec, U1)[0]) < lim)
+               | (abs(el.sigma_w(ec, ctx.alpha - U1)) < lim))
+    out = np.empty(U1.shape, dtype=complex)
+    out[~on_pole] = direct(U3[~on_pole], U1[~on_pole])
+    if on_pole.any():
+        out[on_pole] = ring(U3[on_pole], U1[on_pole])
+    return out
 
 
 def kdv_residual(ctx: sg.DegenSigmaContext, U3, U1,
@@ -208,9 +224,7 @@ def real_family(ctx: sg.DegenSigmaContext, family: str, phi: float,
         u3 = u3 + (ctx.zeta_alpha * omp - ctx.alpha * etap) / ap
         shift = omp / 2.0
     grid = np.asarray(grid, dtype=float)
-    vals = np.empty(len(grid), dtype=complex)
-    for j, x in enumerate(grid):
-        vals[j] = potential_u(ctx, u3, om * x + shift) / om ** 2
+    vals = potential_u(ctx, u3, om * grid + shift) / om ** 2
     e1 = el.wp(ctx.ectx, om / 2)
     e2 = el.wp(ctx.ectx, (om + omp) / 2)
     e3 = el.wp(ctx.ectx, omp / 2)

@@ -1,9 +1,11 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from sigma2 import cli
+from sigma2 import sigma as sg
 
 
 def run(capsys, *argv):
@@ -84,6 +86,13 @@ def test_sigma_grid_csv(tmp_path, capsys):
     assert len(rows) == 145
     for r in rows[1:]:
         assert all(abs(float(x)) < 1e6 for x in r)
+    # u3 outer, u1 inner, and each value the scalar sigma2 at its point
+    g = np.linspace(-0.5, 0.5, 12)
+    assert [(float(r[0]), float(r[1])) for r in rows[1:]] == [(a, b) for a in g for b in g]
+    ctx = sg.context_lambda1(0.2 + 0.1j, (0.4 - 0.2j, 0.5 + 0.3j))
+    for r in rows[1::13]:
+        want = sg.sigma2(ctx, float(r[0]), float(r[1]))
+        assert abs(complex(float(r[2]), float(r[3])) - want) <= 1e-14 * max(abs(want), 1.0)
 
 
 def test_usage_errors(capsys):

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sigma2 import elliptic as el
-from sigma2.errors import DegenerateCurve, PoleAtArgument
+from sigma2.errors import DegenerateCurve, NumericalFailure, PoleAtArgument
 from sigma2.numerics import derivative, quadrature_path
 
 
@@ -98,6 +100,52 @@ def test_pole_guard(ec_generic):
         el.zeta_w(ec_generic, ec_generic.omega + 1e-13)
     # sigma is entire: no guard
     assert el.sigma_w(ec_generic, 0.0) == 0.0
+    # the guard applies elementwise to arrays
+    with pytest.raises(PoleAtArgument):
+        el.wp(ec_generic, np.array([0.3 + 0.1j, ec_generic.omega]))
+
+
+@pytest.mark.parametrize("periods", [20, 30])
+def test_far_argument_raises_instead_of_nan(ec_generic, periods):
+    # the quasi-periodicity factor leaves the double range out there
+    u = 0.3 + 0.1j + periods * ec_generic.omegaP
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (el.sigma_w, el.sigma_w_prime):
+            for arg in (u, np.array([0.2, u])):
+                with pytest.raises(NumericalFailure):
+                    f(ec_generic, arg)
+
+
+# generic, hexagonal (largest nome of a reduced basis) and square lattices
+_ARRAY_CTX = [el.make_context(g) for g in
+              ((0.4 - 0.2j, 0.5 + 0.3j), (0.0, 1.0), (-1.0, 0.0))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(range(len(_ARRAY_CTX))),
+       st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), min_size=1, max_size=16))
+def test_array_matches_scalar(k, xy):
+    """One broadcast over an ndarray gives the scalar (cmath) values to 1e-14.
+
+    Errors are relative to the value, floored at 1.  sigma' = fac * (sigma0' +
+    eta_l sigma0) cancels near its zeros, so it is also measured against the
+    term eta_l sigma(u) of the shift u0 -> u0 + l.
+    """
+    ec = _ARRAY_CTX[k]
+    u = np.array([x * ec.omega + y * ec.omegaP for x, y in xy])
+    u = u[np.abs(el._reduce(ec, u)[0]) > 1e-3 * ec.scale()]
+    assume(u.size)
+    _, m, n = el._reduce(ec, u)
+    eta_l = np.abs(m * ec.eta + n * ec.etaP)
+    for f in (el.sigma_w, el.sigma_w_prime, el.zeta_w, el.wp, el.wp_prime):
+        got = f(ec, u)
+        want = np.array([f(ec, z) for z in u])
+        scale = np.maximum(np.abs(want), 1.0)
+        if f is el.sigma_w_prime:
+            scale = np.maximum(scale, eta_l * np.abs(el.sigma_w(ec, u)))
+        assert got.shape == u.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * scale), f.__name__
 
 
 def test_invert_wp_half_period(ec_generic):

@@ -4,7 +4,7 @@ import pytest
 from sigma2.errors import NumericalFailure
 from sigma2.numerics import (NumericsConfig, cauchy_derivatives, cluster_points,
                              continuous_log, derivative, mixed_second,
-                             quadrature_path)
+                             quadrature_path, require_finite)
 
 
 def test_config_validation():
@@ -14,6 +14,13 @@ def test_config_validation():
         NumericsConfig(fd_order=5)
     cfg = NumericsConfig()
     assert cfg.tol == 1e-10 and cfg.fd_order == 3
+
+
+def test_require_finite():
+    require_finite("f", 1, 2.5 - 1j, np.complex128(3.0), np.zeros(3))
+    for bad in (float("nan"), complex(1.0, float("inf")), np.array([0.0, np.nan])):
+        with pytest.raises(ValueError, match="^f: non-finite value"):
+            require_finite("f", 1.0, bad)
 
 
 @pytest.mark.parametrize("n,expect", [(1, np.cos(0.3)), (2, -np.sin(0.3)),

@@ -253,3 +253,27 @@ def test_property_sigma2_finite(x, y):
 
 
 _PROP_CTX = sg.context_lambda1(0.15 - 0.2j, (0.5 + 0.1j, -0.3 + 0.45j))
+
+
+_BRANCH_CTX = sg.context_lambda1(0.0, (1.0, 0.0))
+_NEAR_L0_CTX = sg.context_lambda0(0.7 - 0.2j, 0.7 - 0.2j + 1e-7)
+_coord = st_h.complex_numbers(max_magnitude=2.0, allow_nan=False)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st_h.lists(st_h.tuples(_coord, _coord), min_size=1, max_size=12),
+       st_h.booleans())
+def test_sigma2_array_matches_scalar(ctx_generic, ctx_two_points, pts, normalized):
+    """sigma2 on ndarrays gives the scalar values, relative to max(|value|, 1).
+
+    The a2 ~ b2 ring average divides each of its values by |a2 - b| ~ 1e-2
+    (1 + |a2| + |b2|), which scales rounding up by ~100, hence 1e-12 there.
+    """
+    u3, u1 = (np.array(c) for c in zip(*pts))
+    for ctx, tol in ((ctx_generic, 1e-14), (_BRANCH_CTX, 1e-14),
+                     (ctx_two_points, 1e-14), (_NEAR_L0_CTX, 1e-12)):
+        got = sg.sigma2(ctx, u3, u1, normalized=normalized)
+        want = np.array([sg.sigma2(ctx, a, b, normalized=normalized)
+                         for a, b in zip(u3, u1)])
+        assert got.shape == u3.shape
+        assert np.all(np.abs(got - want) <= tol * np.maximum(np.abs(want), 1.0))

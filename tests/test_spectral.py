@@ -6,7 +6,7 @@ from sigma2 import inversion as inv
 from sigma2 import lattice as lt
 from sigma2 import sigma as sg
 from sigma2 import spectral as sp
-from sigma2.errors import NotRealAlpha, NotRealLattice
+from sigma2.errors import NotRealAlpha, NotRealLattice, SingularConfiguration
 
 
 def test_eigen_equation(ctx_generic, rng):
@@ -49,6 +49,27 @@ def test_potential_matches_inversion_sum(ctx_generic):
 def test_potential_regular_on_wp_pole(ctx_generic):
     val = sp.potential_u(ctx_generic, 0.05 + 0.02j, 0.0)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
+    # in an array the ring-averaged samples (lattice points, U1 = alpha) are
+    # picked by a mask and match the scalar calls
+    ec = ctx_generic.ectx
+    u1 = np.array([0.0, 0.17 + 0.09j, ec.omega, ctx_generic.alpha, -0.3 + 0.2j])
+    ring = np.array([True, False, True, True, False])
+    got = sp.potential_u(ctx_generic, 0.05 + 0.02j, u1)
+    want = np.array([sp.potential_u(ctx_generic, 0.05 + 0.02j, z) for z in u1])
+    err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+    assert np.all(err[~ring] < 1e-14)
+    # the ring sums four values ~1/h^2 (h = 1e-3 scale) to an O(1) one
+    assert np.all(err[ring] < 1e-9)
+
+
+def test_potential_array_refuses_sigma2_divisor(ctx_generic):
+    # U3 with P(U3, U1) = 1 puts the sample on the sigma2 divisor
+    ctx, u1 = ctx_generic, 0.17 + 0.09j
+    ec = ctx.ectx
+    log_ratio = np.log(el.sigma_w(ec, ctx.alpha + u1) / el.sigma_w(ec, ctx.alpha - u1))
+    u3 = (2 * ctx.zeta_alpha * u1 - log_ratio) / ctx.wpp_alpha
+    with pytest.raises(SingularConfiguration):
+        sp.potential_u(ctx, np.array([0.05, u3]), u1)
 
 
 def test_potential_small_gamma_tends_rational(ctx_generic):
