@@ -279,11 +279,9 @@ def sigma2_baker_form(ctx: DegenSigmaContext, u3, u1) -> complex:
                       + phi(w) * np.exp(-0.5 * wppa * u3)))
 
 
-def p_function_u(ctx: DegenSigmaContext, U3, U1):
-    """Transcendental generator sigma(a+U1)/sigma(a-U1) e^{wp'(a)U3 - 2 zeta(a)U1}.
-
-    Elementwise on ndarrays, like s_function.
-    """
+def _generator(ctx: DegenSigmaContext, U3, U1):
+    """(sigma(a+U1), P) for p_function_u and s_function; raises where
+    sigma(a-U1) ~ 0."""
     if ctx.kind != "lambda1":
         raise NotOnStratum("p_function lives on the Lambda1 stratum")
     ec = ctx.ectx
@@ -292,7 +290,15 @@ def p_function_u(ctx: DegenSigmaContext, U3, U1):
     if any_true(abs(den) < ctx.cfg.cluster_tol * ec.scale()):
         raise PoleAtArgument("U1 hits alpha modulo the lattice")
     num = el.sigma_w(ec, ctx.alpha + U1)
-    return _result(num / den * np.exp(ctx.wpp_alpha * U3 - 2 * ctx.zeta_alpha * U1))
+    return num, num / den * np.exp(ctx.wpp_alpha * U3 - 2 * ctx.zeta_alpha * U1)
+
+
+def p_function_u(ctx: DegenSigmaContext, U3, U1):
+    """Transcendental generator sigma(a+U1)/sigma(a-U1) e^{wp'(a)U3 - 2 zeta(a)U1}.
+
+    Elementwise on ndarrays, like s_function.
+    """
+    return _result(_generator(ctx, U3, U1)[1])
 
 
 def p_function(ctx: DegenSigmaContext, u3, u1) -> complex:
@@ -302,11 +308,17 @@ def p_function(ctx: DegenSigmaContext, u3, u1) -> complex:
 
 
 def s_function(ctx: DegenSigmaContext, U3, U1):
-    """S = (wp'(U1) - wp'(a) (P+1)/(P-1)) / (2 (wp(U1) - wp(a)))."""
-    pval = p_function_u(ctx, U3, U1)
+    """S = (wp'(U1) - wp'(a) (P+1)/(P-1)) / (2 (wp(U1) - wp(a))).
+
+    At U1 = -a modulo the lattice P = 0 and wp(U1) = wp(a), so S is 0/0
+    there (a removable point) and PoleAtArgument is raised, as at U1 = a.
+    """
+    num, pval = _generator(ctx, U3, U1)
+    ec = ctx.ectx
+    if any_true(abs(num) < ctx.cfg.cluster_tol * ec.scale()):
+        raise PoleAtArgument("U1 hits -alpha modulo the lattice: S is 0/0 there")
     if any_true(abs(pval - 1.0) < 1e-8 * (1.0 + abs(pval))):
         raise SingularConfiguration("P ~ 1: the configuration sits on the sigma divisor")
-    ec = ctx.ectx
     pu, ppu = el.wp(ec, U1), el.wp_prime(ec, U1)
     wpa, wppa = ctx.wp_alpha, ctx.wpp_alpha
     return _result((ppu - wppa * (pval + 1.0) / (pval - 1.0)) / (2.0 * (pu - wpa)))

@@ -123,10 +123,11 @@ def potential_u(ctx: sg.DegenSigmaContext, U3, U1):
         except PoleAtArgument:
             return complex(ring(U3, U1))
     # where the scalar path meets PoleAtArgument: a lattice point of wp(U1),
-    # or sigma(alpha - U1) ~ 0 in the generator P
+    # or U1 = +-alpha, where sigma(alpha -+ U1) ~ 0 in the generator P
     lim = ctx.cfg.cluster_tol * ec.scale()
     on_pole = ((abs(el._reduce(ec, U1)[0]) < lim)
-               | (abs(el.sigma_w(ec, ctx.alpha - U1)) < lim))
+               | (abs(el.sigma_w(ec, ctx.alpha - U1)) < lim)
+               | (abs(el.sigma_w(ec, ctx.alpha + U1)) < lim))
     out = np.empty(U1.shape, dtype=complex)
     out[~on_pole] = direct(U3[~on_pole], U1[~on_pole])
     if on_pole.any():

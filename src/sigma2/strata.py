@@ -85,18 +85,26 @@ _GAMMA_MONOMIALS = (
      (-16, (6, 0, 0, 0))),
 )
 
+_MAX_POWER = max(e for m in (_DELTA_MONOMIALS, *_GAMMA_MONOMIALS)
+                 for _, p in m for e in p)
 
-def _eval_monomials(monos, lam):
-    l4, l6, l8, l10 = lam
+
+def _powers(lam):
+    """Table pw[k][e] = lam[k]**e, built once per point and shared by every
+    monomial evaluation there; exact for Fraction inputs."""
+    return [[v**e for e in range(_MAX_POWER + 1)] for v in lam]
+
+
+def _eval_monomials(monos, pw):
+    p4, p6, p8, p10 = pw
     total = 0
     for c, (a, b, cc, d) in monos:
-        total = total + c * l4**a * l6**b * l8**cc * l10**d
+        total = total + c * p4[a] * p6[b] * p8[cc] * p10[d]
     return total
 
 
-def _grad_monomials(monos, lam):
+def _grad_monomials(monos, pw):
     """Gradient of a monomial polynomial, exact for Fraction inputs."""
-    l = list(lam)
     out = []
     for j in range(4):
         s = 0
@@ -107,7 +115,7 @@ def _grad_monomials(monos, lam):
             q[j] -= 1
             term = c * p[j]
             for k in range(4):
-                term = term * l[k]**q[k]
+                term = term * pw[k][q[k]]
             s = s + term
         out.append(s)
     return out
@@ -115,11 +123,11 @@ def _grad_monomials(monos, lam):
 
 def discriminant(lam: G2Params):
     """Discriminant Delta(lambda) of the quintic (single polynomial)."""
-    return _eval_monomials(_DELTA_MONOMIALS, lam.astuple())
+    return _eval_monomials(_DELTA_MONOMIALS, _powers(lam.astuple()))
 
 
 def discriminant_gradient(lam: G2Params):
-    return _grad_monomials(_DELTA_MONOMIALS, lam.astuple())
+    return _grad_monomials(_DELTA_MONOMIALS, _powers(lam.astuple()))
 
 
 def gamma_vec(lam: G2Params):
@@ -129,8 +137,11 @@ def gamma_vec(lam: G2Params):
     proper subset already cuts out the locus is left open, so no component
     is dropped.
     """
-    t = lam.astuple()
-    return tuple(_eval_monomials(m, t) for m in _GAMMA_MONOMIALS)
+    return _gamma_from_powers(_powers(lam.astuple()))
+
+
+def _gamma_from_powers(pw):
+    return tuple(_eval_monomials(m, pw) for m in _GAMMA_MONOMIALS)
 
 
 def discriminant_resultant_oracle(lam: G2Params):
@@ -150,7 +161,8 @@ def discriminant_resultant_oracle(lam: G2Params):
 
 
 def _det(rows, size):
-    """Fraction-exact (or complex) determinant by fraction-free elimination."""
+    """Determinant by Gaussian elimination with row pivoting on the first
+    nonzero entry; exact for Fraction entries, rounded for complex ones."""
     a = [row[:] for row in rows]
     sign = 1
     det = None
@@ -283,8 +295,8 @@ class StratumClassification:
 
 
 def _weight_scale(lam):
-    vals = [abs(v) ** Fraction(1, w) for v, w in zip(lam.astuple(), (4, 6, 8, 10))]
-    return max(float(v) for v in vals)
+    return max(float(abs(v)) ** (1.0 / w)
+               for v, w in zip(lam.astuple(), (4, 6, 8, 10)))
 
 
 def _normalized(lam, s):
@@ -293,11 +305,32 @@ def _normalized(lam, s):
 
 
 def _poly_derivs(l4, l6, l8, l10):
-    p = np.array([1, 0, l4, l6, l8, l10], dtype=complex)
+    """Coefficient lists (highest degree first) of the quintic and its first
+    four derivatives."""
+    p = [1.0 + 0j, 0j, l4, l6, l8, l10]
     ds = [p]
-    for _ in range(4):
-        ds.append(np.polyder(ds[-1]))
+    for n in range(5, 1, -1):       # p has degree n
+        p = [c * k for c, k in zip(p, range(n, 0, -1))]
+        ds.append(p)
     return ds
+
+
+def _horner(p, z):
+    y = p[0]
+    for c in p[1:]:
+        y = y * z + c
+    return y
+
+
+def _quintic_roots(p):
+    """Roots of the monic coefficient list p: eigenvalues of its companion
+    matrix, with one exact 0j per trailing zero coefficient."""
+    n = len(p) - 1
+    while p[n] == 0:
+        n -= 1
+    a = np.eye(n, k=-1, dtype=complex)
+    a[0] = [-c for c in p[1:n + 1]]
+    return np.linalg.eigvals(a).tolist() + [0j] * (len(p) - 1 - n)
 
 
 def _polish_root(ds, m, z):
@@ -305,8 +338,8 @@ def _polish_root(ds, m, z):
     g = ds[m - 1]
     dg = ds[m]
     for _ in range(40):
-        f = np.polyval(g, z)
-        d = np.polyval(dg, z)
+        f = _horner(g, z)
+        d = _horner(dg, z)
         if d == 0:
             break
         step = f / d
@@ -330,15 +363,16 @@ def classify(lam: G2Params, cfg: NumericsConfig | None = None) -> StratumClassif
     ln = _normalized(lam, s)
     l4, l6, l8, l10 = (complex(v) for v in ln.astuple())
     ds = _poly_derivs(l4, l6, l8, l10)
-    roots = np.roots(ds[0])
+    roots = _quintic_roots(ds[0])
     radius = max(cfg.cluster_tol, _CLUSTER_FLOOR)
     clusters = cluster_points(roots, radius)
     mults = tuple(sorted((len(m) for _, m in clusters), reverse=True))
     if mults not in RANK_BY_PARTITION:
         raise AmbiguousClassification(f"unrecognized multiplicity pattern {mults}")
     centers = [(_polish_root(ds, len(m), c), len(m)) for c, m in clusters]
-    delta_abs = abs(discriminant(ln))
-    gamma_norm = max(abs(g) for g in gamma_vec(ln))
+    pw = _powers(ln.astuple())
+    delta_abs = abs(_eval_monomials(_DELTA_MONOMIALS, pw))
+    gamma_norm = max(abs(g) for g in _gamma_from_powers(pw))
     res = {"delta_abs": delta_abs, "gamma_norm": gamma_norm}
 
     if mults == (1, 1, 1, 1, 1):
@@ -486,11 +520,11 @@ def tangency_residuals(lam: G2Params):
     derivatives use the symbolic polynomial gradients.
     """
     vf = vmatrix(lam)
-    grad_d = discriminant_gradient(lam)
-    dval = discriminant(lam)
-    t = lam.astuple()
-    grad_g = [_grad_monomials(m, t) for m in _GAMMA_MONOMIALS]
-    gval = gamma_vec(lam)
+    pw = _powers(lam.astuple())
+    grad_d = _grad_monomials(_DELTA_MONOMIALS, pw)
+    dval = _eval_monomials(_DELTA_MONOMIALS, pw)
+    grad_g = [_grad_monomials(m, pw) for m in _GAMMA_MONOMIALS]
+    gval = _gamma_from_powers(pw)
     delta_res = []
     gamma_res = []
     for k in range(4):

@@ -23,7 +23,7 @@ from . import strata as st
 from .errors import Sigma2Error
 from .numerics import NumericsConfig, DEFAULT_CONFIG, cauchy_derivatives
 
-__all__ = ["SuiteResult", "run_suite", "run_all", "SUITES",
+__all__ = ["SuiteResult", "run_suite", "SUITES",
            "p_route_derivatives", "random_lambda1_context"]
 
 
@@ -580,21 +580,3 @@ def run_suite(name, seed=7, cfg=None, **kw) -> SuiteResult:
     if name == "algebra":
         return fn(seed=seed, **kw)
     return fn(seed=seed, cfg=cfg, **kw)
-
-
-def run_all(seed=7, cfg=None, fast=False):
-    """All suites; ``fast`` shrinks the sample counts for smoke runs."""
-    kwargs = {}
-    if fast:
-        kwargs = {
-            "heat": {"samples": 4}, "taylor": {"contexts": 3},
-            "inversion": {"instances": 12}, "two_route": {"samples": 2},
-            "periodicity": {"samples": 6}, "legendre": {"contexts": 3},
-            "spectral": {"samples": 5}, "algebra": {"samples": 25},
-            "classify": {"per_chart": 100}, "gradient": {"samples": 5},
-        }
-    results = []
-    for name in SUITES:
-        results.append(run_suite(name, seed=seed, cfg=cfg,
-                                 **kwargs.get(name, {})))
-    return results

@@ -117,6 +117,18 @@ def test_far_argument_raises_instead_of_nan(ec_generic, periods):
                     f(ec_generic, arg)
 
 
+@pytest.mark.parametrize("which", ["omega", "omegaP", "sum"])
+def test_wp_periodicity_drift_is_linear(ec_generic, which):
+    # the float reduction of z + n p loses about one ulp of n p, so the
+    # relative drift grows at most linearly in the number of periods
+    ec = ec_generic
+    p = {"omega": ec.omega, "omegaP": ec.omegaP, "sum": ec.omega + ec.omegaP}[which]
+    z = 0.3 + 0.1j
+    w0 = el.wp(ec, z)
+    for n in (10 ** k for k in range(7)):
+        assert abs(el.wp(ec, z + n * p) - w0) <= 5e-14 * n * abs(w0)
+
+
 # generic, hexagonal (largest nome of a reduced basis) and square lattices
 _ARRAY_CTX = [el.make_context(g) for g in
               ((0.4 - 0.2j, 0.5 + 0.3j), (0.0, 1.0), (-1.0, 0.0))]

@@ -195,6 +195,15 @@ def test_p_function_pole_guard(ctx_generic):
         sg.p_function_u(ctx_generic, 0.0, ctx_generic.alpha)
 
 
+def test_s_function_refuses_removable_point(ctx_generic):
+    # U1 = -alpha modulo the lattice: P = 0 and wp(U1) = wp(alpha), S is 0/0
+    u1 = ctx_generic.ectx.omegaP - ctx_generic.alpha
+    with pytest.raises(PoleAtArgument):
+        sg.s_function(ctx_generic, 0.05 + 0.02j, u1)
+    with pytest.raises(PoleAtArgument):
+        sg.s_function(ctx_generic, 0.05 + 0.02j, np.array([0.17 + 0.09j, u1]))
+
+
 def test_p_function_matches_bracket_ratio(ctx_generic):
     # the generator is the ratio of the two exponential halves of the
     # sigma2 bracket

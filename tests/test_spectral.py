@@ -62,6 +62,17 @@ def test_potential_regular_on_wp_pole(ctx_generic):
     assert np.all(err[ring] < 1e-9)
 
 
+def test_potential_removable_at_minus_alpha(ctx_generic):
+    # S is 0/0 at U1 = -alpha modulo the lattice; the potential is regular
+    # there and both paths ring-average the point
+    u3, u1 = 0.05 + 0.02j, ctx_generic.ectx.omegaP - ctx_generic.alpha
+    near = sp.potential_u(ctx_generic, u3, u1 + 1e-6)
+    scalar = sp.potential_u(ctx_generic, u3, u1)
+    array = sp.potential_u(ctx_generic, u3, np.array([0.17 + 0.09j, u1]))[1]
+    for val in (scalar, array):
+        assert abs(val - near) < 1e-6 * (1 + abs(near))
+
+
 def test_potential_array_refuses_sigma2_divisor(ctx_generic):
     # U3 with P(U3, U1) = 1 puts the sample on the sigma2 divisor
     ctx, u1 = ctx_generic, 0.17 + 0.09j

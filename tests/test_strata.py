@@ -2,11 +2,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st_h
+from hypothesis import assume, given, settings, strategies as st_h
 
 from sigma2 import strata as st
 from sigma2.errors import DegenerateCurve, NotOnStratum
-from sigma2.numerics import derivative
+from sigma2.numerics import DEFAULT_CONFIG, cluster_points, derivative
+from sigma2.verify import _cunit, random_gamma
 
 
 # --- polynomial values ------------------------------------------------------
@@ -138,6 +139,129 @@ def test_classify_weight_rescaling_invariance(t):
     assert scaled.partition == base.partition
     # recovered parameters rescale with their Sato weights
     assert abs(scaled.a2 - t ** 2 * base.a2) < 1e-8 * (1 + t ** 2)
+
+
+
+# --- classify against the numpy polynomial path -------------------------------
+
+def _np_polish(ds, m, z):
+    g, dg = ds[m - 1], ds[m]
+    for _ in range(40):
+        f, d = np.polyval(g, z), np.polyval(dg, z)
+        if d == 0:
+            break
+        step = f / d
+        z = z - step
+        if abs(step) < 1e-15 * (1 + abs(z)):
+            break
+    return z
+
+
+def _reference_classify(lam):
+    """(stratum, partition, a2, b2, gamma) with np.roots for the roots,
+    np.polyval Newton for the polish and the Fraction weight scale."""
+    s = max(float(abs(v) ** F(1, w)) for v, w in zip(lam.astuple(), (4, 6, 8, 10)))
+    if s == 0.0:
+        return "Lambda0", (5,), 0j, 0j, None
+    ln = st._normalized(lam, s)
+    ds = [np.array([1, 0, *ln.astuple()], dtype=complex)]
+    for _ in range(4):
+        ds.append(np.polyder(ds[-1]))
+    radius = max(DEFAULT_CONFIG.cluster_tol, st._CLUSTER_FLOOR)
+    clusters = cluster_points(np.roots(ds[0]), radius)
+    mults = tuple(sorted((len(m) for _, m in clusters), reverse=True))
+    centers = [(complex(_np_polish(ds, len(m), c)), len(m)) for c, m in clusters]
+    if mults == (1, 1, 1, 1, 1):
+        return "Lambda2", mults, None, None, None
+    if mults in ((2, 1, 1, 1), (3, 1, 1)):
+        a2n = max(centers, key=lambda cm: cm[1])[0]
+        a2, (g4, g6), _ = st._recover_lambda1_normalized(ln, a2n)
+        return "Lambda1", mults, a2 * s**2, None, (g4 * s**4, g6 * s**6)
+    a2, b2, _ = st._recover_lambda0_normalized(ln, centers, mults)
+    return "Lambda0", mults, a2 * s**2, b2 * s**2, None
+
+
+RANK_TABLE = [
+    (-5, 0, 4, 0), st.lambda_from_lambda1(0.5, (1.0, 0.25)).astuple(),
+    (1, 0, 0, 0), (-3, 2, 0, 0), st.lambda_from_lambda0(1.0, -2.0 / 3.0).astuple(),
+    (-10, 20, -15, 4), (0, 0, 0, 0),
+]
+
+
+def test_classify_matches_numpy_polynomial_reference():
+    rng = np.random.default_rng(11)
+    lams = [st.G2Params(*t) for t in RANK_TABLE]
+    for _ in range(150):
+        lams.append(st.G2Params(*(_cunit(rng) for _ in range(4))))
+        lams.append(st.lambda_from_lambda1(_cunit(rng), random_gamma(rng)))
+        lams.append(st.lambda_from_lambda0(_cunit(rng), _cunit(rng)))
+    for lam in lams:
+        cls = st.classify(lam)
+        stratum, part, a2, b2, gamma = _reference_classify(lam)
+        assert (cls.stratum, cls.partition) == (stratum, part)
+        got = [cls.a2, cls.b2]
+        want = [a2, b2]
+        if gamma is not None:
+            got += [cls.gamma.gamma4, cls.gamma.gamma6]
+            want += list(gamma)
+        for x, y in zip(got, want):
+            assert (x is None) == (y is None)
+            if y is not None:
+                assert abs(x - y) <= 1e-12 * (1 + abs(y))
+
+
+def test_trailing_zero_roots_are_exact():
+    assert st._quintic_roots([1, 0, 1, 0, 0, 0])[2:] == [0j, 0j, 0j]
+    assert st.classify(st.G2Params(1, 0, 0, 0)).partition == (3, 1, 1)
+
+
+def _from_roots(roots):
+    return st.G2Params(*(complex(c) for c in np.poly(roots)[2:]))
+
+
+_unit = st_h.floats(-1.0, 1.0)
+_points = st_h.tuples(_unit, _unit).map(lambda xy: complex(*xy))
+_scales = st_h.one_of(
+    st_h.floats(1e-3, 1e3),
+    st_h.floats(0.0, 2 * np.pi).map(lambda phi: complex(np.cos(phi), np.sin(phi))))
+
+
+def _separated(roots, gap=0.2):
+    return all(abs(x - y) >= gap for i, x in enumerate(roots) for y in roots[i + 1:])
+
+
+def _rel_err(x, want, t_w):
+    return abs(x / t_w - want) / (1 + abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_points, _points, _points, _scales)
+def test_classify_sato_covariance_lambda1(a2, r1, r2, t):
+    r3 = -(2 * a2 + r1 + r2)
+    assume(_separated([a2, r1, r2, r3]))
+    lam = _from_roots([a2, a2, r1, r2, r3])
+    base = st.classify(lam)
+    scaled = st.classify(lam.rescaled(t))
+    assert base.partition == scaled.partition == (2, 1, 1, 1)
+    assert _rel_err(scaled.a2, base.a2, t**2) < 1e-12
+    assert _rel_err(scaled.gamma.gamma4, base.gamma.gamma4, t**4) < 1e-12
+    assert _rel_err(scaled.gamma.gamma6, base.gamma.gamma6, t**6) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(_points, _points, _scales)
+def test_classify_sato_covariance_lambda0(a2, b2, t):
+    c = -2 * (a2 + b2)
+    assume(_separated([a2, b2, c]))
+    lam = _from_roots([a2, a2, b2, b2, c])
+    base = st.classify(lam)
+    scaled = st.classify(lam.rescaled(t))
+    assert base.partition == scaled.partition == (2, 2, 1)
+    # the (Re, Im) order of the pair need not survive a complex rescaling
+    got = (scaled.a2, scaled.b2)
+    err = min(max(_rel_err(x, y, t**2) for x, y in zip(got, pair))
+              for pair in ((base.a2, base.b2), (base.b2, base.a2)))
+    assert err < 1e-12
 
 
 # --- vector fields ----------------------------------------------------------
