@@ -6,12 +6,13 @@ values as (re, im) pairs.  All results are JSON records tagged with
 for reproducibility.  Exit codes: 0 success, 1 usage error, 2 numerical
 failure, 3 ambiguous classification.
 
-Environment overrides: SIGMA2_TOL, SIGMA2_FD_STEP, SIGMA2_SEED.
+Environment overrides: SIGMA2_TOL, SIGMA2_SEED.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -80,16 +81,28 @@ def emit(record, out=None):
         print(text)
 
 
+def _env(name, default, kind):
+    """The environment override ``name`` read as ``kind``, else ``default``."""
+    text = os.environ.get(name)
+    try:
+        return default if text is None else kind(text)
+    except ValueError:
+        raise UsageError(f"{name}={text!r} is not a valid {kind.__name__}") from None
+
+
 def _config(args):
-    tol = float(os.environ.get("SIGMA2_TOL", 1e-10))
-    fd = float(os.environ.get("SIGMA2_FD_STEP", 1e-4))
-    return NumericsConfig(tol=tol, fd_step=fd)
+    tol = _env("SIGMA2_TOL", 1e-10, float)
+    if not tol > 0:
+        raise UsageError(f"SIGMA2_TOL={tol!r} must be positive")
+    return NumericsConfig(tol=tol)
 
 
 def _seed(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(os.environ.get("SIGMA2_SEED", 7))
+    seed = getattr(args, "seed", None)
+    seed = _env("SIGMA2_SEED", 7, int) if seed is None else seed
+    if seed < 0:
+        raise UsageError(f"seed {seed} must be non-negative")
+    return seed
 
 
 def _degen_context(args, cfg):
@@ -211,17 +224,14 @@ def cmd_verify(args):
         if name not in vf.SUITES:
             raise UsageError(f"unknown suite {name!r}; "
                              f"choose from {', '.join(vf.SUITES)} or 'all'")
-    kwargs = {}
-    if args.samples is not None:
-        sample_keys = {"heat": "samples", "taylor": "contexts",
-                       "inversion": "instances", "two_route": "samples",
-                       "periodicity": "samples", "legendre": "contexts",
-                       "spectral": "samples", "algebra": "samples",
-                       "classify": "per_chart", "gradient": "samples"}
-        kwargs = {n: {sample_keys[n]: args.samples}
-                  for n in names if n in sample_keys}
+    if args.samples is not None and args.samples < 1:
+        raise UsageError("--samples must be at least 1")
 
-    results = sorted((vf.run_suite(name, seed=seed, cfg=cfg, **kwargs.get(name, {}))
+    def kwargs(name):
+        key = vf.SUITES[name][1]
+        return {key: args.samples} if key and args.samples is not None else {}
+
+    results = sorted((vf.run_suite(name, seed=seed, cfg=cfg, **kwargs(name))
                       for name in names), key=lambda r: r.name)
     for r in results:
         print(r.line())
@@ -254,7 +264,9 @@ def _write_csv(path, header, rows):
         w.writerows(rows.tolist())
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process at first use."""
     p = _Parser(prog="sigma2",
                 description="degenerate genus-2 sigma-function toolkit")
     sub = p.add_subparsers(dest="command", required=True)

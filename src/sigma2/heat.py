@@ -17,10 +17,12 @@ Q0, Q2, Q4, Q6 acting on Z(u3, U1, a2, gamma4, gamma6):
 with d^2 = g6 + (5/3) a2 g4 + ((5/3) a2)^3 and the curve-modulus fields
 L0 = 4 g4 d_g4 + 6 g6 d_g6, L2 = 6 g6 d_g4 - (4/3) g4^2 d_g6.
 
-u-derivatives are Richardson-extrapolated central differences; the moduli
-derivatives rebuild the evaluation context at perturbed (a2, gamma), so the
-implicit dependence of alpha on the moduli is differentiated along.  Residuals
-are normalized by the largest single term in each operator's expansion.
+Derivatives are trapezoidal Cauchy integrals (numerics.cauchy_derivatives):
+the u-derivatives come from one sigma2 evaluation on a product ring in
+(u3, U1), the moduli derivatives from 4-node rings that rebuild the
+evaluation context at each node, so the implicit dependence of alpha on the
+moduli is differentiated along.  Residuals are normalized by the largest
+single term in each operator's expansion.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ import numpy as np
 
 from . import elliptic as el
 from . import sigma as sg
-from .errors import NumericalFailure
-from .numerics import NumericsConfig, DEFAULT_CONFIG, derivative, mixed_second
+from .numerics import NumericsConfig, DEFAULT_CONFIG, cauchy_derivatives
 
 __all__ = ["HeatResidualReport", "q_residuals", "l2_action_residuals",
            "l0_action_residuals", "initial_condition_probe", "Q_OPERATOR_FORMS"]
@@ -57,71 +58,53 @@ class HeatResidualReport:
     point: dict
     residuals: dict = field(default_factory=dict)
     scales: dict = field(default_factory=dict)
-    steps: dict = field(default_factory=dict)
 
     @property
     def max_residual(self):
         return max(self.residuals.values())
 
 
-class _ZFamily:
-    """sigma2 in (u3, U1, a2, g4, g6) with context caching across rebuilds."""
-
-    def __init__(self, cfg):
-        self.cfg = cfg
-        self._cache = {}
-
-    def context(self, a2, g4, g6):
-        key = (complex(a2), complex(g4), complex(g6))
-        ctx = self._cache.get(key)
-        if ctx is None:
-            ctx = sg.context_lambda1(a2, (g4, g6), self.cfg)
-            self._cache[key] = ctx
-        return ctx
-
-    def z(self, u3, U1, a2, g4, g6):
-        return sg.sigma2_u(self.context(a2, g4, g6), u3, U1)
+def _moduli_derivative(func, t):
+    """d func/dt by a 4-node ring of radius 1e-3 (1 + |t|), one call per node
+    (each node rebuilds an evaluation context)."""
+    return cauchy_derivatives(lambda ts: [func(x) for x in ts.tolist()],
+                              t, 1, 1e-3 * (1.0 + abs(t)), 4)[1]
 
 
 def q_residuals(ctx: sg.DegenSigmaContext, u3, U1,
-                cfg: NumericsConfig | None = None,
-                u_step: float | None = None, moduli_step: float | None = None,
-                levels: int | None = None) -> HeatResidualReport:
+                cfg: NumericsConfig | None = None) -> HeatResidualReport:
     """Normalized residuals of Q0, Q2, Q4, Q6 applied to sigma2 at one point."""
     cfg = cfg or ctx.cfg or DEFAULT_CONFIG
-    u_step = 10.0 * cfg.fd_step if u_step is None else u_step
-    moduli_step = cfg.fd_step if moduli_step is None else moduli_step
-    levels = cfg.fd_order if levels is None else levels
     if ctx.kind != "lambda1":
         raise ValueError("heat residuals are defined on the Lambda1 stratum")
     u3, U1 = complex(u3), complex(U1)
     a2 = ctx.a2
     g4, g6 = ctx.gamma.gamma4, ctx.gamma.gamma6
-    fam = _ZFamily(cfg)
-    # step sizes follow the weight grading so rescaled contexts difference at
-    # the same relative resolution
+    # ring radii follow the weight grading so rescaled contexts differentiate
+    # at the same relative resolution
     ws = max(abs(a2) ** 0.5, abs(g4) ** 0.25, abs(g6) ** (1.0 / 6.0), 1e-6)
-    h3 = u_step / ws ** 3
-    h1 = u_step / ws
+    zmax = 0.0
 
-    z0 = fam.z(u3, U1, a2, g4, g6)
+    def z_grid(x3, x1):
+        nonlocal zmax
+        z = sg.sigma2_u(ctx, x3, x1)
+        zmax = float(np.abs(z).max())
+        return z
 
-    def zu(x3, x1):
-        return fam.z(x3, x1, a2, g4, g6)
+    # one sigma2_u call on the 16 x 16 product ring: zd[j, k] = d_u3^j d_U1^k Z
+    zd = cauchy_derivatives(
+        lambda x3: cauchy_derivatives(lambda x1: z_grid(x3, x1[:, None]),
+                                      U1, 2, 1e-2 / ws, 16).T,
+        u3, 2, 1e-2 / ws ** 3, 16)
+    z0, z1, z11 = zd[0]
+    z3, z31, z33 = zd[1, 0], zd[1, 1], zd[2, 0]
 
-    z3 = derivative(lambda t: zu(t, U1), u3, 1, h3, levels)
-    z1 = derivative(lambda t: zu(u3, t), U1, 1, h1, levels)
-    z33 = derivative(lambda t: zu(t, U1), u3, 2, h3, levels)
-    z11 = derivative(lambda t: zu(u3, t), U1, 2, h1, levels)
-    z31 = mixed_second(lambda x3, x1: zu(x3, x1), u3, U1,
-                       h3, min(levels, 2), hy=h1)
+    def z_moduli(a, c4, c6):
+        return sg.sigma2_u(sg.context_lambda1(a, (c4, c6), cfg), u3, U1)
 
-    ha = moduli_step * (1.0 + abs(a2))
-    h4 = moduli_step * (1.0 + abs(g4))
-    h6 = moduli_step * (1.0 + abs(g6))
-    za2 = derivative(lambda t: fam.z(u3, U1, t, g4, g6), a2, 1, ha, levels)
-    zg4 = derivative(lambda t: fam.z(u3, U1, a2, t, g6), g4, 1, h4, levels)
-    zg6 = derivative(lambda t: fam.z(u3, U1, a2, g4, t), g6, 1, h6, levels)
+    za2 = _moduli_derivative(lambda t: z_moduli(t, g4, g6), a2)
+    zg4 = _moduli_derivative(lambda t: z_moduli(a2, t, g6), g4)
+    zg6 = _moduli_derivative(lambda t: z_moduli(a2, g4, t), g6)
     l0z = 4 * g4 * zg4 + 6 * g6 * zg6
     l2z = 6 * g6 * zg4 - (4.0 / 3.0) * g4 ** 2 * zg6
 
@@ -130,9 +113,10 @@ def q_residuals(ctx: sg.DegenSigmaContext, u3, U1,
     d_prime = ((5.0 / 3.0) * g4 + (125.0 / 9.0) * a2 ** 2) / (2.0 * d)
 
     def assemble(terms):
-        # floor the scale at |Z| itself: at special points every true term
-        # can vanish, leaving only differencing noise in the numerator
-        scale = max(max(abs(t) for t in terms), abs(z0), 1e-300)
+        # floor the scale at the largest |Z| on the u-ring, which the ring's
+        # rounding error scales with: at special points (the origin) every
+        # true term can vanish, leaving only that rounding in the numerator
+        scale = max(max(abs(t) for t in terms), zmax, 1e-300)
         return abs(sum(terms)) / scale, scale
 
     a_coef = a2 ** 2 * U1 + (g4 + (7.0 / 3.0) * a2 ** 2) * a2 * u3
@@ -165,11 +149,10 @@ def q_residuals(ctx: sg.DegenSigmaContext, u3, U1,
     return HeatResidualReport(
         point={"u3": u3, "U1": U1, "a2": a2, "gamma4": g4, "gamma6": g6},
         residuals={"Q0": r0, "Q2": r2, "Q4": r4, "Q6": r6},
-        scales={"Q0": s0, "Q2": s2, "Q4": s4, "Q6": s6},
-        steps={"u_step": u_step, "moduli_step": moduli_step, "levels": levels})
+        scales={"Q0": s0, "Q2": s2, "Q4": s4, "Q6": s6})
 
 
-def _gamma_derivs(alpha, g4, g6, func, cfg, step, levels):
+def _gamma_derivs(alpha, g4, g6, func, cfg):
     """(d/d g4, d/d g6) of func(ectx, alpha) with context rebuilds."""
     def f4(t):
         return func(el.make_context((t, g6), cfg), alpha)
@@ -177,14 +160,11 @@ def _gamma_derivs(alpha, g4, g6, func, cfg, step, levels):
     def f6(t):
         return func(el.make_context((g4, t), cfg), alpha)
 
-    h4 = step * (1.0 + abs(g4))
-    h6 = step * (1.0 + abs(g6))
-    return (derivative(f4, g4, 1, h4, levels), derivative(f6, g6, 1, h6, levels))
+    return _moduli_derivative(f4, g4), _moduli_derivative(f6, g6)
 
 
 def l2_action_residuals(ectx: el.EllipticContext, alpha,
-                        cfg: NumericsConfig | None = None,
-                        step: float = 1e-5, levels: int = 3) -> dict:
+                        cfg: NumericsConfig | None = None) -> dict:
     """Residuals of the L2-action identities on sigma, zeta, wp, wp' at alpha.
 
     L2 = 6 g6 d_g4 - (4/3) g4^2 d_g6 acts at fixed alpha; the right-hand
@@ -211,7 +191,7 @@ def l2_action_residuals(ectx: el.EllipticContext, alpha,
     }
     out = {}
     for name, fn in funcs.items():
-        d4, d6 = _gamma_derivs(alpha, g4, g6, fn, cfg, step, levels)
+        d4, d6 = _gamma_derivs(alpha, g4, g6, fn, cfg)
         l2 = 6 * g6 * d4 - (4.0 / 3.0) * g4 ** 2 * d6
         scale = max(1.0, abs(targets[name]), abs(l2))
         out[name] = abs(l2 - targets[name]) / scale
@@ -219,8 +199,7 @@ def l2_action_residuals(ectx: el.EllipticContext, alpha,
 
 
 def l0_action_residuals(ectx: el.EllipticContext, alpha,
-                        cfg: NumericsConfig | None = None,
-                        step: float = 1e-5, levels: int = 3) -> dict:
+                        cfg: NumericsConfig | None = None) -> dict:
     """Euler-homogeneity residuals: L0 F = (weight F) + alpha-transport term."""
     cfg = cfg or DEFAULT_CONFIG
     alpha = complex(alpha)
@@ -244,7 +223,7 @@ def l0_action_residuals(ectx: el.EllipticContext, alpha,
     }
     out = {}
     for name, fn in funcs.items():
-        d4, d6 = _gamma_derivs(alpha, g4, g6, fn, cfg, step, levels)
+        d4, d6 = _gamma_derivs(alpha, g4, g6, fn, cfg)
         l0 = 4 * g4 * d4 + 6 * g6 * d6
         scale = max(1.0, abs(targets[name]), abs(l0))
         out[name] = abs(l0 - targets[name]) / scale

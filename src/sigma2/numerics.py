@@ -1,108 +1,69 @@
-"""Shared numerical utilities: configuration, differencing, quadrature, clustering.
+"""Shared numerical utilities: configuration, differentiation, quadrature, clustering.
 
-Everything here is deliberately dependency-light (numpy only) and works on
-complex scalars; the rest of the package treats these as the one place where
-step sizes and tolerances live.
+Everything here is deliberately dependency-light (numpy only); the rest of
+the package treats these as the one place where tolerances live.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
 
-_EPS = np.finfo(float).eps
-
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Knobs for differencing, quadrature and root clustering.
+    """Knobs for quadrature and root clustering.
 
-    fd_step      base step for central differences in the u-variables
-    fd_order     Richardson extrapolation levels (1..4)
     quad_nodes   Gauss-Legendre nodes per panel
     tol          default verification tolerance
     cluster_tol  pole-exclusion radius and floor for root clustering
     """
 
-    fd_step: float = 1e-4
-    fd_order: int = 3
     quad_nodes: int = 64
     tol: float = 1e-10
     cluster_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.fd_step > 0 and self.quad_nodes > 0 and self.tol > 0
-                and self.cluster_tol > 0):
+        if not (self.quad_nodes > 0 and self.tol > 0 and self.cluster_tol > 0):
             raise ValueError("NumericsConfig fields must be positive")
-        if not 1 <= self.fd_order <= 4:
-            raise ValueError("fd_order must lie in [1, 4]")
 
 
 DEFAULT_CONFIG = NumericsConfig()
 
-# central stencils for d^n/dt^n at t=0, as (offsets, weights, h-power)
-_STENCILS = {
-    1: ((-1, 1), (-0.5, 0.5), 1),
-    2: ((-1, 0, 1), (1.0, -2.0, 1.0), 2),
-    3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5), 3),
-    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0), 4),
-}
 
-
-def derivative(f, z0, n=1, h=1e-4, levels=3, direction=1.0):
-    """n-th derivative of an analytic f at z0 by central differences.
-
-    Differencing runs along the complex ``direction`` with Richardson
-    extrapolation (``levels`` halvings, error O(h^(2*levels))).
-    """
-    offs, wts, pw = _STENCILS[n]
-    d = direction / abs(direction)
-
-    def stencil(step):
-        acc = 0.0 + 0.0j
-        for o, w in zip(offs, wts):
-            acc += w * (f(z0 + o * step * d) if o else f(z0))
-        return acc / step**pw * d**(-n)
-
-    rows = [stencil(h / 2**i) for i in range(levels)]
-    for j in range(1, levels):
-        fac = 4.0**j
-        rows = [(fac * rows[i + 1] - rows[i]) / (fac - 1.0)
-                for i in range(len(rows) - 1)]
-    return rows[0]
-
-
-def mixed_second(f, x0, y0, h=1e-4, levels=2, hy=None):
-    """d^2 f / dx dy for analytic f(x, y) via nested central differences."""
-    hy = h if hy is None else hy
-
-    def dx(y):
-        return derivative(lambda x: f(x, y), x0, 1, h, levels)
-    return derivative(dx, y0, 1, hy, levels)
+@functools.lru_cache(maxsize=16)
+def _ring(nodes, nmax):
+    """Unit ring nodes e^(2 pi i k/nodes) and the trapezoidal weights
+    n! e^(-2 pi i n k/nodes)/nodes, shape (nodes, nmax + 1).  Cached, as
+    building them costs about as much as a 4-node ring's own arithmetic;
+    read-only, as every call with the same sizes shares them."""
+    unit = np.exp(2j * np.pi / nodes * np.arange(nodes))
+    fact = [math.factorial(n) for n in range(nmax + 1)]
+    weights = unit.conj()[:, None] ** np.arange(nmax + 1) * fact / nodes
+    unit.setflags(write=False)
+    weights.setflags(write=False)
+    return unit, weights
 
 
 def cauchy_derivatives(f, z0, nmax, radius=0.2, nodes=64):
     """[f(z0), f'(z0), ..., f^(nmax)(z0)] by trapezoidal Cauchy integrals.
 
-    Spectrally accurate for f analytic on the closed disk of the given
-    radius; the workhorse oracle for high-order derivatives where stencil
-    differencing hits its roundoff floor.
+    ``f`` is called once, on the ndarray of ring nodes z0 + radius e^(2 pi i
+    k/nodes), and returns an array whose first axis runs over those nodes;
+    further axes pass through to the result, so a nested call gives mixed
+    partials from one 2-D evaluation.  Spectrally accurate for f analytic on
+    the closed disk: no step tuning beyond the radius.
     """
-    z0 = complex(z0)
-    angles = 2.0 * np.pi * np.arange(nodes) / nodes
-    ring = radius * np.exp(1j * angles)
-    vals = np.array([f(z0 + w) for w in ring], dtype=complex)
-    out = []
-    fact = 1.0
-    for n in range(nmax + 1):
-        if n > 0:
-            fact *= n
-        out.append(fact * np.mean(vals * ring ** (-n)))
-    return out
+    unit, weights = _ring(nodes, nmax)
+    vals = np.asarray(f(z0 + radius * unit), dtype=complex)
+    out = (weights.T @ vals.reshape(nodes, -1)).reshape((nmax + 1,) + vals.shape[1:])
+    return (out.T * [radius ** -n for n in range(nmax + 1)]).T
 
 
 def _gl_panel(f, a, b, nodes, weights):

@@ -28,8 +28,8 @@ from . import elliptic as el
 from .elliptic import EllipticCurveParams
 from .errors import (BranchPointCase, NotOnStratum, PoleAtArgument,
                      SingularConfiguration)
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, any_true, complex_args,
-                       derivative, require_finite)
+from .numerics import (NumericsConfig, DEFAULT_CONFIG, any_true,
+                       cauchy_derivatives, complex_args, require_finite)
 from .strata import (G2Params, StratumClassification, classify,
                      lambda_from_lambda1, lambda_from_lambda0)
 
@@ -129,8 +129,10 @@ def _with_norm(ctx: DegenSigmaContext) -> DegenSigmaContext:
     scale = 1.0 + abs(ctx.a2) ** 0.5
     if ctx.b2 is not None:
         scale = max(scale, 1.0 + abs(ctx.b2) ** 0.5)
-    h = 1e-3 / scale ** 3
-    c = derivative(lambda t: _sigma2_raw(ctx, t, 0.0j), 0.0j, 1, h, 3)
+    # per-node scalar evaluation: cheaper than the array path at four points
+    c = cauchy_derivatives(
+        lambda ts: [_sigma2_raw(ctx, t, 0.0j) for t in ts.tolist()],
+        0.0j, 1, 1e-3 / scale ** 3, 4)[1]
     return _replace(ctx, norm_c=complex(c))
 
 

@@ -21,7 +21,8 @@ from . import lattice as lt
 from . import sigma as sg
 from .errors import (NotRealAlpha, NotRealLattice, PoleAtArgument,
                      SingularConfiguration)
-from .numerics import NumericsConfig, DEFAULT_CONFIG, complex_args, derivative
+from .numerics import (NumericsConfig, any_true, cauchy_derivatives,
+                       complex_args)
 
 __all__ = [
     "PotentialSample", "baker_psi", "eigen_residual", "potential_u",
@@ -54,16 +55,21 @@ def _b3_and_pwr(ctx, b1):
     return b3, pwr
 
 
-def baker_psi(ctx: sg.DegenSigmaContext, B1, U3, U1) -> complex:
-    """Eigenfunction value psi(U1) for spectral parameter B1 (E = wp(B1))."""
+def baker_psi(ctx: sg.DegenSigmaContext, B1, U3, U1):
+    """Eigenfunction value psi(U1) for spectral parameter B1 (E = wp(B1)).
+
+    Elementwise on ndarrays U3, U1, like potential_u.
+    """
     _require_generic(ctx)
-    B1, U3, U1 = complex(B1), complex(U3), complex(U1)
+    B1 = complex(B1)
+    U3, U1 = complex_args(U3, U1)
     b3, pwr = _b3_and_pwr(ctx, B1)
     den = sg.sigma2_u(ctx, U3, U1)
-    if den == 0:
+    if any_true(den == 0):
         raise SingularConfiguration("U-point lies on the sigma2 divisor")
     num = sg.sigma2_u(ctx, b3 - U3, B1 - U1)
-    return complex(num / den * np.exp(U1 * pwr))
+    val = num / den * np.exp(U1 * pwr)
+    return val if isinstance(val, np.ndarray) else complex(val)
 
 
 def _weight_scale(ctx):
@@ -71,29 +77,26 @@ def _weight_scale(ctx):
     return max(abs(ctx.a2) ** 0.5, abs(g4) ** 0.25, abs(g6) ** (1.0 / 6.0), 1e-6)
 
 
-def eigen_residual(ctx: sg.DegenSigmaContext, B1, U3, U1,
-                   cfg: NumericsConfig | None = None,
-                   h: float | None = None, levels: int = 3) -> float:
-    """|psi'' - (U + E) psi| / max-term, by differencing in U1."""
+def _u1_ring(ctx, f, U1, nmax):
+    """[f, f', .., f^(nmax)] in U1 from a 16-node ring of radius 0.005/ws: the
+    potential has poles nearby, so the disk stays small in weight units."""
+    return cauchy_derivatives(f, complex(U1), nmax, 5e-3 / _weight_scale(ctx), 16)
+
+
+def eigen_residual(ctx: sg.DegenSigmaContext, B1, U3, U1) -> float:
+    """|psi'' - (U + E) psi| / max-term, by Cauchy differentiation in U1."""
     _require_generic(ctx)
-    h = 1e-3 / _weight_scale(ctx) if h is None else h
-    psi0 = baker_psi(ctx, B1, U3, U1)
-    psi2 = derivative(lambda t: baker_psi(ctx, B1, U3, t), complex(U1), 2, h, levels)
+    psi0, _, psi2 = _u1_ring(ctx, lambda t: baker_psi(ctx, B1, U3, t), U1, 2)
     pot = potential_u(ctx, U3, U1)
     energy = el.wp(ctx.ectx, B1)
     terms = [psi2, -pot * psi0, -energy * psi0]
     return abs(sum(terms)) / max(abs(t) for t in terms)
 
 
-def wronskian(ctx: sg.DegenSigmaContext, B1, U3, U1,
-              h: float | None = None, levels: int = 3) -> complex:
+def wronskian(ctx: sg.DegenSigmaContext, B1, U3, U1) -> complex:
     """psi_+ psi_-' - psi_- psi_+' for the pair (B1, -B1)."""
-    h = 1e-3 / _weight_scale(ctx) if h is None else h
-    U1 = complex(U1)
-    pp = baker_psi(ctx, B1, U3, U1)
-    pm = baker_psi(ctx, -B1, U3, U1)
-    dp = derivative(lambda t: baker_psi(ctx, B1, U3, t), U1, 1, h, levels)
-    dm = derivative(lambda t: baker_psi(ctx, -B1, U3, t), U1, 1, h, levels)
+    pp, dp = _u1_ring(ctx, lambda t: baker_psi(ctx, B1, U3, t), U1, 1)
+    pm, dm = _u1_ring(ctx, lambda t: baker_psi(ctx, -B1, U3, t), U1, 1)
     return complex(pp * dm - pm * dp)
 
 
@@ -135,18 +138,14 @@ def potential_u(ctx: sg.DegenSigmaContext, U3, U1):
     return out
 
 
-def kdv_residual(ctx: sg.DegenSigmaContext, U3, U1,
-                 cfg: NumericsConfig | None = None,
-                 h: float | None = None, levels: int = 3) -> float:
+def kdv_residual(ctx: sg.DegenSigmaContext, U3, U1) -> float:
     """Normalized defect of 4 dU/dU3 = d^3 U/dU1^3 - 6 U dU/dU1."""
     _require_generic(ctx)
     ws = _weight_scale(ctx)
-    h = 2e-3 / ws if h is None else h
     U3, U1 = complex(U3), complex(U1)
-    u0 = potential_u(ctx, U3, U1)
-    du3 = derivative(lambda t: potential_u(ctx, t, U1), U3, 1, h / ws ** 2, levels)
-    du1 = derivative(lambda t: potential_u(ctx, U3, t), U1, 1, h, levels)
-    du111 = derivative(lambda t: potential_u(ctx, U3, t), U1, 3, 4 * h, levels)
+    u0, du1, _, du111 = _u1_ring(ctx, lambda t: potential_u(ctx, U3, t), U1, 3)
+    du3 = cauchy_derivatives(lambda t: potential_u(ctx, t, U1), U3, 1,
+                             5e-3 / ws ** 3, 16)[1]
     terms = [4.0 * du3, -du111, 6.0 * u0 * du1]
     return abs(sum(terms)) / max(abs(t) for t in terms)
 

@@ -101,18 +101,12 @@ def p_route_derivatives(ctx, U3, U1, radius=0.18, nodes=64, r3=0.12, n3=24):
     assembled algebraically at the center.  Independent of the S-function
     closed forms, with spectral accuracy far below 1e-9.
     """
-    U3, U1 = complex(U3), complex(U1)
-
-    def z_block(u3):
-        return np.array(cauchy_derivatives(
-            lambda t: sg.sigma2_u(ctx, u3, t), U1, 4, radius, nodes))
-
-    base = z_block(U3)                         # Z, Z_1, .., Z_1111
-    acc = np.zeros(5, dtype=complex)
-    for k in range(n3):
-        w = np.exp(2j * np.pi * k / n3)
-        acc += z_block(U3 + r3 * w) / w
-    d3 = acc / (n3 * r3)                       # Z_3, Z_31, .., Z_31111
+    # one sigma2_u call on the n3 x nodes product ring: zd[j, k] = d_U3^j d_U1^k Z
+    zd = cauchy_derivatives(
+        lambda x3: cauchy_derivatives(lambda t: sg.sigma2_u(ctx, x3, t[:, None]),
+                                      complex(U1), 4, radius, nodes).T,
+        complex(U3), 1, r3, n3)
+    base, d3 = zd                              # Z, Z_1, .., Z_1111; Z_3, Z_31, ..
     z = base[0]
     z01, z02, z03, z04 = base[1], base[2], base[3], base[4]
     z10, z11, z12, z13 = d3[0], d3[1], d3[2], d3[3]
@@ -351,8 +345,9 @@ def suite_spectral(seed=7, samples=20, cfg=None) -> SuiteResult:
         b1 = 0.3 + _random_u(rng, 0.2)
         u3, u1 = _random_u(rng, 0.2), 0.3 + _random_u(rng, 0.2)
         try:
-            # near the sigma2 divisor the potential blows up and stencil
-            # differencing, not the identity, becomes the bottleneck
+            # near the sigma2 divisor the potential has poles close to the
+            # differentiation ring, which then, not the identity, becomes
+            # the bottleneck
             pval = sg.p_function_u(ctx, u3, u1)
             if abs(pval - 1.0) < 0.1 or abs(sp.potential_u(ctx, u3, u1)) > 50.0:
                 continue
@@ -558,25 +553,26 @@ def suite_trig_limit(seed=7, cfg=None) -> SuiteResult:
                        {"max_residual": worst, "threshold": 1e-4})
 
 
+# suite name -> (function, keyword of its sample count or None)
 SUITES = {
-    "heat": suite_heat,
-    "taylor": suite_taylor,
-    "inversion": suite_inversion,
-    "two_route": suite_two_route,
-    "periodicity": suite_periodicity,
-    "legendre": suite_legendre,
-    "spectral": suite_spectral,
-    "algebra": suite_algebra,
-    "classify": suite_classify,
-    "gradient": suite_gradient,
-    "trig_limit": suite_trig_limit,
+    "heat": (suite_heat, "samples"),
+    "taylor": (suite_taylor, "contexts"),
+    "inversion": (suite_inversion, "instances"),
+    "two_route": (suite_two_route, "samples"),
+    "periodicity": (suite_periodicity, "samples"),
+    "legendre": (suite_legendre, "contexts"),
+    "spectral": (suite_spectral, "samples"),
+    "algebra": (suite_algebra, "samples"),
+    "classify": (suite_classify, "per_chart"),
+    "gradient": (suite_gradient, "samples"),
+    "trig_limit": (suite_trig_limit, None),
 }
 
 
 def run_suite(name, seed=7, cfg=None, **kw) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    fn = SUITES[name]
+    fn = SUITES[name][0]
     if name == "algebra":
         return fn(seed=seed, **kw)
     return fn(seed=seed, cfg=cfg, **kw)

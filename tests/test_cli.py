@@ -141,3 +141,54 @@ def test_env_seed_override(capsys, monkeypatch):
     assert code == 0
     payload = out[out.index("{"):]
     assert json.loads(payload)["seed"] == 11
+
+
+def test_verify_rejects_nonpositive_samples(capsys):
+    for n in ("0", "-3"):
+        code = cli.main(["verify", "--suite", "heat", "--samples", n])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: --samples")
+
+
+@pytest.mark.parametrize("name,value", [("SIGMA2_TOL", "abc"), ("SIGMA2_TOL", "-1"),
+                                        ("SIGMA2_TOL", "0"), ("SIGMA2_SEED", "x7"),
+                                        ("SIGMA2_SEED", "-1")])
+def test_bad_environment_override_is_usage_error(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    code = cli.main(["verify", "--suite", "trig_limit"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_parser_built_once_and_keeps_no_state(capsys):
+    argvs = [
+        ("sigma", "--a2", "0.2,0.1", "--gamma", "0.4,-0.2,0.5,0.3",
+         "--u", "0.1,0.2", "--normalized"),
+        ("sigma", "--a2", "0.2,0.1", "--gamma", "0.4,-0.2,0.5,0.3", "--u", "0.1,0.2"),
+        ("classify", "--lambda", "0,1,0,0"),
+        ("verify", "--suite", "trig_limit", "--seed", "3"),
+        ("verify", "--suite", "trig_limit"),
+    ]
+    separate = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        separate.append(run(capsys, *argv))
+    cli.build_parser.cache_clear()
+    successive = [run(capsys, *argv) for argv in argvs]
+    assert successive == separate
+    assert json.loads(successive[0][1])["normalized"] is True
+    assert json.loads(successive[1][1])["normalized"] is False
+    info = cli.build_parser.cache_info()
+    assert info.misses == 1 and info.hits == len(argvs) - 1
+
+
+def test_parser_not_built_at_import():
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sigma2.cli as c; "
+            "assert c.build_parser.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -3,17 +3,16 @@ import pytest
 
 from sigma2.errors import NumericalFailure
 from sigma2.numerics import (NumericsConfig, cauchy_derivatives, cluster_points,
-                             continuous_log, derivative, mixed_second,
-                             quadrature_path, require_finite)
+                             continuous_log, quadrature_path, require_finite)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        NumericsConfig(fd_step=-1.0)
+        NumericsConfig(tol=-1.0)
     with pytest.raises(ValueError):
-        NumericsConfig(fd_order=5)
+        NumericsConfig(quad_nodes=0)
     cfg = NumericsConfig()
-    assert cfg.tol == 1e-10 and cfg.fd_order == 3
+    assert cfg.tol == 1e-10 and cfg.quad_nodes == 64
 
 
 def test_require_finite():
@@ -26,20 +25,36 @@ def test_require_finite():
 @pytest.mark.parametrize("n,expect", [(1, np.cos(0.3)), (2, -np.sin(0.3)),
                                       (3, -np.cos(0.3)), (4, np.sin(0.3))])
 def test_derivative_orders(n, expect):
-    got = derivative(np.sin, 0.3, n=n, h=0.2, levels=3)
-    assert abs(got - expect) < 1e-8
+    # one call of f on the whole ring gives every order up to nmax
+    calls = []
 
+    def f(z):
+        calls.append(z.shape)
+        return np.sin(z)
 
-def test_derivative_complex_direction():
-    f = lambda z: np.exp(2j * z)
-    got = derivative(f, 0.1 + 0.2j, n=1, h=1e-2, levels=3, direction=1 + 1j)
-    assert abs(got - 2j * f(0.1 + 0.2j)) < 1e-10
+    got = cauchy_derivatives(f, 0.3, 4, radius=0.5, nodes=16)
+    assert calls == [(16,)]
+    assert got.shape == (5,)
+    assert abs(got[n] - expect) < 1e-12
 
 
 def test_mixed_second():
-    f = lambda x, y: np.sin(x) * np.exp(y)
-    got = mixed_second(f, 0.2, -0.1, h=1e-3)
-    assert abs(got - np.cos(0.2) * np.exp(-0.1)) < 1e-9
+    # trailing axes pass through: the inner ring's orders ride along the
+    # outer ring, and f is evaluated once on the 16 x 12 product grid
+    calls = []
+
+    def f(x, y):
+        calls.append(np.broadcast(x, y).shape)
+        return np.sin(x) * np.exp(y)
+
+    d = cauchy_derivatives(
+        lambda x: cauchy_derivatives(lambda y: f(x, y[:, None]), -0.1, 1,
+                                     radius=0.2, nodes=12).T,
+        0.2, 1, radius=0.2, nodes=16)
+    assert calls == [(12, 16)]
+    assert d.shape == (2, 2)
+    assert abs(d[0, 0] - np.sin(0.2) * np.exp(-0.1)) < 1e-13
+    assert abs(d[1, 1] - np.cos(0.2) * np.exp(-0.1)) < 1e-12
 
 
 def test_cauchy_derivatives_exponential():

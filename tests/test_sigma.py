@@ -225,8 +225,21 @@ def test_log_derivatives_match_independent_route(ctx_generic):
             assert abs(cf - oracle[name]) < 1e-9 * (1 + abs(cf)), name
 
 
+def _central(f, z0, n, h, levels):
+    """n-th derivative (n = 1, 2) of f at z0 by Richardson-extrapolated
+    central differences: an oracle independent of the package's Cauchy ring."""
+    def stencil(step):
+        if n == 1:
+            return (f(z0 + step) - f(z0 - step)) / (2 * step)
+        return (f(z0 + step) - 2 * f(z0) + f(z0 - step)) / step ** 2
+    rows = [stencil(h / 2 ** i) for i in range(levels)]
+    for j in range(1, levels):
+        rows = [(4.0 ** j * rows[i + 1] - rows[i]) / (4.0 ** j - 1.0)
+                for i in range(len(rows) - 1)]
+    return rows[0]
+
+
 def test_log_derivatives_match_stencil_differencing(ctx_generic, rng):
-    from sigma2.numerics import derivative, mixed_second
     for _ in range(5):
         U3 = complex(rng.normal(), rng.normal()) * 0.1
         U1 = 0.3 + complex(rng.normal(), rng.normal()) * 0.1
@@ -235,8 +248,9 @@ def test_log_derivatives_match_stencil_differencing(ctx_generic, rng):
         def logz(u3, u1):
             return np.log(sg.sigma2_u(ctx_generic, u3, u1))
 
-        fd11 = -derivative(lambda t: logz(U3, t), U1, 2, 4e-3, 3)
-        fd13 = -mixed_second(logz, U3, U1, 2e-3, 2)
+        fd11 = -_central(lambda t: logz(U3, t), U1, 2, 4e-3, 3)
+        fd13 = -_central(lambda s: _central(lambda t: logz(t, s), U3, 1, 2e-3, 2),
+                         U1, 1, 2e-3, 2)
         assert abs(fd11 - der.P11) < 1e-5 * (1 + abs(der.P11))
         assert abs(fd13 - der.P13) < 1e-5 * (1 + abs(der.P13))
 

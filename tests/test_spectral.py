@@ -17,6 +17,23 @@ def test_eigen_equation(ctx_generic, rng):
         assert sp.eigen_residual(ctx_generic, b1, u3, u1) < 1e-6
 
 
+def test_eigen_residual_reaches_ring_accuracy(ctx_generic):
+    assert sp.eigen_residual(ctx_generic, 0.3 + 0.1j, 0.05, 0.25 + 0.1j) < 1e-10
+
+
+def test_baker_psi_array_matches_scalar(ctx_generic):
+    b1, u3 = 0.23 - 0.31j, 0.05 + 0.02j
+    u1 = np.array([0.17 + 0.09j, 0.38 - 0.02j, -0.22 + 0.14j, 0.0])
+    got = sp.baker_psi(ctx_generic, b1, u3, u1)
+    want = np.array([sp.baker_psi(ctx_generic, b1, u3, x) for x in u1])
+    assert got.shape == u1.shape
+    # a quotient of two sigma2 values times an exponential (measured 1.0e-14)
+    assert np.all(np.abs(got - want) <= 3e-14 * np.maximum(np.abs(want), 1.0))
+    # the divisor guard sees every entry: sigma2 vanishes exactly at u = 0
+    with pytest.raises(SingularConfiguration):
+        sp.baker_psi(ctx_generic, b1, 0.0, np.array([0.1, 0.0]))
+
+
 def test_two_independent_solutions(ctx_generic):
     b1, u3 = 0.23 - 0.31j, 0.05 + 0.02j
     w_at = [sp.wronskian(ctx_generic, b1, u3, u1)

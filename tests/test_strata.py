@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st_h
 
 from sigma2 import strata as st
 from sigma2.errors import DegenerateCurve, NotOnStratum
-from sigma2.numerics import DEFAULT_CONFIG, cluster_points, derivative
+from sigma2.numerics import DEFAULT_CONFIG, cluster_points
 from sigma2.verify import _cunit, random_gamma
 
 
