@@ -14,7 +14,7 @@ from .errors import (AmbiguousClassification, BranchPointCase, DegenerateCurve,
                      NotBranchPoint, NotOnStratum, NotRealAlpha,
                      NotRealLattice, NumericalFailure, PoleAtArgument,
                      Sigma2Error, SingularConfiguration)
-from .numerics import NumericsConfig, quadrature_path
+from .numerics import quadrature_path
 from .sigma import (DegenSigmaContext, SigmaDerivatives, context_lambda0,
                     context_lambda1, log_derivatives, make_degen_context,
                     p_function, sigma2, sigma2_baker_form, sigma2_u)
@@ -29,7 +29,7 @@ __all__ = [
     "AmbiguousClassification", "BranchPointCase", "DegenSigmaContext",
     "DegenerateCurve", "EllipticContext", "EllipticCurveParams", "G2Params",
     "NotBranchPoint", "NotOnStratum", "NotRealAlpha", "NotRealLattice",
-    "NumericalFailure", "NumericsConfig", "PoleAtArgument", "Sigma2Error",
+    "NumericalFailure", "PoleAtArgument", "Sigma2Error",
     "SigmaDerivatives", "SingularConfiguration", "StratumClassification",
     "classify", "context_lambda0", "context_lambda1", "delta_gamma",
     "discriminant", "gamma_vec", "invert_wp", "lambda_from_A",

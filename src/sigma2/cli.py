@@ -6,7 +6,8 @@ values as (re, im) pairs.  All results are JSON records tagged with
 for reproducibility.  Exit codes: 0 success, 1 usage error, 2 numerical
 failure, 3 ambiguous classification.
 
-Environment overrides: SIGMA2_TOL, SIGMA2_SEED.
+Environment override: SIGMA2_SEED.  Tolerances are fixed constants of the
+package, not settings.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -25,7 +27,6 @@ from . import spectral as sp
 from . import strata as st
 from . import verify as vf
 from .errors import AmbiguousClassification, Sigma2Error
-from .numerics import NumericsConfig
 
 SCHEMA = "sigma2/1"
 
@@ -39,12 +40,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def parse_complexes(text, n, name):
-    parts = [p for p in text.split(",") if p.strip() != ""]
+def _finite_floats(parts, name):
+    """The strings as floats; a malformed or non-finite one is a usage error."""
     try:
         vals = [float(p) for p in parts]
     except ValueError as exc:
-        raise UsageError(f"--{name}: {exc}")
+        raise UsageError(f"--{name}: {exc}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise UsageError(f"--{name}: non-finite value in {','.join(parts)}")
+    return vals
+
+
+def parse_complexes(text, n, name):
+    vals = _finite_floats([p for p in text.split(",") if p.strip() != ""], name)
     if len(vals) == n:
         return [complex(v) for v in vals]
     if len(vals) == 2 * n:
@@ -81,53 +89,42 @@ def emit(record, out=None):
         print(text)
 
 
-def _env(name, default, kind):
-    """The environment override ``name`` read as ``kind``, else ``default``."""
-    text = os.environ.get(name)
-    try:
-        return default if text is None else kind(text)
-    except ValueError:
-        raise UsageError(f"{name}={text!r} is not a valid {kind.__name__}") from None
-
-
-def _config(args):
-    tol = _env("SIGMA2_TOL", 1e-10, float)
-    if not tol > 0:
-        raise UsageError(f"SIGMA2_TOL={tol!r} must be positive")
-    return NumericsConfig(tol=tol)
-
-
 def _seed(args):
-    seed = getattr(args, "seed", None)
-    seed = _env("SIGMA2_SEED", 7, int) if seed is None else seed
+    """--seed, else the SIGMA2_SEED override, else 7."""
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("SIGMA2_SEED", "7")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise UsageError(f"SIGMA2_SEED={text!r} is not a valid int") from None
     if seed < 0:
         raise UsageError(f"seed {seed} must be non-negative")
     return seed
 
 
-def _degen_context(args, cfg):
+def _degen_context(args):
     if args.lam is not None:
         lam = st.G2Params(*parse_complexes(args.lam, 4, "lambda"))
-        return sg.make_degen_context(lam, cfg)
+        return sg.make_degen_context(lam)
     if args.gamma is not None:
         if args.a2 is None:
             raise UsageError("--gamma needs --a2")
         a2 = parse_complexes(args.a2, 1, "a2")[0]
         g4, g6 = parse_complexes(args.gamma, 2, "gamma")
-        return sg.context_lambda1(a2, (g4, g6), cfg)
+        return sg.context_lambda1(a2, (g4, g6))
     if args.b2 is not None:
         if args.a2 is None:
             raise UsageError("--b2 needs --a2")
         a2 = parse_complexes(args.a2, 1, "a2")[0]
         b2 = parse_complexes(args.b2, 1, "b2")[0]
-        return sg.context_lambda0(a2, b2, cfg)
+        return sg.context_lambda0(a2, b2)
     raise UsageError("give --lambda, or --a2 with --gamma or --b2")
 
 
 def cmd_classify(args):
-    cfg = _config(args)
     lam = st.G2Params(*parse_complexes(args.lam, 4, "lambda"))
-    cls = st.classify(lam, cfg)
+    cls = st.classify(lam)
     rec = {"command": "classify", "lambda": list(lam.astuple()),
            "stratum": cls.stratum, "partition": list(cls.partition),
            "rank": cls.rank, "residuals": cls.residuals}
@@ -142,8 +139,7 @@ def cmd_classify(args):
 
 
 def cmd_sigma(args):
-    cfg = _config(args)
-    ctx = _degen_context(args, cfg)
+    ctx = _degen_context(args)
     rec = {"command": "sigma", "lambda": list(ctx.lam.astuple()),
            "stratum": "Lambda1" if ctx.kind == "lambda1" else "Lambda0",
            "normalized": bool(args.normalized)}
@@ -169,9 +165,8 @@ def cmd_sigma(args):
 
 
 def cmd_invert(args):
-    cfg = _config(args)
     from . import inversion as inv
-    ctx = _degen_context(args, cfg)
+    ctx = _degen_context(args)
     u1, u3 = parse_complexes(args.U, 2, "U")
     res = (inv.branch_point_inversion(ctx, u1) if ctx.branch_point
            else inv.solve_inversion(ctx, u1, u3))
@@ -186,11 +181,10 @@ def cmd_invert(args):
 
 
 def cmd_potential(args):
-    cfg = _config(args)
-    ctx = _degen_context(args, cfg)
+    ctx = _degen_context(args)
     lo, hi, n = _parse_grid(args.grid)
     grid = np.linspace(lo, hi, n)
-    sample = sp.real_family(ctx, args.family, args.phi, grid, cfg)
+    sample = sp.real_family(ctx, args.family, args.phi, grid)
     rows = np.column_stack((sample.grid, sample.values.real, sample.values.imag))
     out = args.out or "potential.csv"
     _write_csv(out, ("x", "re", "im"), rows)
@@ -205,8 +199,7 @@ def cmd_potential(args):
 
 
 def cmd_periods(args):
-    cfg = _config(args)
-    ctx = _degen_context(args, cfg)
+    ctx = _degen_context(args)
     lat = lt.period_matrices(ctx)
     rec = {"command": "periods", "lambda": list(ctx.lam.astuple()),
            "alpha": lat.alpha, "T": lat.T, "H": lat.H,
@@ -217,7 +210,6 @@ def cmd_periods(args):
 
 
 def cmd_verify(args):
-    cfg = _config(args)
     seed = _seed(args)
     names = list(vf.SUITES) if args.suite == "all" else args.suite.split(",")
     for name in names:
@@ -231,7 +223,7 @@ def cmd_verify(args):
         key = vf.SUITES[name][1]
         return {key: args.samples} if key and args.samples is not None else {}
 
-    results = sorted((vf.run_suite(name, seed=seed, cfg=cfg, **kwargs(name))
+    results = sorted((vf.run_suite(name, seed=seed, **kwargs(name))
                       for name in names), key=lambda r: r.name)
     for r in results:
         print(r.line())
@@ -247,7 +239,11 @@ def _parse_grid(text):
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError("--grid expects lo,hi,n")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi = _finite_floats(parts[:2], "grid")
+    try:
+        n = int(parts[2])
+    except ValueError:
+        raise UsageError(f"--grid: n = {parts[2]!r} is not an integer") from None
     if n <= 0 or hi <= lo:
         raise UsageError("--grid needs n > 0 and hi > lo")
     return lo, hi, n
@@ -295,7 +291,8 @@ def build_parser():
             q.add_argument("--U", required=True, help="U1,U3")
         if name == "potential":
             q.add_argument("--family", choices=("V1", "V2"), default="V1")
-            q.add_argument("--phi", type=float, default=0.25)
+            q.add_argument("--phi", default=0.25,
+                           type=lambda t: _finite_floats([t], "phi")[0])
             q.add_argument("--grid", default="0.02,0.98,128")
         common(q)
         q.set_defaults(fn=fn)

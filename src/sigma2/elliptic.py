@@ -23,8 +23,8 @@ import numpy as np
 from scipy.special import elliprf
 
 from .errors import DegenerateCurve, NumericalFailure, PoleAtArgument
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, all_finite, any_true,
-                       continuous_log, require_finite)
+from .numerics import (POLE_TOL, all_finite, any_true, continuous_log,
+                       require_finite)
 
 __all__ = [
     "EllipticCurveParams", "EllipticContext", "make_context", "delta_gamma",
@@ -154,7 +154,6 @@ class EllipticContext:
     etaP: complex
     nome: complex
     roots: tuple
-    cfg: NumericsConfig
     _th1p0: complex
     _theta: tuple
 
@@ -175,16 +174,14 @@ class EllipticContext:
         return max(abs(self.omega), abs(self.omegaP))
 
 
-def make_context(params, cfg: NumericsConfig | None = None,
-                 degenerate_rel_tol: float = 1e-12) -> EllipticContext:
+def make_context(params) -> EllipticContext:
     """Build the Weierstrass context for curve parameters (gamma4, gamma6)."""
     if not isinstance(params, EllipticCurveParams):
         params = EllipticCurveParams(*params)
-    cfg = cfg or DEFAULT_CONFIG
     g4, g6 = complex(params.gamma4), complex(params.gamma6)
     dlt = delta_gamma(g4, g6)
     scale = abs(g4) ** 3 + abs(g6) ** 2
-    if scale == 0 or abs(dlt) <= degenerate_rel_tol * scale:
+    if scale == 0 or abs(dlt) <= 1e-12 * scale:
         raise DegenerateCurve(f"4*g4^3 + 27*g6^2 = {dlt!r} is (relatively) zero")
     g2, g3 = -4 * g4, -4 * g6
     roots = _cubic_roots(g2, g3)
@@ -216,7 +213,7 @@ def make_context(params, cfg: NumericsConfig | None = None,
         raise NumericalFailure("period iteration did not reproduce the cubic roots")
     return EllipticContext(params=params, g2=g2, g3=g3, omega=omega,
                            omegaP=omegaP, eta=eta, etaP=etaP, nome=q,
-                           roots=(e1, e2, e3), cfg=cfg, _th1p0=t1, _theta=table)
+                           roots=(e1, e2, e3), _th1p0=t1, _theta=table)
 
 
 def _reduce(ctx: EllipticContext, u):
@@ -233,8 +230,8 @@ def _reduce(ctx: EllipticContext, u):
 
 
 def _pole_guard(ctx, u0):
-    if any_true(abs(u0) < ctx.cfg.cluster_tol * ctx.scale()):
-        raise PoleAtArgument(f"argument within {ctx.cfg.cluster_tol} of a lattice point")
+    if any_true(abs(u0) < POLE_TOL * ctx.scale()):
+        raise PoleAtArgument(f"argument within {POLE_TOL} of a lattice point")
 
 
 def _theta(ctx, u0, xp, derivs=True):

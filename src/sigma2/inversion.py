@@ -28,7 +28,7 @@ from . import elliptic as el
 from . import sigma as sg
 from .errors import (BranchPointCase, NotBranchPoint, NotOnStratum,
                      PoleAtArgument, SingularConfiguration)
-from .numerics import NumericsConfig, quadrature_path
+from .numerics import quadrature_path
 
 __all__ = [
     "InversionResult", "solve_inversion", "forward_integrals",
@@ -75,14 +75,13 @@ def forward_integrals(ctx: sg.DegenSigmaContext, xi1, xi2):
     return complex(u1), complex(u3)
 
 
-def third_kind_integral_quadrature(ctx: sg.DegenSigmaContext, xi,
-                                   cfg: NumericsConfig | None = None):
+def third_kind_integral_quadrature(ctx: sg.DegenSigmaContext, xi):
     """Quadrature oracle for int_0^xi dv/(wp(v) - wp(alpha))."""
     _require_generic_l1(ctx)
     ec = ctx.ectx
     a = ctx.wp_alpha
     return quadrature_path(lambda v: 1.0 / (el.wp(ec, v) - a),
-                           [1e-300j, complex(xi)], cfg or ctx.cfg)
+                           [1e-300j, complex(xi)])
 
 
 def solve_inversion(ctx: sg.DegenSigmaContext, U1, U3) -> InversionResult:

@@ -23,11 +23,10 @@ from . import elliptic as el
 from . import sigma as sg
 from .errors import PoleAtArgument, SingularConfiguration
 from .strata import G2Params, classify, discriminant
-from .numerics import NumericsConfig
 
 __all__ = [
     "AbelIntegralValues", "PeriodLattice", "abel_integrals", "period_matrices",
-    "quasi_periodicity_residual", "three_periodic_P", "p_periodicity_residual",
+    "quasi_periodicity_residual", "p_periodicity_residual",
     "functional_equation_check", "reconstruct_lambda", "rank_report",
     "LEGENDRE_PATTERN",
 ]
@@ -184,11 +183,6 @@ def quasi_periodicity_residual(ctx: sg.DegenSigmaContext, u, k: int,
     return abs(ratio - target) / max(1.0, abs(target))
 
 
-def three_periodic_P(ctx: sg.DegenSigmaContext, u3, u1) -> complex:
-    """The three-periodic generator (periods T1, T2, T3)."""
-    return sg.p_function(ctx, u3, u1)
-
-
 def p_periodicity_residual(ctx: sg.DegenSigmaContext, u, k: int,
                            lattice: PeriodLattice | None = None) -> float:
     if lattice is None:
@@ -275,16 +269,16 @@ def reconstruct_lambda(ctx: sg.DegenSigmaContext, U1, U3=0.17 + 0.11j) -> dict:
             / (1.0 + max(abs(complex(x)) for x in ref)) ** 4}
 
 
-def rank_report(lam: G2Params, cfg: NumericsConfig | None = None) -> dict:
+def rank_report(lam: G2Params) -> dict:
     """Lattice rank of a parameter point, per the partition table.
 
     For one-double-point parameters the report carries |wp'(alpha)|, the
     quantity separating rank 3 (simple discriminant zero) from rank 2.
     """
-    cls = classify(lam, cfg)
+    cls = classify(lam)
     out = {"rank": cls.rank, "partition": cls.partition, "stratum": cls.stratum}
     if cls.stratum == "Lambda1":
-        ctx = sg.context_lambda1(cls.a2, cls.gamma, cfg)
+        ctx = sg.context_lambda1(cls.a2, cls.gamma)
         out["wp_prime_alpha_abs"] = abs(ctx.wpp_alpha)
         out["branch_point"] = ctx.branch_point
     return out

@@ -1,7 +1,9 @@
-"""Shared numerical utilities: configuration, differentiation, quadrature, clustering.
+"""Shared numerical utilities: tolerances, differentiation, quadrature, clustering.
 
-Everything here is deliberately dependency-light (numpy only); the rest of
-the package treats these as the one place where tolerances live.
+Everything here is deliberately dependency-light (numpy only).  The
+tolerances are fixed module constants, not settings: the sigma-function is
+given in closed form, so a tolerance only rejects poles and decides when
+quadrature has converged.
 """
 
 from __future__ import annotations
@@ -9,32 +11,17 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure
 
-
-@dataclass(frozen=True)
-class NumericsConfig:
-    """Knobs for quadrature and root clustering.
-
-    quad_nodes   Gauss-Legendre nodes per panel
-    tol          default verification tolerance
-    cluster_tol  pole-exclusion radius and floor for root clustering
-    """
-
-    quad_nodes: int = 64
-    tol: float = 1e-10
-    cluster_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not (self.quad_nodes > 0 and self.tol > 0 and self.cluster_tol > 0):
-            raise ValueError("NumericsConfig fields must be positive")
-
-
-DEFAULT_CONFIG = NumericsConfig()
+# pole-exclusion radius, relative to the period scale
+POLE_TOL = 1e-8
+# adaptive quadrature: Gauss-Legendre nodes and weights per panel, and the
+# relative panel tolerance
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_QUAD_TOL = 1e-10
 
 
 @functools.lru_cache(maxsize=16)
@@ -66,31 +53,29 @@ def cauchy_derivatives(f, z0, nmax, radius=0.2, nodes=64):
     return (out.T * [radius ** -n for n in range(nmax + 1)]).T
 
 
-def _gl_panel(f, a, b, nodes, weights):
+def _gl_panel(f, a, b):
     mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return half * sum(w * f(mid + half * x) for x, w in zip(nodes, weights))
+    return half * sum(w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
 
 
-def quadrature_path(f, path, cfg: NumericsConfig | None = None):
+def quadrature_path(f, path):
     """Integrate f along the polyline ``path`` of complex nodes.
 
     Composite adaptive Gauss-Legendre; raises NumericalFailure (with the error
-    estimate attached) if panel bisection stalls above cfg.tol.  The caller
-    must route the path around poles and branch points.
+    estimate attached) if panel bisection stalls above the panel tolerance.
+    The caller must route the path around poles and branch points.
     """
-    cfg = cfg or DEFAULT_CONFIG
     path = [complex(p) for p in path]
     if len(path) < 2:
         raise ValueError("path needs at least two nodes")
-    nodes, weights = np.polynomial.legendre.leggauss(cfg.quad_nodes)
 
     def adapt(a, b, whole, depth):
         m = (a + b) / 2.0
-        left = _gl_panel(f, a, m, nodes, weights)
-        right = _gl_panel(f, m, b, nodes, weights)
+        left = _gl_panel(f, a, m)
+        right = _gl_panel(f, m, b)
         err = abs(left + right - whole)
-        if err <= cfg.tol * max(1.0, abs(left + right)) or depth >= 12:
-            if depth >= 12 and err > 10 * cfg.tol * max(1.0, abs(left + right)):
+        if err <= _QUAD_TOL * max(1.0, abs(left + right)) or depth >= 12:
+            if depth >= 12 and err > 10 * _QUAD_TOL * max(1.0, abs(left + right)):
                 raise NumericalFailure("quadrature panel did not converge",
                                        estimate=err)
             return left + right
@@ -98,19 +83,21 @@ def quadrature_path(f, path, cfg: NumericsConfig | None = None):
 
     total = 0.0 + 0.0j
     for a, b in zip(path[:-1], path[1:]):
-        total += adapt(a, b, _gl_panel(f, a, b, nodes, weights), 0)
+        total += adapt(a, b, _gl_panel(f, a, b), 0)
     return total
 
 
-def continuous_log(g, t_end=1.0, steps=16, max_steps=4096):
-    """Continued log increment log g(t_end) - log g(0) along t in [0, t_end].
+def continuous_log(g):
+    """Continued log increment log g(1) - log g(0) along t in [0, 1].
 
-    ``g`` must be nonvanishing on the segment.  Step count doubles until every
-    increment turns by less than pi/2, which pins the branch; the winding is
-    part of the answer, no principal-value reduction is applied.
+    ``g`` must be nonvanishing on the segment.  Step count doubles from 16
+    until every increment turns by less than pi/2, which pins the branch (at
+    most 4096 steps); the winding is part of the answer, no principal-value
+    reduction is applied.
     """
-    while steps <= max_steps:
-        ts = np.linspace(0.0, t_end, steps + 1)
+    steps = 16
+    while steps <= 4096:
+        ts = np.linspace(0.0, 1.0, steps + 1)
         vals = [complex(g(t)) for t in ts]
         if any(v == 0 for v in vals):
             raise NumericalFailure("continuous_log hit a zero of the function")

@@ -28,8 +28,7 @@ from . import elliptic as el
 from .elliptic import EllipticCurveParams
 from .errors import (BranchPointCase, NotOnStratum, PoleAtArgument,
                      SingularConfiguration)
-from .numerics import (NumericsConfig, DEFAULT_CONFIG, any_true,
-                       cauchy_derivatives, complex_args, require_finite)
+from .numerics import POLE_TOL, any_true, complex_args, require_finite
 from .strata import (G2Params, StratumClassification, classify,
                      lambda_from_lambda1, lambda_from_lambda0)
 
@@ -48,13 +47,12 @@ class DegenSigmaContext:
     kind is "lambda1" or "lambda0".  For lambda1 the elliptic context and the
     Abel preimage alpha (with wp(alpha) = (5/3) a2, wp'(alpha) = 2 d) are
     cached together with the function values at alpha; branch_point marks the
-    wp'(alpha) ~ 0 regime.  norm_c is the u3-linear Taylor coefficient used by
-    the ``normalized`` evaluation flag.
+    wp'(alpha) ~ 0 regime.  norm_c, the u3-linear Taylor coefficient that the
+    ``normalized`` evaluation flag divides by, is a stratum constant.
     """
 
     kind: str
     lam: G2Params
-    cfg: NumericsConfig
     a2: complex
     b2: complex | None = None
     ectx: el.EllipticContext | None = None
@@ -68,11 +66,21 @@ class DegenSigmaContext:
     branch_index: int | None = None
     sqrt_2a3b: complex | None = None
     sqrt_3a2b: complex | None = None
-    norm_c: complex = 1.0 + 0j
 
     @property
     def gamma(self):
         return self.ectx.params if self.ectx is not None else None
+
+    @property
+    def norm_c(self):
+        """1 on Lambda1; 1/4 on Lambda0, the hyperbolic closed form's constant."""
+        return 1.0 + 0j if self.kind == "lambda1" else 0.25 + 0j
+
+    def weight_scale(self):
+        """The length unit of a Lambda1 context under Sato weights:
+        max(|a2|^(1/2), |gamma4|^(1/4), |gamma6|^(1/6)), floored at 1e-6."""
+        g4, g6 = self.gamma.gamma4, self.gamma.gamma6
+        return max(abs(self.a2) ** 0.5, abs(g4) ** 0.25, abs(g6) ** (1.0 / 6.0), 1e-6)
 
     def shift(self):
         """(3/5) wp(alpha) for lambda1, i.e. the U1 = u1 - shift*u3 offset."""
@@ -81,14 +89,13 @@ class DegenSigmaContext:
         return 0.6 * self.wp_alpha
 
 
-def context_lambda1(a2, gamma, cfg: NumericsConfig | None = None) -> DegenSigmaContext:
+def context_lambda1(a2, gamma) -> DegenSigmaContext:
     """Degenerate-sigma context from the one-double-point chart (a2, gamma)."""
-    cfg = cfg or DEFAULT_CONFIG
     if not isinstance(gamma, EllipticCurveParams):
         gamma = EllipticCurveParams(*gamma)
     a2 = complex(a2)
     require_finite("context_lambda1", a2)
-    ectx = el.make_context(gamma, cfg)
+    ectx = el.make_context(gamma)
     lam = lambda_from_lambda1(a2, gamma)
     alpha = el.invert_wp(ectx, 5.0 * a2 / 3.0)
     wpa = el.wp(ectx, alpha)
@@ -97,61 +104,41 @@ def context_lambda1(a2, gamma, cfg: NumericsConfig | None = None) -> DegenSigmaC
     # The branch-point evaluation is the exact wp'(alpha) -> 0 limit, with
     # O(wp') truncation away from it, while the generic bracket loses
     # eps/|wp'| digits to cancellation; 1e-24 puts the switch at the
-    # crossover |wp'| ~ 1e-8 (weight-normalized) instead of tol = 1e-10,
+    # crossover |wp'| ~ 1e-8 (weight-normalized) instead of at 1e-10,
     # which would hand the branch form an O(1e-4) error band.
     branch = abs(wppa) ** 3 < 1e-24 * (abs(g4) ** 1.5 + abs(g6) + 1e-300)
     bidx = None
     if branch:
         hp = ectx.half_periods
         bidx = 1 + int(np.argmin([abs(alpha - h) for h in hp]))
-    ctx = DegenSigmaContext(
-        kind="lambda1", lam=lam, cfg=cfg, a2=a2, ectx=ectx, alpha=alpha,
+    return DegenSigmaContext(
+        kind="lambda1", lam=lam, a2=a2, ectx=ectx, alpha=alpha,
         d=wppa / 2.0, wp_alpha=wpa, wpp_alpha=wppa,
         zeta_alpha=el.zeta_w(ectx, alpha), sigma_alpha=el.sigma_w(ectx, alpha),
         branch_point=branch, branch_index=bidx)
-    return _with_norm(ctx)
 
 
-def context_lambda0(a2, b2, cfg: NumericsConfig | None = None) -> DegenSigmaContext:
+def context_lambda0(a2, b2) -> DegenSigmaContext:
     """Degenerate-sigma context from the two-double-point chart (a2, b2)."""
-    cfg = cfg or DEFAULT_CONFIG
     a2, b2 = complex(a2), complex(b2)
     require_finite("context_lambda0", a2, b2)
-    ctx = DegenSigmaContext(
-        kind="lambda0", lam=lambda_from_lambda0(a2, b2), cfg=cfg, a2=a2, b2=b2,
+    return DegenSigmaContext(
+        kind="lambda0", lam=lambda_from_lambda0(a2, b2), a2=a2, b2=b2,
         sqrt_2a3b=complex(np.sqrt(2 * a2 + 3 * b2)),
         sqrt_3a2b=complex(np.sqrt(3 * a2 + 2 * b2)))
-    return _with_norm(ctx)
 
 
-def _with_norm(ctx: DegenSigmaContext) -> DegenSigmaContext:
-    """Fill norm_c with the u3-linear Taylor coefficient of the raw formula."""
-    scale = 1.0 + abs(ctx.a2) ** 0.5
-    if ctx.b2 is not None:
-        scale = max(scale, 1.0 + abs(ctx.b2) ** 0.5)
-    # per-node scalar evaluation: cheaper than the array path at four points
-    c = cauchy_derivatives(
-        lambda ts: [_sigma2_raw(ctx, t, 0.0j) for t in ts.tolist()],
-        0.0j, 1, 1e-3 / scale ** 3, 4)[1]
-    return _replace(ctx, norm_c=complex(c))
-
-
-def _replace(ctx: DegenSigmaContext, **kw) -> DegenSigmaContext:
-    from dataclasses import replace
-    return replace(ctx, **kw)
-
-
-def make_degen_context(cls, cfg: NumericsConfig | None = None) -> DegenSigmaContext:
+def make_degen_context(cls) -> DegenSigmaContext:
     """Context from a classification result (or from a raw parameter point)."""
     if isinstance(cls, G2Params) or (isinstance(cls, tuple) and len(cls) == 4):
-        cls = classify(cls if isinstance(cls, G2Params) else G2Params(*cls), cfg)
+        cls = classify(cls if isinstance(cls, G2Params) else G2Params(*cls))
     if not isinstance(cls, StratumClassification):
         raise TypeError("make_degen_context expects a classification or lambda point")
     if cls.stratum == "Lambda2":
         raise NotOnStratum("the parameter point is nondegenerate (Lambda2)")
     if cls.stratum == "Lambda1":
-        return context_lambda1(cls.a2, cls.gamma, cfg)
-    return context_lambda0(cls.a2, cls.b2, cfg)
+        return context_lambda1(cls.a2, cls.gamma)
+    return context_lambda0(cls.a2, cls.b2)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +254,7 @@ def sigma2_baker_form(ctx: DegenSigmaContext, u3, u1) -> complex:
     ec = ctx.ectx
     w = complex(u1) - ctx.shift() * complex(u3)
     sig_w = el.sigma_w(ec, w)
-    if abs(sig_w) < ctx.cfg.cluster_tol * ec.scale():
+    if abs(sig_w) < POLE_TOL * ec.scale():
         raise PoleAtArgument("W lies on the divisor of the Baker factors")
 
     def phi(u):
@@ -289,7 +276,7 @@ def _generator(ctx: DegenSigmaContext, U3, U1):
     ec = ctx.ectx
     U3, U1 = complex_args(U3, U1)
     den = el.sigma_w(ec, ctx.alpha - U1)
-    if any_true(abs(den) < ctx.cfg.cluster_tol * ec.scale()):
+    if any_true(abs(den) < POLE_TOL * ec.scale()):
         raise PoleAtArgument("U1 hits alpha modulo the lattice")
     num = el.sigma_w(ec, ctx.alpha + U1)
     return num, num / den * np.exp(ctx.wpp_alpha * U3 - 2 * ctx.zeta_alpha * U1)
@@ -317,7 +304,7 @@ def s_function(ctx: DegenSigmaContext, U3, U1):
     """
     num, pval = _generator(ctx, U3, U1)
     ec = ctx.ectx
-    if any_true(abs(num) < ctx.cfg.cluster_tol * ec.scale()):
+    if any_true(abs(num) < POLE_TOL * ec.scale()):
         raise PoleAtArgument("U1 hits -alpha modulo the lattice: S is 0/0 there")
     if any_true(abs(pval - 1.0) < 1e-8 * (1.0 + abs(pval))):
         raise SingularConfiguration("P ~ 1: the configuration sits on the sigma divisor")

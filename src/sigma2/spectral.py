@@ -21,8 +21,7 @@ from . import lattice as lt
 from . import sigma as sg
 from .errors import (NotRealAlpha, NotRealLattice, PoleAtArgument,
                      SingularConfiguration)
-from .numerics import (NumericsConfig, any_true, cauchy_derivatives,
-                       complex_args)
+from .numerics import POLE_TOL, any_true, cauchy_derivatives, complex_args
 
 __all__ = [
     "PotentialSample", "baker_psi", "eigen_residual", "potential_u",
@@ -72,15 +71,10 @@ def baker_psi(ctx: sg.DegenSigmaContext, B1, U3, U1):
     return val if isinstance(val, np.ndarray) else complex(val)
 
 
-def _weight_scale(ctx):
-    g4, g6 = ctx.gamma.gamma4, ctx.gamma.gamma6
-    return max(abs(ctx.a2) ** 0.5, abs(g4) ** 0.25, abs(g6) ** (1.0 / 6.0), 1e-6)
-
-
 def _u1_ring(ctx, f, U1, nmax):
     """[f, f', .., f^(nmax)] in U1 from a 16-node ring of radius 0.005/ws: the
     potential has poles nearby, so the disk stays small in weight units."""
-    return cauchy_derivatives(f, complex(U1), nmax, 5e-3 / _weight_scale(ctx), 16)
+    return cauchy_derivatives(f, complex(U1), nmax, 5e-3 / ctx.weight_scale(), 16)
 
 
 def eigen_residual(ctx: sg.DegenSigmaContext, B1, U3, U1) -> float:
@@ -127,7 +121,7 @@ def potential_u(ctx: sg.DegenSigmaContext, U3, U1):
             return complex(ring(U3, U1))
     # where the scalar path meets PoleAtArgument: a lattice point of wp(U1),
     # or U1 = +-alpha, where sigma(alpha -+ U1) ~ 0 in the generator P
-    lim = ctx.cfg.cluster_tol * ec.scale()
+    lim = POLE_TOL * ec.scale()
     on_pole = ((abs(el._reduce(ec, U1)[0]) < lim)
                | (abs(el.sigma_w(ec, ctx.alpha - U1)) < lim)
                | (abs(el.sigma_w(ec, ctx.alpha + U1)) < lim))
@@ -141,7 +135,7 @@ def potential_u(ctx: sg.DegenSigmaContext, U3, U1):
 def kdv_residual(ctx: sg.DegenSigmaContext, U3, U1) -> float:
     """Normalized defect of 4 dU/dU3 = d^3 U/dU1^3 - 6 U dU/dU1."""
     _require_generic(ctx)
-    ws = _weight_scale(ctx)
+    ws = ctx.weight_scale()
     U3, U1 = complex(U3), complex(U1)
     u0, du1, _, du111 = _u1_ring(ctx, lambda t: potential_u(ctx, U3, t), U1, 3)
     du3 = cauchy_derivatives(lambda t: potential_u(ctx, t, U1), U3, 1,
@@ -153,18 +147,19 @@ def kdv_residual(ctx: sg.DegenSigmaContext, U3, U1) -> float:
 # ---------------------------------------------------------------------------
 # real potential families
 
-def real_rectangle_periods(ectx: el.EllipticContext, rel_tol: float = 1e-9):
+def real_rectangle_periods(ectx: el.EllipticContext):
     """(omega, omega', eta, eta') with omega real > 0 and omega' imaginary.
 
     The canonical context basis orders by length, so the real generator is
     recovered from the basis rather than assumed; raises NotRealLattice when
-    the lattice is not rectangular in this orientation.
+    the lattice is not rectangular in this orientation (relative tolerance
+    1e-9 on the vanishing components).
     """
     cands = [ectx.omega, ectx.omegaP, ectx.omega + ectx.omegaP,
              ectx.omega - ectx.omegaP]
-    scale = ectx.scale()
-    o_re = [z for z in cands if abs(z.imag) <= rel_tol * scale]
-    o_im = [z for z in cands if abs(z.real) <= rel_tol * scale]
+    tol = 1e-9 * ectx.scale()
+    o_re = [z for z in cands if abs(z.imag) <= tol]
+    o_im = [z for z in cands if abs(z.real) <= tol]
     if not o_re or not o_im:
         raise NotRealLattice("no rectangular basis: Im(omega) or Re(omega') != 0")
     om = min(o_re, key=abs)
@@ -190,8 +185,7 @@ class PotentialSample:
 
 
 def real_family(ctx: sg.DegenSigmaContext, family: str, phi: float,
-                grid, cfg: NumericsConfig | None = None,
-                reality_tol: float = 1e-6) -> PotentialSample:
+                grid) -> PotentialSample:
     """One-parameter family of real potentials on the real line.
 
     V1(x) = U(omega x)/omega^2 at U3 = 2 pi i phi / wp'(alpha);
@@ -202,17 +196,18 @@ def real_family(ctx: sg.DegenSigmaContext, family: str, phi: float,
     generator has unit modulus along the sample line and S stays real for
     every phi.  With wp(alpha) inside a band (wp'(alpha) real) only the
     endpoint phases phi in {0, +-1/2} give real potentials, so other phi
-    raise NotRealAlpha rather than sample a complex family.
+    raise NotRealAlpha rather than sample a complex family.  Each of these
+    reality tests has relative tolerance 1e-6.
     """
     _require_generic(ctx)
     if family not in ("V1", "V2"):
         raise ValueError("family must be 'V1' or 'V2'")
     om, omp, eta, etap = real_rectangle_periods(ctx.ectx)
-    if abs(ctx.wp_alpha.imag) > reality_tol * (1.0 + abs(ctx.wp_alpha)):
+    if abs(ctx.wp_alpha.imag) > 1e-6 * (1.0 + abs(ctx.wp_alpha)):
         raise NotRealAlpha(f"wp(alpha) = {ctx.wp_alpha!r} is not real")
     wpp_sq = ctx.wpp_alpha ** 2
-    in_gap = wpp_sq.real < 0 and abs(wpp_sq.imag) <= reality_tol * abs(wpp_sq)
-    endpoint_phase = min(abs(phi), abs(abs(phi) - 0.5)) <= reality_tol
+    in_gap = wpp_sq.real < 0 and abs(wpp_sq.imag) <= 1e-6 * abs(wpp_sq)
+    endpoint_phase = min(abs(phi), abs(abs(phi) - 0.5)) <= 1e-6
     if not (in_gap or endpoint_phase):
         raise NotRealAlpha(
             "wp(alpha) lies inside a band (wp'(alpha)^2 > 0); the potential "

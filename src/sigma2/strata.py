@@ -22,7 +22,7 @@ import numpy as np
 from .elliptic import (EllipticCurveParams, delta_gamma, make_context, invert_wp,
                        wp_prime)
 from .errors import AmbiguousClassification, DegenerateCurve, NotOnStratum
-from .numerics import NumericsConfig, DEFAULT_CONFIG, cluster_points, require_finite
+from .numerics import cluster_points, require_finite
 
 __all__ = [
     "G2Params", "StratumClassification", "VectorFieldData",
@@ -349,9 +349,8 @@ def _polish_root(ds, m, z):
     return z
 
 
-def classify(lam: G2Params, cfg: NumericsConfig | None = None) -> StratumClassification:
+def classify(lam: G2Params) -> StratumClassification:
     """Stratum, partition and rank of the quintic parameter point."""
-    cfg = cfg or DEFAULT_CONFIG
     if not isinstance(lam, G2Params):
         lam = G2Params(*lam)
     s = _weight_scale(lam)
@@ -364,8 +363,7 @@ def classify(lam: G2Params, cfg: NumericsConfig | None = None) -> StratumClassif
     l4, l6, l8, l10 = (complex(v) for v in ln.astuple())
     ds = _poly_derivs(l4, l6, l8, l10)
     roots = _quintic_roots(ds[0])
-    radius = max(cfg.cluster_tol, _CLUSTER_FLOOR)
-    clusters = cluster_points(roots, radius)
+    clusters = cluster_points(roots, _CLUSTER_FLOOR)
     mults = tuple(sorted((len(m) for _, m in clusters), reverse=True))
     if mults not in RANK_BY_PARTITION:
         raise AmbiguousClassification(f"unrecognized multiplicity pattern {mults}")
@@ -449,17 +447,17 @@ def _recover_lambda0_normalized(ln, centers, mults):
     return a2, b2, rt
 
 
-def recover_lambda1(lam: G2Params, cfg: NumericsConfig | None = None):
+def recover_lambda1(lam: G2Params):
     """(a2, gamma) for a Lambda1 point; the double root plus quotient curve."""
-    cls = classify(lam, cfg)
+    cls = classify(lam)
     if cls.stratum != "Lambda1":
         raise NotOnStratum(f"recover_lambda1 on {cls.stratum}")
     return cls.a2, cls.gamma
 
 
-def recover_lambda0(lam: G2Params, cfg: NumericsConfig | None = None):
+def recover_lambda0(lam: G2Params):
     """(a2, b2) for a Lambda0 point, ordered lexicographically by (Re, Im)."""
-    cls = classify(lam, cfg)
+    cls = classify(lam)
     if cls.stratum != "Lambda0":
         raise NotOnStratum(f"recover_lambda0 on {cls.stratum}")
     return cls.a2, cls.b2

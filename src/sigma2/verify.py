@@ -21,7 +21,7 @@ from . import sigma as sg
 from . import spectral as sp
 from . import strata as st
 from .errors import Sigma2Error
-from .numerics import NumericsConfig, DEFAULT_CONFIG, cauchy_derivatives
+from .numerics import cauchy_derivatives
 
 __all__ = ["SuiteResult", "run_suite", "SUITES",
            "p_route_derivatives", "random_lambda1_context"]
@@ -52,12 +52,13 @@ def _cdisc(rng, r=1.0):
     return r * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
 
 
-def random_gamma(rng, rmax=1.0, delta_rel_min=0.05):
+def random_gamma(rng, rmax=1.0):
+    """(g4, g6) from the rmax-disk with |Delta| >= 0.05 (|g4|^3 + |g6|^2)."""
     while True:
         g4 = _cdisc(rng, rmax) * rng.uniform(0.3, 1.0)
         g6 = _cdisc(rng, rmax) * rng.uniform(0.3, 1.0)
         dl = el.delta_gamma(g4, g6)
-        if abs(dl) >= delta_rel_min * (abs(g4) ** 3 + abs(g6) ** 2):
+        if abs(dl) >= 0.05 * (abs(g4) ** 3 + abs(g6) ** 2):
             return g4, g6
 
 
@@ -70,30 +71,26 @@ def _alpha_gap(ctx, xi):
     return min(gaps)
 
 
-def random_lambda1_context(rng, rmax=1.0, wpp_rel_min=0.25,
-                           cfg: NumericsConfig | None = None):
-    """A generic one-double-point context with wp'(alpha) bounded away from 0."""
+def random_lambda1_context(rng):
+    """A generic one-double-point context from the unit disk, with
+    |wp'(alpha)| >= 0.25 scale^(1/2)."""
     while True:
-        g4, g6 = random_gamma(rng, rmax)
-        a2 = _cdisc(rng, rmax) * rng.uniform(0.2, 1.0)
+        g4, g6 = random_gamma(rng)
+        a2 = _cdisc(rng) * rng.uniform(0.2, 1.0)
         scale = (abs(g4) ** 1.5 + abs(g6) + abs(a2) ** 3) + 1e-12
         try:
-            ctx = sg.context_lambda1(a2, (g4, g6), cfg)
+            ctx = sg.context_lambda1(a2, (g4, g6))
         except Sigma2Error:
             continue
-        if ctx.branch_point or abs(ctx.wpp_alpha) < wpp_rel_min * scale ** 0.5:
+        if ctx.branch_point or abs(ctx.wpp_alpha) < 0.25 * scale ** 0.5:
             continue
         return ctx
-
-
-def _random_u(rng, radius):
-    return _cdisc(rng, radius)
 
 
 # ---------------------------------------------------------------------------
 # independent P-route: log-derivatives from sigma2 values only
 
-def p_route_derivatives(ctx, U3, U1, radius=0.18, nodes=64, r3=0.12, n3=24):
+def p_route_derivatives(ctx, U3, U1):
     """P11..P1113 via Cauchy-integral differentiation of sigma2 alone.
 
     Every contour integral runs over the entire function Z itself (so the
@@ -101,11 +98,12 @@ def p_route_derivatives(ctx, U3, U1, radius=0.18, nodes=64, r3=0.12, n3=24):
     assembled algebraically at the center.  Independent of the S-function
     closed forms, with spectral accuracy far below 1e-9.
     """
-    # one sigma2_u call on the n3 x nodes product ring: zd[j, k] = d_U3^j d_U1^k Z
+    # one sigma2_u call on the 24 x 64 product ring of radii 0.12 in U3 and
+    # 0.18 in U1: zd[j, k] = d_U3^j d_U1^k Z
     zd = cauchy_derivatives(
         lambda x3: cauchy_derivatives(lambda t: sg.sigma2_u(ctx, x3, t[:, None]),
-                                      complex(U1), 4, radius, nodes).T,
-        complex(U3), 1, r3, n3)
+                                      complex(U1), 4, 0.18, 64).T,
+        complex(U3), 1, 0.12, 24)
     base, d3 = zd                              # Z, Z_1, .., Z_1111; Z_3, Z_31, ..
     z = base[0]
     z01, z02, z03, z04 = base[1], base[2], base[3], base[4]
@@ -131,16 +129,15 @@ def p_route_derivatives(ctx, U3, U1, radius=0.18, nodes=64, r3=0.12, n3=24):
 # ---------------------------------------------------------------------------
 # suites
 
-def suite_heat(seed=7, samples=20, cfg=None) -> SuiteResult:
+def suite_heat(seed=7, samples=20) -> SuiteResult:
     """Q0, Q2, Q4, Q6 annihilate sigma2 (normalized residuals < 1e-5)."""
     rng = np.random.default_rng(seed)
-    cfg = cfg or DEFAULT_CONFIG
     worst = 0.0
     per_op = {k: 0.0 for k in ("Q0", "Q2", "Q4", "Q6")}
     for _ in range(samples):
-        ctx = random_lambda1_context(rng, rmax=1.0, cfg=cfg)
-        u3, U1 = _random_u(rng, 0.5), _random_u(rng, 0.5)
-        rep = heat.q_residuals(ctx, u3, U1, cfg)
+        ctx = random_lambda1_context(rng)
+        u3, U1 = _cdisc(rng, 0.5), _cdisc(rng, 0.5)
+        rep = heat.q_residuals(ctx, u3, U1)
         for k, v in rep.residuals.items():
             per_op[k] = max(per_op[k], v)
         worst = max(worst, rep.max_residual)
@@ -148,16 +145,15 @@ def suite_heat(seed=7, samples=20, cfg=None) -> SuiteResult:
                        {"max_residual": worst, "threshold": 1e-5, **per_op})
 
 
-def suite_taylor(seed=7, contexts=10, cfg=None) -> SuiteResult:
+def suite_taylor(seed=7, contexts=10) -> SuiteResult:
     """Schur-Weierstrass leading part u3 - u1^3/3 near the moduli origin."""
     rng = np.random.default_rng(seed)
-    cfg = cfg or DEFAULT_CONFIG
     u = 1e-2
     worst3 = worst1 = 0.0
     for _ in range(contexts):
         g4, g6 = random_gamma(rng, rmax=0.02)
         a2 = _cdisc(rng, 0.02)
-        ctx = sg.context_lambda1(a2, (g4, g6), cfg)
+        ctx = sg.context_lambda1(a2, (g4, g6))
         worst3 = max(worst3, abs(sg.sigma2(ctx, u, 0.0) / u - 1.0))
         worst1 = max(worst1, abs(sg.sigma2(ctx, 0.0, u) / (-u ** 3 / 3) - 1.0))
     # two-double-point constant: recorded, context independence asserted
@@ -165,7 +161,7 @@ def suite_taylor(seed=7, contexts=10, cfg=None) -> SuiteResult:
     for _ in range(4):
         a2 = _cdisc(rng, 0.05)
         b2 = _cdisc(rng, 0.05)
-        ctx0 = sg.context_lambda0(a2, b2, cfg)
+        ctx0 = sg.context_lambda0(a2, b2)
         consts.append(sg.sigma2(ctx0, u, 0.0) / u)
     spread = max(abs(c - consts[0]) for c in consts)
     ok = worst3 < 1e-6 and worst1 < 1e-4 and spread < 1e-4
@@ -176,15 +172,14 @@ def suite_taylor(seed=7, contexts=10, cfg=None) -> SuiteResult:
                         "thresholds": (1e-6, 1e-4)})
 
 
-def suite_inversion(seed=7, instances=100, contexts=3, cfg=None) -> SuiteResult:
+def suite_inversion(seed=7, instances=100, contexts=3) -> SuiteResult:
     """Forward integrals -> closed-form inversion round trip, plus the
     rational-limit closed form."""
     rng = np.random.default_rng(seed)
-    cfg = cfg or DEFAULT_CONFIG
     worst_rt = 0.0
     per_ctx = max(1, instances // contexts)
     for _ in range(contexts):
-        ctx = random_lambda1_context(rng, cfg=cfg)
+        ctx = random_lambda1_context(rng)
         ec = ctx.ectx
         done = 0
         while done < per_ctx:
@@ -236,18 +231,17 @@ def suite_inversion(seed=7, instances=100, contexts=3, cfg=None) -> SuiteResult:
                         "thresholds": (1e-8, 1e-10)})
 
 
-def suite_two_route(seed=7, samples=8, cfg=None) -> SuiteResult:
+def suite_two_route(seed=7, samples=8) -> SuiteResult:
     """P-route (Cauchy derivatives of sigma2) vs S-route closed forms, and the
     quintic-coefficient reconstruction from the log-derivative basis."""
     rng = np.random.default_rng(seed)
-    cfg = cfg or DEFAULT_CONFIG
     worst_sym = 0.0
     worst_lam = 0.0
     worst_delta = 0.0
     done = 0
     while done < samples:
-        ctx = random_lambda1_context(rng, cfg=cfg)
-        U3, U1 = _random_u(rng, 0.25), 0.35 + _random_u(rng, 0.15)
+        ctx = random_lambda1_context(rng)
+        U3, U1 = _cdisc(rng, 0.25), 0.35 + _cdisc(rng, 0.15)
         try:
             der = sg.log_derivatives(ctx, U3, U1)
             pr = p_route_derivatives(ctx, U3, U1)
@@ -273,16 +267,15 @@ def suite_two_route(seed=7, samples=8, cfg=None) -> SuiteResult:
                         "thresholds": (1e-9, 1e-6)})
 
 
-def suite_periodicity(seed=7, samples=20, cfg=None) -> SuiteResult:
+def suite_periodicity(seed=7, samples=20) -> SuiteResult:
     """sigma2 quasi-periodicity, P three-periodicity, functional equations."""
     rng = np.random.default_rng(seed)
-    cfg = cfg or DEFAULT_CONFIG
-    ctxs = [random_lambda1_context(rng, cfg=cfg) for _ in range(3)]
+    ctxs = [random_lambda1_context(rng) for _ in range(3)]
     worst_qp = worst_p = worst_fe = worst_rc = 0.0
     for i in range(samples):
         ctx = ctxs[i % len(ctxs)]
         L = lt.period_matrices(ctx)
-        u = np.array([_random_u(rng, 0.3), _random_u(rng, 0.3)])
+        u = np.array([_cdisc(rng, 0.3), _cdisc(rng, 0.3)])
         for k in (1, 2, 3):
             try:
                 worst_qp = max(worst_qp,
@@ -293,8 +286,8 @@ def suite_periodicity(seed=7, samples=20, cfg=None) -> SuiteResult:
             except Sigma2Error:
                 continue
         c = _cunit(rng) + 1.5
-        fe = lt.functional_equation_check(ctx, c, _random_u(rng, 0.5),
-                                          _random_u(rng, 0.4))
+        fe = lt.functional_equation_check(ctx, c, _cdisc(rng, 0.5),
+                                          _cdisc(rng, 0.4))
         worst_fe = max(worst_fe, fe["product_residual"])
         worst_rc = max(worst_rc, fe["reciprocal_residual"])
     ok = worst_qp < 1e-8 and worst_p < 1e-8 and worst_fe < 1e-9 and worst_rc < 1e-9
@@ -304,20 +297,19 @@ def suite_periodicity(seed=7, samples=20, cfg=None) -> SuiteResult:
                         "thresholds": (1e-8, 1e-9)})
 
 
-def suite_legendre(seed=7, contexts=10, cfg=None) -> SuiteResult:
+def suite_legendre(seed=7, contexts=10) -> SuiteResult:
     """Degenerate Legendre identity and xi-independence of period increments."""
     rng = np.random.default_rng(seed)
-    cfg = cfg or DEFAULT_CONFIG
     worst_leg = worst_inc = 0.0
     for _ in range(contexts):
-        ctx = random_lambda1_context(rng, cfg=cfg)
+        ctx = random_lambda1_context(rng)
         L = lt.period_matrices(ctx)
         worst_leg = max(worst_leg, L.legendre_residual)
         t1 = np.concatenate([L.T[:, 0], L.H[:, 0]])
         per = ctx.ectx.omega
         incs = []
         for _ in range(5):
-            xi = _random_u(rng, 0.25) + 0.05
+            xi = _cdisc(rng, 0.25) + 0.05
             try:
                 incs.append(lt.period_increment(ctx, xi, per))
             except Sigma2Error:
@@ -334,16 +326,15 @@ def suite_legendre(seed=7, contexts=10, cfg=None) -> SuiteResult:
                         "thresholds": (1e-8, 1e-9)})
 
 
-def suite_spectral(seed=7, samples=20, cfg=None) -> SuiteResult:
+def suite_spectral(seed=7, samples=20) -> SuiteResult:
     """Eigen-equation, KdV, real potential families, Bloch multipliers."""
     rng = np.random.default_rng(seed)
-    cfg = cfg or DEFAULT_CONFIG
     worst_eig = worst_kdv = worst_bloch = worst_m23 = 0.0
     done = 0
     while done < samples:
-        ctx = random_lambda1_context(rng, cfg=cfg)
-        b1 = 0.3 + _random_u(rng, 0.2)
-        u3, u1 = _random_u(rng, 0.2), 0.3 + _random_u(rng, 0.2)
+        ctx = random_lambda1_context(rng)
+        b1 = 0.3 + _cdisc(rng, 0.2)
+        u3, u1 = _cdisc(rng, 0.2), 0.3 + _cdisc(rng, 0.2)
         try:
             # near the sigma2 divisor the potential has poles close to the
             # differentiation ring, which then, not the identity, becomes
@@ -358,10 +349,10 @@ def suite_spectral(seed=7, samples=20, cfg=None) -> SuiteResult:
         done += 1
     # Bloch factors
     for _ in range(5):
-        ctx = random_lambda1_context(rng, cfg=cfg)
+        ctx = random_lambda1_context(rng)
         L = lt.period_matrices(ctx)
-        xi0 = 0.3 + _random_u(rng, 0.15)
-        u = np.array([_random_u(rng, 0.2), _random_u(rng, 0.2)])
+        xi0 = 0.3 + _cdisc(rng, 0.15)
+        u = np.array([_cdisc(rng, 0.2), _cdisc(rng, 0.2)])
         try:
             m1, m2, m3 = sp.quasi_momenta(ctx, xi0, L)
             worst_m23 = max(worst_m23, float(np.max(np.abs(m2 - m3))))
@@ -373,13 +364,13 @@ def suite_spectral(seed=7, samples=20, cfg=None) -> SuiteResult:
     worst_im = 0.0
     grid = np.linspace(0.04, 0.96, 24)
     for g4, g6 in ((-1.2, 0.1), (-2.0, 0.5)):
-        ec = el.make_context((g4, g6), cfg)
+        ec = el.make_context((g4, g6))
         om, omp, _, _ = sp.real_rectangle_periods(ec)
         roots = sorted([r.real for r in ec.roots])
         for wpa in (0.5 * (roots[1] + roots[2]), roots[0] - 0.4):
-            ctx = sg.context_lambda1(0.6 * wpa, (g4, g6), cfg)
+            ctx = sg.context_lambda1(0.6 * wpa, (g4, g6))
             for fam in ("V1", "V2"):
-                s = sp.real_family(ctx, fam, 0.25, grid, cfg)
+                s = sp.real_family(ctx, fam, 0.25, grid)
                 worst_im = max(worst_im, s.max_imag)
     ok = (worst_eig < 1e-6 and worst_kdv < 1e-5 and worst_im < 1e-8
           and worst_bloch < 1e-6 and worst_m23 < 1e-12)
@@ -423,16 +414,15 @@ def suite_algebra(seed=7, samples=100) -> SuiteResult:
                        {"failures": fails, "resultant_constant": str(const)})
 
 
-def suite_classify(seed=7, per_chart=1000, cfg=None) -> SuiteResult:
+def suite_classify(seed=7, per_chart=1000) -> SuiteResult:
     """Chart -> classify -> chart round trips and the rank table."""
     rng = np.random.default_rng(seed)
-    cfg = cfg or DEFAULT_CONFIG
     mis = 0
     worst_rt = 0.0
     for _ in range(per_chart):
         lam = st.G2Params(_cunit(rng), _cunit(rng), _cunit(rng), _cunit(rng))
         try:
-            cls = st.classify(lam, cfg)
+            cls = st.classify(lam)
         except Sigma2Error:
             mis += 1
             continue
@@ -443,7 +433,7 @@ def suite_classify(seed=7, per_chart=1000, cfg=None) -> SuiteResult:
         a2 = _cunit(rng)
         lam = st.lambda_from_lambda1(a2, (g4, g6))
         try:
-            cls = st.classify(lam, cfg)
+            cls = st.classify(lam)
         except Sigma2Error:
             mis += 1
             continue
@@ -458,7 +448,7 @@ def suite_classify(seed=7, per_chart=1000, cfg=None) -> SuiteResult:
         a2, b2 = _cunit(rng), _cunit(rng)
         lam = st.lambda_from_lambda0(a2, b2)
         try:
-            cls = st.classify(lam, cfg)
+            cls = st.classify(lam)
         except Sigma2Error:
             mis += 1
             continue
@@ -482,7 +472,7 @@ def suite_classify(seed=7, per_chart=1000, cfg=None) -> SuiteResult:
     ]
     table_ok = True
     for lam_t, part, rank in table:
-        cls = st.classify(st.G2Params(*lam_t), cfg)
+        cls = st.classify(st.G2Params(*lam_t))
         if cls.partition != part or cls.rank != rank:
             table_ok = False
     ok = mis == 0 and worst_rt < 1e-9 and table_ok
@@ -491,11 +481,10 @@ def suite_classify(seed=7, per_chart=1000, cfg=None) -> SuiteResult:
                         "rank_table_ok": table_ok, "threshold": 1e-9})
 
 
-def suite_gradient(seed=7, samples=20, cfg=None) -> SuiteResult:
+def suite_gradient(seed=7, samples=20) -> SuiteResult:
     """Closed-form discriminant gradient on the stratum vs symbolic and
     finite-difference gradients."""
     rng = np.random.default_rng(seed)
-    cfg = cfg or DEFAULT_CONFIG
     worst = 0.0
     worst_fd = 0.0
     done = 0
@@ -536,14 +525,13 @@ def _fd_gradient(lam, h=1e-6):
     return out
 
 
-def suite_trig_limit(seed=7, cfg=None) -> SuiteResult:
+def suite_trig_limit(seed=7) -> SuiteResult:
     """Degenerate Weierstrass sigma vs its hyperbolic closed form."""
     rng = np.random.default_rng(seed)
-    cfg = cfg or DEFAULT_CONFIG
     worst = 0.0
     for a in (1.0, 0.7, 1.1 + 0.4j):
         eps = 1e-6 * (1.0 + abs(a) ** 2)
-        ec = el.make_context((-3 * a ** 2 + eps, 2 * a ** 3), cfg)
+        ec = el.make_context((-3 * a ** 2 + eps, 2 * a ** 3))
         for _ in range(10):
             u = _cunit(rng) * 0.6
             got = el.sigma_w(ec, u)
@@ -569,10 +557,7 @@ SUITES = {
 }
 
 
-def run_suite(name, seed=7, cfg=None, **kw) -> SuiteResult:
+def run_suite(name, seed=7, **kw) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    fn = SUITES[name][0]
-    if name == "algebra":
-        return fn(seed=seed, **kw)
-    return fn(seed=seed, cfg=cfg, **kw)
+    return SUITES[name][0](seed=seed, **kw)

@@ -4,6 +4,7 @@ import pytest
 from sigma2 import elliptic as el
 from sigma2 import heat
 from sigma2 import sigma as sg
+from sigma2.errors import NotOnStratum
 
 
 def test_annihilation_generic(ctx_generic):
@@ -23,6 +24,11 @@ def test_annihilation_branch_point_context():
     assert bctx.branch_point
     rep = heat.q_residuals(bctx, 0.13, 0.17)
     assert rep.max_residual < 1e-5
+
+
+def test_residuals_refused_off_lambda1(ctx_two_points):
+    with pytest.raises(NotOnStratum):
+        heat.q_residuals(ctx_two_points, 0.1, 0.2)
 
 
 def test_residuals_invariant_under_constant_rescale(ctx_generic, monkeypatch):

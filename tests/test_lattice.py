@@ -96,7 +96,7 @@ def test_quasi_periodicity_normalization_invariant(ctx_generic, lat, monkeypatch
 
 
 def test_three_periodicity(ctx_generic, lat, rng):
-    assert abs(lt.three_periodic_P(ctx_generic, 0.0, 0.0) - 1.0) < 1e-12
+    assert abs(sg.p_function(ctx_generic, 0.0, 0.0) - 1.0) < 1e-12
     for _ in range(5):
         u = np.array([complex(rng.normal(), rng.normal()) * 0.25,
                       complex(rng.normal(), rng.normal()) * 0.25])
@@ -106,8 +106,8 @@ def test_three_periodicity(ctx_generic, lat, rng):
 
 def test_p_parity(ctx_generic):
     u3, u1 = 0.21 - 0.04j, 0.12 + 0.3j
-    prod = (lt.three_periodic_P(ctx_generic, u3, u1)
-            * lt.three_periodic_P(ctx_generic, -u3, -u1))
+    prod = (sg.p_function(ctx_generic, u3, u1)
+            * sg.p_function(ctx_generic, -u3, -u1))
     assert abs(prod - 1.0) < 1e-10
 
 

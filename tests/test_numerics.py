@@ -2,17 +2,8 @@ import numpy as np
 import pytest
 
 from sigma2.errors import NumericalFailure
-from sigma2.numerics import (NumericsConfig, cauchy_derivatives, cluster_points,
-                             continuous_log, quadrature_path, require_finite)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        NumericsConfig(tol=-1.0)
-    with pytest.raises(ValueError):
-        NumericsConfig(quad_nodes=0)
-    cfg = NumericsConfig()
-    assert cfg.tol == 1e-10 and cfg.quad_nodes == 64
+from sigma2.numerics import (cauchy_derivatives, cluster_points, continuous_log,
+                             quadrature_path, require_finite)
 
 
 def test_require_finite():

@@ -8,6 +8,7 @@ from sigma2 import elliptic as el
 from sigma2 import sigma as sg
 from sigma2 import strata as st
 from sigma2.errors import BranchPointCase, NotOnStratum, PoleAtArgument
+from sigma2.numerics import cauchy_derivatives
 from sigma2.verify import p_route_derivatives
 
 
@@ -55,10 +56,18 @@ def test_lambda0_value_is_printed_combination(ctx_two_points):
     assert abs(sg.sigma2(ctx, u3, u1) - want) < 1e-14 * (1 + abs(want))
 
 
-def test_lambda0_normalization_constant(ctx_two_points):
-    # the hyperbolic closed form carries a stratum constant: the u3-linear
-    # Taylor coefficient is 1/4, fixed numerically at context creation
-    assert abs(ctx_two_points.norm_c - 0.25) < 1e-9
+def test_lambda0_normalization_constant(ctx_generic, ctx_two_points):
+    # norm_c is the u3-linear Taylor coefficient of the closed form: 1 on
+    # Lambda1 (generic and branch-point forms), the stratum constant 1/4 on
+    # Lambda0 (direct and a2 ~ b2 ring-averaged forms); measured here by a
+    # 16-node Cauchy ring over sigma2
+    contexts = [ctx_generic, sg.context_lambda1(0.6, (0.5, -1.5)), ctx_two_points,
+                sg.context_lambda0(0.3 + 0.1j, 0.3 + 0.1j - 1e-7)]
+    assert contexts[1].branch_point
+    for ctx in contexts:
+        c = cauchy_derivatives(lambda t: sg.sigma2(ctx, t, 0.0), 0.0, 1, 0.1, 16)[1]
+        assert abs(c - ctx.norm_c) < 1e-12
+    assert [c.norm_c for c in contexts] == [1, 1, 0.25, 0.25]
     t = 1e-3
     assert abs(sg.sigma2(ctx_two_points, t, 0.0, normalized=True) / t - 1.0) < 1e-5
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st_h
 
 from sigma2 import strata as st
 from sigma2.errors import DegenerateCurve, NotOnStratum
-from sigma2.numerics import DEFAULT_CONFIG, cluster_points
+from sigma2.numerics import cluster_points
 from sigma2.verify import _cunit, random_gamma
 
 
@@ -167,8 +167,7 @@ def _reference_classify(lam):
     ds = [np.array([1, 0, *ln.astuple()], dtype=complex)]
     for _ in range(4):
         ds.append(np.polyder(ds[-1]))
-    radius = max(DEFAULT_CONFIG.cluster_tol, st._CLUSTER_FLOOR)
-    clusters = cluster_points(np.roots(ds[0]), radius)
+    clusters = cluster_points(np.roots(ds[0]), st._CLUSTER_FLOOR)
     mults = tuple(sorted((len(m) for _, m in clusters), reverse=True))
     centers = [(complex(_np_polish(ds, len(m), c)), len(m)) for c, m in clusters]
     if mults == (1, 1, 1, 1, 1):
