@@ -14,13 +14,11 @@ from .errors import (AmbiguousClassification, BranchPointCase, DegenerateCurve,
                      NotBranchPoint, NotOnStratum, NotRealAlpha,
                      NotRealLattice, NumericalFailure, PoleAtArgument,
                      Sigma2Error, SingularConfiguration)
-from .numerics import quadrature_path
 from .sigma import (DegenSigmaContext, SigmaDerivatives, context_lambda0,
                     context_lambda1, log_derivatives, make_degen_context,
                     p_function, sigma2, sigma2_baker_form, sigma2_u)
 from .strata import (G2Params, StratumClassification, classify, discriminant,
-                     gamma_vec, lambda_from_A, lambda_from_lambda0,
-                     lambda_from_lambda1, recover_lambda0, recover_lambda1,
+                     gamma_vec, lambda_from_lambda0, lambda_from_lambda1,
                      tangency_residuals, vmatrix)
 
 __version__ = "0.1.0"
@@ -32,10 +30,9 @@ __all__ = [
     "NumericalFailure", "PoleAtArgument", "Sigma2Error",
     "SigmaDerivatives", "SingularConfiguration", "StratumClassification",
     "classify", "context_lambda0", "context_lambda1", "delta_gamma",
-    "discriminant", "gamma_vec", "invert_wp", "lambda_from_A",
-    "lambda_from_lambda0", "lambda_from_lambda1", "log_derivatives",
-    "make_context", "make_degen_context", "p_function", "quadrature_path",
-    "recover_lambda0", "recover_lambda1", "sigma2", "sigma2_baker_form",
+    "discriminant", "gamma_vec", "invert_wp", "lambda_from_lambda0",
+    "lambda_from_lambda1", "log_derivatives", "make_context",
+    "make_degen_context", "p_function", "sigma2", "sigma2_baker_form",
     "sigma2_u", "sigma_char", "sigma_trig_limit", "sigma_w",
     "tangency_residuals", "vmatrix", "wp", "wp_prime", "zeta_w",
 ]

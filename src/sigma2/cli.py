@@ -4,7 +4,7 @@ Complex inputs are comma-separated floats: N values are read as N reals, 2N
 values as (re, im) pairs.  All results are JSON records tagged with
 "schema": "sigma2/1"; complex numbers serialize as [re, im]; inputs echo back
 for reproducibility.  Exit codes: 0 success, 1 usage error, 2 numerical
-failure, 3 ambiguous classification.
+failure, 3 ambiguous classification, 141 stdout closed by its reader.
 
 Environment override: SIGMA2_SEED.  Tolerances are fixed constants of the
 package, not settings.
@@ -307,6 +307,17 @@ def build_parser():
 
 
 def main(argv=None):
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader left; devnull keeps the flush at exit from raising
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141      # 128 + SIGPIPE, what a shell reports for a killed writer
+    return code
+
+
+def _dispatch(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -322,7 +333,6 @@ def main(argv=None):
         print(json.dumps({"schema": SCHEMA,
                           "error": type(exc).__name__, "message": str(exc)}))
         return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

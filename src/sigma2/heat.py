@@ -17,6 +17,21 @@ Q0, Q2, Q4, Q6 acting on Z(u3, U1, a2, gamma4, gamma6):
 with d^2 = g6 + (5/3) a2 g4 + ((5/3) a2)^3 and the curve-modulus fields
 L0 = 4 g4 d_g4 + 6 g6 d_g6, L2 = 6 g6 d_g4 - (4/3) g4^2 d_g6.
 
+They restrict the unrestricted genus-2 operators (fields l0, l2, l4_field,
+l6_field: the rows of strata.vmatrix)
+
+    q0 = -u1 d_u1 - 3 u3 d_u3 + 3 + l0
+    q2 = -1/2 d_u1^2 + 4/5 l4 u3 d_u1 - u1 d_u3 + 3/10 l4 u1^2
+         - 1/10 (15 l8 - 4 l4^2) u3^2 + l2
+    q4 = -d_u1 d_u3 + 6/5 l6 u3 d_u1 - l4 u3 d_u3 + 1/5 l6 u1^2
+         - l8 u1 u3 - 1/10 (30 l10 - 6 l6 l4) u3^2 + l4 + l4_field
+    q6 = -1/2 d_u3^2 + 3/5 l8 u3 d_u1 + 1/10 l8 u1^2 - 2 l10 u1 u3
+         + 3/10 l8 l4 u3^2 + 1/2 l6 + l6_field
+
+as Q0 = q0, Q2 = q2 + 4/3 a2 q0, Q4 = -(q4 + 2 a2 q2 + 3 a2^2 q0) and
+Q6 = -2(q6 + a2 q4 + a2^2 q2 + a2^3 q0); only the restricted forms are
+evaluated, as there is no nondegenerate sigma here.
+
 Derivatives are trapezoidal Cauchy integrals (numerics.cauchy_derivatives):
 the u-derivatives come from one sigma2 evaluation on a product ring in
 (u3, U1), the moduli derivatives from 4-node rings that rebuild the
@@ -37,22 +52,7 @@ from .errors import NotOnStratum
 from .numerics import cauchy_derivatives
 
 __all__ = ["HeatResidualReport", "q_residuals", "l2_action_residuals",
-           "l0_action_residuals", "initial_condition_probe", "Q_OPERATOR_FORMS"]
-
-# the unrestricted genus-2 operators, kept as documentation objects; they are
-# exercised only through the restrictions above (no nondegenerate sigma here)
-Q_OPERATOR_FORMS = {
-    "q0": "-u1 d_u1 - 3 u3 d_u3 + 3 + l0",
-    "q2": ("-1/2 d_u1^2 + 4/5 l4 u3 d_u1 - u1 d_u3 + 3/10 l4 u1^2 "
-           "- 1/10 (15 l8 - 4 l4^2) u3^2 + l2"),
-    "q4": ("-d_u1 d_u3 + 6/5 l6 u3 d_u1 - l4 u3 d_u3 + 1/5 l6 u1^2 "
-           "- l8 u1 u3 - 1/10 (30 l10 - 6 l6 l4) u3^2 + l4 + l4_field"),
-    "q6": ("-1/2 d_u3^2 + 3/5 l8 u3 d_u1 + 1/10 l8 u1^2 - 2 l10 u1 u3 "
-           "+ 3/10 l8 l4 u3^2 + 1/2 l6 + l6_field"),
-    "restrictions": ("Q0 = q0, Q2 = q2 + 4/3 a2 q0, Q4 = -(q4 + 2 a2 q2 "
-                     "+ 3 a2^2 q0), Q6 = -2(q6 + a2 q4 + a2^2 q2 + a2^3 q0)"),
-}
-
+           "l0_action_residuals"]
 
 @dataclass
 class HeatResidualReport:
@@ -200,25 +200,3 @@ def l0_action_residuals(ectx: el.EllipticContext, alpha) -> dict:
         "wp_prime": 3 * pp + alpha * wpp2,
     }
     return _defects(4 * g4 * d4 + 6 * g6 * d6, targets)
-
-
-def initial_condition_probe() -> dict:
-    """Z/u3 and Z/(-u1^3/3) at u = 1e-2 as the moduli shrink to zero.
-
-    On the one-double-point stratum both ratios tend to 1 (the solution is
-    pinned by Z(u3, 0; 0) = u3 and the Schur-Weierstrass part u3 - u1^3/3).
-    The two-double-point limits are recorded as data: the printed closed form
-    carries its own stratum constant, reported here without assertion.
-    """
-    u = 1e-2
-    report = {"lambda1": [], "lambda0": []}
-    probes = [("lambda1", eps, sg.context_lambda1(0.0, (0.0, eps)))
-              for eps in (1e-2, 1e-3, 1e-4)]
-    probes += [("lambda0", eps, sg.context_lambda0(eps, 0.3 * eps))
-               for eps in (1e-1, 1e-2, 1e-3)]
-    for kind, eps, ctx in probes:
-        report[kind].append({"eps": eps, "u3_ratio": sg.sigma2(ctx, u, 0.0) / u,
-                             "u1_ratio": sg.sigma2(ctx, 0.0, u) / (-u ** 3 / 3.0)})
-    report["lambda1_limit"] = report["lambda1"][-1]["u3_ratio"]
-    report["lambda0_limit"] = report["lambda0"][-1]["u3_ratio"]
-    return report

@@ -28,13 +28,11 @@ from . import elliptic as el
 from . import sigma as sg
 from .errors import (BranchPointCase, NotBranchPoint, NotOnStratum,
                      PoleAtArgument, SingularConfiguration)
-from .numerics import quadrature_path
 
 __all__ = [
     "InversionResult", "solve_inversion", "forward_integrals",
     "branch_point_inversion", "solve_bethe", "bethe_residual",
-    "bethe_linear_form", "solve_inversion_rational", "rational_pair_product",
-    "third_kind_integral_quadrature",
+    "solve_inversion_rational", "rational_pair_product",
 ]
 
 
@@ -73,15 +71,6 @@ def forward_integrals(ctx: sg.DegenSigmaContext, xi1, xi2):
     log2 = el.sigma_ratio_log(ec, ctx.alpha, xi2)
     u3 = (2.0 * ctx.zeta_alpha * u1 + log1 + log2) / ctx.wpp_alpha
     return complex(u1), complex(u3)
-
-
-def third_kind_integral_quadrature(ctx: sg.DegenSigmaContext, xi):
-    """Quadrature oracle for int_0^xi dv/(wp(v) - wp(alpha))."""
-    _require_generic_l1(ctx)
-    ec = ctx.ectx
-    a = ctx.wp_alpha
-    return quadrature_path(lambda v: 1.0 / (el.wp(ec, v) - a),
-                           [1e-300j, complex(xi)])
 
 
 def solve_inversion(ctx: sg.DegenSigmaContext, U1, U3) -> InversionResult:
@@ -185,31 +174,6 @@ def solve_bethe(ctx: sg.DegenSigmaContext, alpha, beta, kappa):
     u3 = (kappa + 2.0 * ctx.zeta_alpha * u1) / ctx.wpp_alpha
     res = solve_inversion(ctx, u1, u3)
     return res.xi1, res.xi2
-
-
-def bethe_linear_form(ec: el.EllipticContext, alpha, beta, kappa, wp_xi, wpp_xi):
-    """The A*wp'(xi) + B*wp(xi) + C form of the rationalized equation.
-
-    Vanishes at both kappa-dependent solutions and at the kappa-independent
-    extra root (wp(xi), wp'(xi)) = (wp(alpha-beta), -wp'(alpha-beta)).
-    """
-    alpha, beta = complex(alpha), complex(beta)
-    two_ab = 2 * alpha - beta
-    pa, ppa = el.wp(ec, alpha), el.wp_prime(ec, alpha)
-    pb, ppb = el.wp(ec, beta), el.wp_prime(ec, beta)
-    pc, ppc = el.wp(ec, two_ab), el.wp_prime(ec, two_ab)
-
-    def det3(r1, r2, r3):
-        return (r1[0] * (r2[1] * r3[2] - r3[1] * r2[2])
-                - r1[1] * (r2[0] * r3[2] - r3[0] * r2[2])
-                + r1[2] * (r2[0] * r3[1] - r3[0] * r2[1]))
-
-    top = (wpp_xi, wp_xi, 1.0)
-    det1 = det3(top, (ppa, pa, 1.0), (-ppb, pb, 1.0))
-    det2 = det3(top, (-ppa, pa, 1.0), (ppc, pc, 1.0))
-    cfac = (el.sigma_w(ec, beta) / el.sigma_w(ec, two_ab)
-            * (pa - pc) / (pa - pb))
-    return np.exp(kappa) * det2 - cfac * det1
 
 
 # ---------------------------------------------------------------------------

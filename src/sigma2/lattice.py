@@ -22,13 +22,12 @@ import numpy as np
 from . import elliptic as el
 from . import sigma as sg
 from .errors import PoleAtArgument, SingularConfiguration
-from .strata import G2Params, classify, discriminant
+from .strata import G2Params, discriminant
 
 __all__ = [
     "AbelIntegralValues", "PeriodLattice", "abel_integrals", "period_matrices",
     "quasi_periodicity_residual", "p_periodicity_residual",
-    "functional_equation_check", "reconstruct_lambda", "rank_report",
-    "LEGENDRE_PATTERN",
+    "functional_equation_check", "reconstruct_lambda", "LEGENDRE_PATTERN",
 ]
 
 # (T|H)^t J (T|H) = 2 pi i * LEGENDRE_PATTERN, J = codiag(1, 1, -1, -1); the
@@ -268,17 +267,3 @@ def reconstruct_lambda(ctx: sg.DegenSigmaContext, U1, U3=0.17 + 0.11j) -> dict:
             "delta_residual": abs(discriminant(lam))
             / (1.0 + max(abs(complex(x)) for x in ref)) ** 4}
 
-
-def rank_report(lam: G2Params) -> dict:
-    """Lattice rank of a parameter point, per the partition table.
-
-    For one-double-point parameters the report carries |wp'(alpha)|, the
-    quantity separating rank 3 (simple discriminant zero) from rank 2.
-    """
-    cls = classify(lam)
-    out = {"rank": cls.rank, "partition": cls.partition, "stratum": cls.stratum}
-    if cls.stratum == "Lambda1":
-        ctx = sg.context_lambda1(cls.a2, cls.gamma)
-        out["wp_prime_alpha_abs"] = abs(ctx.wpp_alpha)
-        out["branch_point"] = ctx.branch_point
-    return out

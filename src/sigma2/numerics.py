@@ -1,9 +1,10 @@
-"""Shared numerical utilities: tolerances, differentiation, quadrature, clustering.
+"""Shared numerical utilities: tolerances, differentiation, clustering.
 
 Everything here is deliberately dependency-light (numpy only).  The
 tolerances are fixed module constants, not settings: the sigma-function is
-given in closed form, so a tolerance only rejects poles and decides when
-quadrature has converged.
+given in closed form, so a tolerance only rejects poles.  Every integral the
+package needs has a closed form too; the quadrature that checks them is a
+test oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ from .errors import NumericalFailure
 
 # pole-exclusion radius, relative to the period scale
 POLE_TOL = 1e-8
-# adaptive quadrature: Gauss-Legendre nodes and weights per panel, and the
-# relative panel tolerance
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_QUAD_TOL = 1e-10
 
 
 @functools.lru_cache(maxsize=16)
@@ -51,40 +48,6 @@ def cauchy_derivatives(f, z0, nmax, radius=0.2, nodes=64):
     vals = np.asarray(f(z0 + radius * unit), dtype=complex)
     out = (weights.T @ vals.reshape(nodes, -1)).reshape((nmax + 1,) + vals.shape[1:])
     return (out.T * [radius ** -n for n in range(nmax + 1)]).T
-
-
-def _gl_panel(f, a, b):
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return half * sum(w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
-
-
-def quadrature_path(f, path):
-    """Integrate f along the polyline ``path`` of complex nodes.
-
-    Composite adaptive Gauss-Legendre; raises NumericalFailure (with the error
-    estimate attached) if panel bisection stalls above the panel tolerance.
-    The caller must route the path around poles and branch points.
-    """
-    path = [complex(p) for p in path]
-    if len(path) < 2:
-        raise ValueError("path needs at least two nodes")
-
-    def adapt(a, b, whole, depth):
-        m = (a + b) / 2.0
-        left = _gl_panel(f, a, m)
-        right = _gl_panel(f, m, b)
-        err = abs(left + right - whole)
-        if err <= _QUAD_TOL * max(1.0, abs(left + right)) or depth >= 12:
-            if depth >= 12 and err > 10 * _QUAD_TOL * max(1.0, abs(left + right)):
-                raise NumericalFailure("quadrature panel did not converge",
-                                       estimate=err)
-            return left + right
-        return adapt(a, m, left, depth + 1) + adapt(m, b, right, depth + 1)
-
-    total = 0.0 + 0.0j
-    for a, b in zip(path[:-1], path[1:]):
-        total += adapt(a, b, _gl_panel(f, a, b), 0)
-    return total
 
 
 def continuous_log(g):

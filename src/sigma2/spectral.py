@@ -19,14 +19,13 @@ import numpy as np
 from . import elliptic as el
 from . import lattice as lt
 from . import sigma as sg
-from .errors import (NotRealAlpha, NotRealLattice, PoleAtArgument,
-                     SingularConfiguration)
+from .errors import NotRealAlpha, NotRealLattice, SingularConfiguration
 from .numerics import POLE_TOL, any_true, cauchy_derivatives, complex_args
 
 __all__ = [
     "PotentialSample", "baker_psi", "eigen_residual", "potential_u",
-    "kdv_residual", "real_family", "real_rectangle_periods", "baker_phi",
-    "quasi_momenta", "bloch_residual", "wronskian",
+    "kdv_residual", "real_family", "real_rectangle_periods", "quasi_momenta",
+    "bloch_residual", "wronskian",
 ]
 
 
@@ -114,17 +113,14 @@ def potential_u(ctx: sg.DegenSigmaContext, U3, U1):
     def ring(u3, u1):
         return sum(direct(u3, u1 + h * 1j ** k) for k in range(4)) / 4.0
 
-    if not isinstance(U1, np.ndarray):
-        try:
-            return complex(direct(U3, U1))
-        except PoleAtArgument:
-            return complex(ring(U3, U1))
-    # where the scalar path meets PoleAtArgument: a lattice point of wp(U1),
-    # or U1 = +-alpha, where sigma(alpha -+ U1) ~ 0 in the generator P
+    # where direct() raises PoleAtArgument: a lattice point of wp(U1), or
+    # U1 = +-alpha, where sigma(alpha -+ U1) ~ 0 in the generator P
     lim = POLE_TOL * ec.scale()
     on_pole = ((abs(el._reduce(ec, U1)[0]) < lim)
                | (abs(el.sigma_w(ec, ctx.alpha - U1)) < lim)
                | (abs(el.sigma_w(ec, ctx.alpha + U1)) < lim))
+    if not isinstance(U1, np.ndarray):
+        return complex(ring(U3, U1) if on_pole else direct(U3, U1))
     out = np.empty(U1.shape, dtype=complex)
     out[~on_pole] = direct(U3[~on_pole], U1[~on_pole])
     if on_pole.any():
@@ -233,23 +229,14 @@ def real_family(ctx: sg.DegenSigmaContext, family: str, phi: float,
 # ---------------------------------------------------------------------------
 # Bloch multipliers
 
-def baker_phi(ctx: sg.DegenSigmaContext, u3, u1, xi0) -> complex:
-    """Two-variable Baker quotient with spectral point at uniformizer xi0."""
-    _require_generic(ctx)
-    vals = lt.abel_integrals(ctx, xi0)
-    den = sg.sigma2(ctx, u3, u1)
-    if den == 0:
-        raise SingularConfiguration("u lies on the sigma2 divisor")
-    num = sg.sigma2(ctx, vals.I1 - u3, vals.I2 - u1)
-    return complex(num / den * np.exp(u3 * vals.I4 + u1 * vals.I3))
-
-
 def quasi_momenta(ctx: sg.DegenSigmaContext, xi0,
                   lattice: lt.PeriodLattice | None = None):
-    """Bloch exponents (M1, M2, M3) for the Baker quotient at xi0.
+    """Bloch exponents (M1, M2, M3) for the Baker quotient at xi0,
+    Phi(u) = sigma2(I1 - u3, I2 - u1) / sigma2(u) exp(u3 I4 + u1 I3), with
+    I1..I4 the Abel integrals at xi0.
 
     M_i are covectors on (u3, u1): Phi(u + T_i) = Phi(u) exp(M_i . T_i).
-    With rho = (I4, I3) and beta = (I1, I2) at xi0,
+    With rho = (I4, I3) and beta = (I1, I2),
 
         M1 = rho - beta^t S K2,   M2 = M3 = rho - beta^t S (K2 + K3 K1^{-1}),
 

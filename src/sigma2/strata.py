@@ -27,10 +27,8 @@ from .numerics import cluster_points, require_finite
 __all__ = [
     "G2Params", "StratumClassification", "VectorFieldData",
     "discriminant", "gamma_vec", "upsilon", "classify",
-    "lambda_from_lambda1", "lambda_from_A", "lambda_from_lambda0",
-    "recover_lambda1", "recover_lambda0",
-    "vmatrix", "tangency_residuals", "restricted_fields_lambda1",
-    "restricted_fields_lambda0", "gradient_delta_check",
+    "lambda_from_lambda1", "lambda_from_lambda0",
+    "vmatrix", "tangency_residuals", "gradient_delta_check",
     "discriminant_resultant_oracle", "RANK_BY_PARTITION",
 ]
 
@@ -188,7 +186,7 @@ def _det(rows, size):
 
 
 # ---------------------------------------------------------------------------
-# parameterizations and recovery
+# chart maps
 
 def lambda_from_lambda1(a2, gamma) -> G2Params:
     """Chart of curves with one double point (a2, 0); gamma nondegenerate."""
@@ -200,20 +198,6 @@ def lambda_from_lambda1(a2, gamma) -> G2Params:
     l6 = g6 - 4 * third * a2 * g4 - 10 * third**3 * a2**3
     l8 = -2 * a2 * g6 - third * a2**2 * g4 + 20 * third**3 * a2**4
     l10 = a2**2 * g6 + 2 * third * a2**3 * g4 + 8 * third**3 * a2**5
-    return G2Params(l4, l6, l8, l10)
-
-
-def lambda_from_A(a, gamma) -> G2Params:
-    """Same chart in the A-variable, A = (5/3)*a2."""
-    g4, g6 = _gamma_pair(gamma)
-    if delta_gamma(g4, g6) == 0:
-        raise DegenerateCurve("lambda_from_A needs 4*g4^3 + 27*g6^2 != 0")
-    fifth = _fifth_like(a)
-    l4 = g4 - 3 * fifth * a**2
-    l6 = g6 - 4 * fifth * a * g4 - 2 * fifth**2 * a**3
-    l8 = -6 * fifth * a * g6 - 3 * fifth**2 * a**2 * g4 + 12 * fifth**3 * a**4
-    l10 = (9 * fifth**2 * a**2 * g6 + 18 * fifth**3 * a**3 * g4
-           + 72 * fifth**5 * a**5)
     return G2Params(l4, l6, l8, l10)
 
 
@@ -235,10 +219,6 @@ def _gamma_pair(gamma):
 
 def _third_like(x):
     return F(1, 3) if isinstance(x, Fraction) else 1.0 / 3.0
-
-
-def _fifth_like(x):
-    return F(1, 5) if isinstance(x, Fraction) else 1.0 / 5.0
 
 
 def mu_from_gamma(a2, g4, g6):
@@ -447,22 +427,6 @@ def _recover_lambda0_normalized(ln, centers, mults):
     return a2, b2, rt
 
 
-def recover_lambda1(lam: G2Params):
-    """(a2, gamma) for a Lambda1 point; the double root plus quotient curve."""
-    cls = classify(lam)
-    if cls.stratum != "Lambda1":
-        raise NotOnStratum(f"recover_lambda1 on {cls.stratum}")
-    return cls.a2, cls.gamma
-
-
-def recover_lambda0(lam: G2Params):
-    """(a2, b2) for a Lambda0 point, ordered lexicographically by (Re, Im)."""
-    cls = classify(lam)
-    if cls.stratum != "Lambda0":
-        raise NotOnStratum(f"recover_lambda0 on {cls.stratum}")
-    return cls.a2, cls.b2
-
-
 # ---------------------------------------------------------------------------
 # vector fields and tangency
 
@@ -536,37 +500,6 @@ def tangency_residuals(lam: G2Params):
             comp.append(lhs_i - rhs_i)
         gamma_res.append(tuple(comp))
     return {"delta": tuple(delta_res), "gamma": tuple(gamma_res)}
-
-
-def restricted_fields_lambda1(a2, gamma):
-    """Frame fields on the one-double-point stratum in (a2, g4, g6) coordinates.
-
-    Returns the coefficient triples of l~0, l~2, l~4 on (d_a2, d_g4, d_g6) and
-    the decomposition coefficients of l_6 on (l~0, l~2, l~4).
-    """
-    g4, g6 = _gamma_pair(gamma)
-    c = F
-    l0 = (2 * a2, 4 * g4, 6 * g6)
-    l2 = (c(2, 15) * (6 * g4 + 5 * a2**2),
-          c(2, 3) * (9 * g6 - 8 * a2 * g4),
-          -c(4, 3) * (g4**2 + 6 * a2 * g6))
-    l4 = (c(2, 45) * (27 * g6 + 9 * a2 * g4 - 40 * a2**3),
-          -c(4, 3) * a2 * (9 * g6 + a2 * g4),
-          -c(2, 3) * a2 * (3 * a2 * g6 - 4 * g4**2))
-    l6_coeffs = (-a2**3, -a2**2, -a2)
-    return {"l0": l0, "l2": l2, "l4": l4, "l6_decomposition": l6_coeffs}
-
-
-def restricted_fields_lambda0(a2, b2):
-    """Frame fields on the two-double-point stratum in (a2, b2) coordinates."""
-    c = F
-    l0 = (2 * a2, 2 * b2)
-    l2 = (-c(2, 5) * (a2**2 + 8 * a2 * b2 + 6 * b2**2),
-          -c(2, 5) * (6 * a2**2 + 8 * a2 * b2 + b2**2))
-    l4_coeffs = (-(a2**2 + a2 * b2 + b2**2), -(a2 + b2))
-    l6_coeffs = (a2 * b2 * (a2 + b2), a2 * b2)
-    return {"l0": l0, "l2": l2, "l4_decomposition": l4_coeffs,
-            "l6_decomposition": l6_coeffs}
 
 
 def gradient_delta_check(a2, gamma, ectx=None):

@@ -195,6 +195,24 @@ def test_parser_built_once_and_keeps_no_state(capsys):
     assert info.misses == 1 and info.hits == len(argvs) - 1
 
 
+def test_closed_stdout_exits_141():
+    # the reader closes the pipe before the record is written, as
+    # `sigma2 verify | head -1` can: no traceback, the SIGPIPE exit code
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    p = subprocess.Popen([sys.executable, "-m", "sigma2.cli", "verify",
+                          "--suite", "gradient", "--samples", "2"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         env={**os.environ, "PYTHONPATH": src})
+    p.stdout.close()
+    err = p.stderr.read().decode()
+    p.stderr.close()
+    assert p.wait() == 141
+    assert "BrokenPipeError" not in err
+
+
 def test_parser_not_built_at_import():
     import os
     import subprocess

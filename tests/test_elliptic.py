@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sigma2 import elliptic as el
 from sigma2.errors import DegenerateCurve, NumericalFailure, PoleAtArgument
-from sigma2.numerics import cauchy_derivatives, quadrature_path
+from sigma2.numerics import cauchy_derivatives
+
+from oracles import quadrature_path
 
 
 def _sorted(zs):

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from sigma2 import elliptic as el
@@ -68,19 +67,6 @@ def test_l0_euler_identities(ec_generic):
     alpha = 0.27 * ec_generic.omega + 0.31 * ec_generic.omegaP
     out = heat.l0_action_residuals(ec_generic, alpha)
     assert max(out.values()) < 1e-5
-
-
-def test_initial_condition_probe():
-    rep = heat.initial_condition_probe()
-    assert abs(rep["lambda1"][-1]["u3_ratio"] - 1.0) < 1e-6
-    assert abs(rep["lambda1"][-1]["u1_ratio"] - 1.0) < 1e-4
-    # the two-double-point closed form carries its own constant: recorded
-    c = rep["lambda0_limit"]
-    assert np.isfinite(c.real) and abs(c) > 0
-
-
-def test_operator_registry_documented():
-    assert set(heat.Q_OPERATOR_FORMS) >= {"q0", "q2", "q4", "q6", "restrictions"}
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,44 @@ from sigma2 import inversion as inv
 from sigma2 import sigma as sg
 from sigma2.errors import BranchPointCase, NotBranchPoint
 
+from oracles import quadrature_path
+
 
 def _cell(ec, z):
     z0, _, _ = el._reduce(ec, z)
     return z0
+
+
+def third_kind_integral_quadrature(ctx, xi):
+    """Quadrature oracle for int_0^xi dv/(wp(v) - wp(alpha))."""
+    a = ctx.wp_alpha
+    return quadrature_path(lambda v: 1.0 / (el.wp(ctx.ectx, v) - a),
+                           [1e-300j, complex(xi)])
+
+
+def bethe_linear_form(ec, alpha, beta, kappa, wp_xi, wpp_xi):
+    """The A*wp'(xi) + B*wp(xi) + C form of the rationalized Bethe equation.
+
+    Vanishes at both kappa-dependent solutions and at the kappa-independent
+    extra root (wp(xi), wp'(xi)) = (wp(alpha-beta), -wp'(alpha-beta)).
+    """
+    alpha, beta = complex(alpha), complex(beta)
+    two_ab = 2 * alpha - beta
+    pa, ppa = el.wp(ec, alpha), el.wp_prime(ec, alpha)
+    pb, ppb = el.wp(ec, beta), el.wp_prime(ec, beta)
+    pc, ppc = el.wp(ec, two_ab), el.wp_prime(ec, two_ab)
+
+    def det3(r1, r2, r3):
+        return (r1[0] * (r2[1] * r3[2] - r3[1] * r2[2])
+                - r1[1] * (r2[0] * r3[2] - r3[0] * r2[2])
+                + r1[2] * (r2[0] * r3[1] - r3[0] * r2[1]))
+
+    top = (wpp_xi, wp_xi, 1.0)
+    det1 = det3(top, (ppa, pa, 1.0), (-ppb, pb, 1.0))
+    det2 = det3(top, (-ppa, pa, 1.0), (ppc, pc, 1.0))
+    cfac = (el.sigma_w(ec, beta) / el.sigma_w(ec, two_ab)
+            * (pa - pc) / (pa - pb))
+    return np.exp(kappa) * det2 - cfac * det1
 
 
 def test_forward_integrals_symmetric_pair(ctx_generic):
@@ -23,8 +57,8 @@ def test_forward_integrals_match_quadrature(ctx_generic, rng):
         xi1 = rng.uniform(-0.3, 0.3) * ec.omega + rng.uniform(-0.3, 0.3) * ec.omegaP
         xi2 = rng.uniform(-0.3, 0.3) * ec.omega + rng.uniform(-0.3, 0.3) * ec.omegaP
         u1, u3 = inv.forward_integrals(ctx_generic, xi1, xi2)
-        quad = (inv.third_kind_integral_quadrature(ctx_generic, xi1)
-                + inv.third_kind_integral_quadrature(ctx_generic, xi2))
+        quad = (third_kind_integral_quadrature(ctx_generic, xi1)
+                + third_kind_integral_quadrature(ctx_generic, xi2))
         assert abs(u3 - quad) < 1e-8 * (1 + abs(u3))
         assert abs(u1 - (xi1 + xi2)) < 1e-14 * (1 + abs(u1))
 
@@ -32,7 +66,7 @@ def test_forward_integrals_match_quadrature(ctx_generic, rng):
 def test_forward_integrals_doubled_point(ctx_generic):
     xi = 0.21 - 0.13j
     _, u3 = inv.forward_integrals(ctx_generic, xi, xi)
-    single = inv.third_kind_integral_quadrature(ctx_generic, xi)
+    single = third_kind_integral_quadrature(ctx_generic, xi)
     assert abs(u3 - 2 * single) < 1e-8 * (1 + abs(u3))
 
 
@@ -170,15 +204,15 @@ def test_bethe_linear_form_and_extra_root(ctx_generic):
     kappa = 0.22 + 0.15j
     r1, r2 = inv.solve_bethe(ctx_generic, alpha, beta, kappa)
     for xi in (r1, r2):
-        v = inv.bethe_linear_form(ec, alpha, beta, kappa,
-                                  el.wp(ec, xi), el.wp_prime(ec, xi))
+        v = bethe_linear_form(ec, alpha, beta, kappa,
+                              el.wp(ec, xi), el.wp_prime(ec, xi))
         assert abs(v) < 1e-7 * (1 + abs(np.exp(kappa)))
     # the extra root is kappa-independent: same (wp, wp') kills the form
     # for arbitrary kappa
     x_extra = el.wp(ec, alpha - beta)
     y_extra = -el.wp_prime(ec, alpha - beta)
     for kap in (kappa, kappa + 1.3, -0.7j):
-        v = inv.bethe_linear_form(ec, alpha, beta, kap, x_extra, y_extra)
+        v = bethe_linear_form(ec, alpha, beta, kap, x_extra, y_extra)
         assert abs(v) < 1e-8 * (1 + abs(np.exp(kap)))
 
 

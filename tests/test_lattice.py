@@ -5,7 +5,8 @@ from sigma2 import elliptic as el
 from sigma2 import lattice as lt
 from sigma2 import sigma as sg
 from sigma2.errors import SingularConfiguration
-from sigma2.numerics import quadrature_path
+
+from oracles import quadrature_path
 
 
 @pytest.fixture(scope="module")
@@ -162,11 +163,14 @@ def test_reconstruct_gamma(ctx_generic):
 
 
 def test_rank_report():
-    from sigma2.strata import G2Params
-    r = lt.rank_report(G2Params(0, 1, 0, 0))
-    assert r["rank"] == 3 and not r["branch_point"]
-    assert r["wp_prime_alpha_abs"] > 0.1
-    r = lt.rank_report(G2Params(1, 0, 0, 0))
-    assert r["rank"] == 2 and r["branch_point"]
-    r = lt.rank_report(G2Params(0, 0, 0, 0))
-    assert r["rank"] == 0 and r["stratum"] == "Lambda0"
+    # rank 3 (simple discriminant zero) and rank 2 on the one-double-point
+    # stratum are told apart by wp'(alpha)
+    from sigma2.strata import G2Params, classify
+    lam = G2Params(0, 1, 0, 0)
+    ctx = sg.make_degen_context(lam)
+    assert classify(lam).rank == 3 and not ctx.branch_point
+    assert abs(ctx.wpp_alpha) > 0.1
+    lam = G2Params(1, 0, 0, 0)
+    assert classify(lam).rank == 2 and sg.make_degen_context(lam).branch_point
+    cls = classify(G2Params(0, 0, 0, 0))
+    assert cls.rank == 0 and cls.stratum == "Lambda0"

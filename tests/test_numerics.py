@@ -3,7 +3,9 @@ import pytest
 
 from sigma2.errors import NumericalFailure
 from sigma2.numerics import (cauchy_derivatives, cluster_points, continuous_log,
-                             quadrature_path, require_finite)
+                             require_finite)
+
+from oracles import quadrature_path
 
 
 def test_require_finite():

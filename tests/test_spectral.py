@@ -226,11 +226,6 @@ def test_bloch_property(ctx_generic, rng):
             assert sp.bloch_residual(ctx_generic, xi0, u, k, L) < 1e-6
 
 
-def test_baker_phi_value(ctx_generic):
-    v = sp.baker_phi(ctx_generic, 0.04 - 0.01j, 0.07 + 0.02j, 0.31 + 0.12j)
-    assert np.isfinite(v.real) and abs(v) > 0
-
-
 def test_spectral_residuals_scale_covariant():
     base = (0.2 + 0.1j, 0.4 - 0.2j, 0.5 + 0.3j)
     for t in (5.0, 0.2):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st_h
 
 from sigma2 import strata as st
-from sigma2.errors import DegenerateCurve, NotOnStratum
+from sigma2.errors import DegenerateCurve
 from sigma2.numerics import cluster_points
-from sigma2.verify import _cunit, random_gamma
+from sigma2.verify import _cunit, _ring_gradient, random_gamma
 
 
 # --- polynomial values ------------------------------------------------------
@@ -41,17 +41,6 @@ def test_lambda_from_lambda1_examples():
 def test_lambda1_chart_lies_in_discriminant_variety():
     lam = st.lambda_from_lambda1(F(2, 3), (F(1, 2), F(-3, 4)))
     assert st.discriminant(lam) == 0
-
-
-def test_lambda_from_A_consistency(rng):
-    for _ in range(10):
-        a = complex(rng.normal(), rng.normal())
-        g = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
-        lam_a = st.lambda_from_A(a, g)
-        lam_1 = st.lambda_from_lambda1(0.6 * a, g)
-        err = max(abs(x - y) for x, y in zip(lam_a.astuple(), lam_1.astuple()))
-        assert err < 1e-12 * (1 + max(abs(x) for x in lam_a.astuple()))
-    assert st.lambda_from_A(0.0, (0.0, 1.0)).astuple() == (0, 1, 0, 0)
 
 
 def test_lambda_from_lambda0_examples():
@@ -105,8 +94,9 @@ def test_recover_round_trips(rng):
         from sigma2.elliptic import delta_gamma
         if abs(delta_gamma(g4, g6)) < 0.05 * (abs(g4) ** 3 + abs(g6) ** 2):
             continue
-        lam = st.lambda_from_lambda1(a2, (g4, g6))
-        ra, rg = st.recover_lambda1(lam)
+        cls = st.classify(st.lambda_from_lambda1(a2, (g4, g6)))
+        assert cls.stratum == "Lambda1"
+        ra, rg = cls.a2, cls.gamma
         scale = 1 + abs(a2) + abs(g4) + abs(g6)
         assert abs(ra - a2) / scale < 1e-9
         assert abs(rg.gamma4 - g4) / scale < 1e-9
@@ -114,19 +104,13 @@ def test_recover_round_trips(rng):
     for _ in range(100):
         a2 = complex(rng.normal(), rng.normal())
         b2 = complex(rng.normal(), rng.normal())
-        lam = st.lambda_from_lambda0(a2, b2)
-        ra, rb = st.recover_lambda0(lam)
+        cls = st.classify(st.lambda_from_lambda0(a2, b2))
+        assert cls.stratum == "Lambda0"
+        ra, rb = cls.a2, cls.b2
         want = sorted([a2, b2], key=lambda z: (z.real, z.imag))
         scale = 1 + abs(a2) + abs(b2)
         assert abs(ra - want[0]) / scale < 1e-9
         assert abs(rb - want[1]) / scale < 1e-9
-
-
-def test_recover_raises_off_stratum():
-    with pytest.raises(NotOnStratum):
-        st.recover_lambda1(st.G2Params(-5, 0, 4, 0))
-    with pytest.raises(NotOnStratum):
-        st.recover_lambda0(st.G2Params(0, 1, 0, 0))
 
 
 @settings(max_examples=20, deadline=None)
@@ -302,18 +286,47 @@ def test_tangency_float_residuals(rng):
 
 # --- restricted frame fields -------------------------------------------------
 
+def restricted_fields_lambda1(a2, gamma):
+    """Frame fields on the one-double-point stratum in (a2, g4, g6) coordinates.
+
+    Returns the coefficient triples of l~0, l~2, l~4 on (d_a2, d_g4, d_g6) and
+    the decomposition coefficients of l_6 on (l~0, l~2, l~4).
+    """
+    g4, g6 = gamma
+    l0 = (2 * a2, 4 * g4, 6 * g6)
+    l2 = (F(2, 15) * (6 * g4 + 5 * a2**2),
+          F(2, 3) * (9 * g6 - 8 * a2 * g4),
+          -F(4, 3) * (g4**2 + 6 * a2 * g6))
+    l4 = (F(2, 45) * (27 * g6 + 9 * a2 * g4 - 40 * a2**3),
+          -F(4, 3) * a2 * (9 * g6 + a2 * g4),
+          -F(2, 3) * a2 * (3 * a2 * g6 - 4 * g4**2))
+    l6_coeffs = (-a2**3, -a2**2, -a2)
+    return {"l0": l0, "l2": l2, "l4": l4, "l6_decomposition": l6_coeffs}
+
+
+def restricted_fields_lambda0(a2, b2):
+    """Frame fields on the two-double-point stratum in (a2, b2) coordinates."""
+    l0 = (2 * a2, 2 * b2)
+    l2 = (-F(2, 5) * (a2**2 + 8 * a2 * b2 + 6 * b2**2),
+          -F(2, 5) * (6 * a2**2 + 8 * a2 * b2 + b2**2))
+    l4_coeffs = (-(a2**2 + a2 * b2 + b2**2), -(a2 + b2))
+    l6_coeffs = (a2 * b2 * (a2 + b2), a2 * b2)
+    return {"l0": l0, "l2": l2, "l4_decomposition": l4_coeffs,
+            "l6_decomposition": l6_coeffs}
+
+
 def test_restricted_fields_lambda1_values():
-    f = st.restricted_fields_lambda1(F(1), (F(1), F(1)))
+    f = restricted_fields_lambda1(F(1), (F(1), F(1)))
     assert f["l0"] == (2, 4, 6)
     assert f["l6_decomposition"] == (-1, -1, -1)
-    f0 = st.restricted_fields_lambda1(F(0), (F(1), F(1)))
+    f0 = restricted_fields_lambda1(F(0), (F(1), F(1)))
     assert f0["l6_decomposition"] == (0, 0, 0)
 
 
 def test_restricted_fields_lambda0_values():
-    f = st.restricted_fields_lambda0(F(1), F(1))
+    f = restricted_fields_lambda0(F(1), F(1))
     assert f["l0"] == (2, 2)
-    z = st.restricted_fields_lambda0(F(0), F(0))
+    z = restricted_fields_lambda0(F(0), F(0))
     assert z["l0"] == (0, 0) and z["l2"] == (0, 0)
     assert z["l4_decomposition"] == (0, 0) and z["l6_decomposition"] == (0, 0)
 
@@ -339,7 +352,7 @@ def test_pushforward_consistency_lambda1(rng):
             continue
         lam = st.lambda_from_lambda1(a2, (g4, g6))
         vf = st.vmatrix(lam)
-        fields = st.restricted_fields_lambda1(a2, (g4, g6))
+        fields = restricted_fields_lambda1(a2, (g4, g6))
         for k, key in ((0, "l0"), (1, "l2"), (2, "l4")):
             got = _push_lambda1(a2, g4, g6, fields[key])
             want = vf.V[k]
@@ -371,7 +384,7 @@ def test_pushforward_consistency_lambda0(rng):
         b2 = complex(rng.normal(), rng.normal()) * 0.7
         lam = st.lambda_from_lambda0(a2, b2)
         vf = st.vmatrix(lam)
-        fields = st.restricted_fields_lambda0(a2, b2)
+        fields = restricted_fields_lambda0(a2, b2)
         fl0, fl2 = fields["l0"], fields["l2"]
         combos = {
             0: fl0,
@@ -406,6 +419,18 @@ def test_gradient_delta_closed_form(rng):
             ratios = [g[0] / g[3], g[1] / g[3], g[2] / g[3]]
             want = [a2 ** 3, a2 ** 2, a2]
             assert max(abs(r - w) for r, w in zip(ratios, want)) < 1e-6 * (1 + abs(a2) ** 3)
+
+
+def test_ring_gradient_matches_symbolic(rng):
+    # the verify gradient suite differentiates Delta by 8-node Cauchy rings;
+    # Delta has degree <= 5 in each coordinate, so they are exact to rounding
+    for _ in range(50):
+        g4, g6 = random_gamma(rng)
+        lam = st.lambda_from_lambda1(_cunit(rng), (g4, g6))
+        want = [complex(g) for g in st.discriminant_gradient(lam)]
+        got = _ring_gradient(lam)
+        scale = max(1.0, max(abs(g) for g in want))
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12 * scale
 
 
 def test_gradient_vanishes_at_branch_point():
