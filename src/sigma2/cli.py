@@ -218,13 +218,8 @@ def cmd_verify(args):
                              f"choose from {', '.join(vf.SUITES)} or 'all'")
     if args.samples is not None and args.samples < 1:
         raise UsageError("--samples must be at least 1")
-
-    def kwargs(name):
-        key = vf.SUITES[name][1]
-        return {key: args.samples} if key and args.samples is not None else {}
-
-    results = sorted((vf.run_suite(name, seed=seed, **kwargs(name))
-                      for name in names), key=lambda r: r.name)
+    results = sorted((vf.run_suite(name, seed, args.samples) for name in names),
+                     key=lambda r: r.name)
     for r in results:
         print(r.line())
     rec = {"command": "verify", "seed": seed,

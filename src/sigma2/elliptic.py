@@ -388,13 +388,12 @@ def curve_y(ctx: EllipticContext, x) -> complex:
     return complex(np.sqrt(x ** 3 + ctx.gamma4 * x + ctx.gamma6))
 
 
-def invert_wp(ctx: EllipticContext, x, sign: int = +1) -> complex:
+def invert_wp(ctx: EllipticContext, x) -> complex:
     """A preimage alpha with wp(alpha) = x, reduced to the fundamental cell.
 
-    For sign=+1 the branch satisfies wp'(alpha) = -2*sqrt(X^3+g4*X+g6) with
-    the principal square root (the branch the degenerate formulas assume);
-    sign=-1 picks the opposite one.  At a cubic root the matching half period
-    is returned exactly.
+    The branch satisfies wp'(alpha) = -2*sqrt(X^3+g4*X+g6) with the principal
+    square root (the branch the degenerate formulas assume).  At a cubic root
+    the matching half period is returned exactly.
     """
     x = complex(x)
     require_finite("invert_wp", x)
@@ -407,7 +406,7 @@ def invert_wp(ctx: EllipticContext, x, sign: int = +1) -> complex:
     args = [a if abs(a.imag) > 1e-14 * abs(a) or a.real > 0
             else a + 1e-13j * max(abs(a), 1.0) for a in args]
     alpha = complex(elliprf(*args))
-    target = -2 * sign * curve_y(ctx, x)
+    target = -2 * curve_y(ctx, x)
     best = None
     for cand in (alpha, -alpha, alpha + ctx.omega, alpha + ctx.omegaP):
         a = cand

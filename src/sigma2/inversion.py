@@ -27,7 +27,7 @@ import numpy as np
 from . import elliptic as el
 from . import sigma as sg
 from .errors import (BranchPointCase, NotBranchPoint, NotOnStratum,
-                     PoleAtArgument, SingularConfiguration)
+                     SingularConfiguration)
 
 __all__ = [
     "InversionResult", "solve_inversion", "forward_integrals",

@@ -15,13 +15,14 @@ the degenerate Legendre identity validates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import elliptic as el
 from . import sigma as sg
-from .errors import PoleAtArgument, SingularConfiguration
+from .errors import SingularConfiguration
+from .numerics import continuous_log
 from .strata import G2Params, discriminant
 
 __all__ = [
@@ -71,6 +72,18 @@ def _require_rank3(ctx: sg.DegenSigmaContext):
             "wp'(alpha) = 0: the lattice rank drops below 3")
 
 
+def _abel_map(ctx, xi, lg, zeta, half_wpp):
+    """(I1, I2, I3, I4) from xi, log(sigma(alpha-xi)/sigma(alpha+xi)), zeta(xi)
+    and -wp'(xi)/2; the map is linear, so it takes increments to increments."""
+    a, g4 = ctx.wp_alpha, ctx.ectx.gamma4
+    i1 = (2.0 * ctx.zeta_alpha * xi + lg) / ctx.wpp_alpha
+    i2 = xi + 0.6 * a * i1
+    i3 = zeta - 0.24 * a * a * i1 - 0.2 * a * i2
+    i4 = (half_wpp - 0.6 * a * (g4 + 0.48 * a * a) * i1
+          - 0.36 * a * a * i2 - 0.6 * a * i3)
+    return i1, i2, i3, i4
+
+
 def abel_integrals(ctx: sg.DegenSigmaContext, xi) -> AbelIntegralValues:
     """Closed forms of the four Abel integrals at the uniformizer xi.
 
@@ -80,17 +93,9 @@ def abel_integrals(ctx: sg.DegenSigmaContext, xi) -> AbelIntegralValues:
     _require_rank3(ctx)
     xi = complex(xi)
     ec = ctx.ectx
-    a, ap = ctx.wp_alpha, ctx.wpp_alpha
-    za = ctx.zeta_alpha
-    g4 = ec.gamma4
-    i1 = (2.0 * za * xi + el.sigma_ratio_log(ec, ctx.alpha, xi)) / ap
-    i2 = xi + 0.6 * a * i1
-    i3 = el.zeta_w(ec, xi) - 0.24 * a * a * i1 - 0.2 * a * i2
-    i4 = (-0.5 * el.wp_prime(ec, xi)
-          - 0.6 * a * (g4 + 0.48 * a * a) * i1
-          - 0.36 * a * a * i2 - 0.6 * a * i3)
-    return AbelIntegralValues(I1=complex(i1), I2=complex(i2),
-                              I3=complex(i3), I4=complex(i4))
+    vals = _abel_map(ctx, xi, el.sigma_ratio_log(ec, ctx.alpha, xi),
+                     el.zeta_w(ec, xi), -0.5 * el.wp_prime(ec, xi))
+    return AbelIntegralValues(*(complex(v) for v in vals))
 
 
 def period_increment(ctx: sg.DegenSigmaContext, xi, per):
@@ -104,14 +109,9 @@ def period_increment(ctx: sg.DegenSigmaContext, xi, per):
     _require_rank3(ctx)
     xi, per = complex(xi), complex(per)
     ec = ctx.ectx
-    a, ap = ctx.wp_alpha, ctx.wpp_alpha
-    g4 = ec.gamma4
-    from .numerics import continuous_log
     dlog = continuous_log(
         lambda t: (el.sigma_w(ec, ctx.alpha - xi - t * per)
                    / el.sigma_w(ec, ctx.alpha + xi + t * per)))
-    d1 = (2.0 * ctx.zeta_alpha * per + dlog) / ap
-    d2 = per + 0.6 * a * d1
     # for lattice vectors the elliptic parts are exact (zeta picks up
     # m*eta + n*eta', wp' is periodic); forming the raw differences instead
     # would amplify roundoff by wp'' when xi sits near a pole
@@ -125,10 +125,7 @@ def period_increment(ctx: sg.DegenSigmaContext, xi, per):
     else:
         dzeta = el.zeta_w(ec, xi + per) - el.zeta_w(ec, xi)
         dwpp = -0.5 * (el.wp_prime(ec, xi + per) - el.wp_prime(ec, xi))
-    d3 = dzeta - 0.24 * a * a * d1 - 0.2 * a * d2
-    d4 = (dwpp - 0.6 * a * (g4 + 0.48 * a * a) * d1
-          - 0.36 * a * a * d2 - 0.6 * a * d3)
-    return np.array([d1, d2, d3, d4], dtype=complex)
+    return np.array(_abel_map(ctx, per, dlog, dzeta, dwpp), dtype=complex)
 
 
 def period_matrices(ctx: sg.DegenSigmaContext) -> PeriodLattice:
@@ -160,7 +157,7 @@ def period_matrices(ctx: sg.DegenSigmaContext) -> PeriodLattice:
 
 
 def quasi_periodicity_residual(ctx: sg.DegenSigmaContext, u, k: int,
-                               lattice: PeriodLattice | None = None,
+                               lattice: PeriodLattice,
                                direction: int = +1) -> float:
     """Defect of sigma2(u +/- T_k)/sigma2(u) = -exp{+/- H_k^t S (u +/- T_k/2)}.
 
@@ -168,8 +165,6 @@ def quasi_periodicity_residual(ctx: sg.DegenSigmaContext, u, k: int,
     (I3, I4) against (u1, u3).  Insensitive to the `normalized` scaling of
     sigma2 since only ratios enter.
     """
-    if lattice is None:
-        lattice = period_matrices(ctx)
     tk, hk = lattice.column(k)
     u = np.asarray(u, dtype=complex)
     s = direction
@@ -183,9 +178,7 @@ def quasi_periodicity_residual(ctx: sg.DegenSigmaContext, u, k: int,
 
 
 def p_periodicity_residual(ctx: sg.DegenSigmaContext, u, k: int,
-                           lattice: PeriodLattice | None = None) -> float:
-    if lattice is None:
-        lattice = period_matrices(ctx)
+                           lattice: PeriodLattice) -> float:
     tk, _ = lattice.column(k)
     u = np.asarray(u, dtype=complex)
     p0 = sg.p_function(ctx, u[0], u[1])

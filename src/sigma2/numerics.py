@@ -53,20 +53,19 @@ def cauchy_derivatives(f, z0, nmax, radius=0.2, nodes=64):
 def continuous_log(g):
     """Continued log increment log g(1) - log g(0) along t in [0, 1].
 
-    ``g`` must be nonvanishing on the segment.  Step count doubles from 16
-    until every increment turns by less than pi/2, which pins the branch (at
-    most 4096 steps); the winding is part of the answer, no principal-value
-    reduction is applied.
+    ``g``, nonvanishing on the segment, is called on the ndarray of nodes.
+    Step count doubles from 16 until every increment turns by less than pi/2,
+    which pins the branch (at most 4096 steps); the winding is part of the
+    answer, no principal-value reduction is applied.
     """
     steps = 16
     while steps <= 4096:
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        vals = [complex(g(t)) for t in ts]
-        if any(v == 0 for v in vals):
+        vals = np.asarray(g(np.linspace(0.0, 1.0, steps + 1)), dtype=complex)
+        if not vals.all():
             raise NumericalFailure("continuous_log hit a zero of the function")
-        ratios = [vals[i + 1] / vals[i] for i in range(steps)]
-        if all(abs(np.angle(r)) < 1.5 for r in ratios):
-            return sum(np.log(r) for r in ratios)
+        ratios = vals[1:] / vals[:-1]
+        if np.all(np.abs(np.angle(ratios)) < 1.5):
+            return np.sum(np.log(ratios))
         steps *= 2
     raise NumericalFailure("continuous_log could not resolve the branch")
 

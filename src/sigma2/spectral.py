@@ -36,37 +36,22 @@ def _require_generic(ctx):
         raise SingularConfiguration("wp'(alpha) = 0: Bloch normalization degenerates")
 
 
-def _b3_and_pwr(ctx, b1):
-    """Second first-kind image B3 and the exponent slope of the eigenfunction.
-
-    The slope is the third Abel integral at b1 (the second-kind exponent of
-    the two-variable Baker quotient restricted to the U1 line); both values
-    derive from the same continued log, so the pair is branch-consistent: a
-    different log sheet shifts the numerator argument by a lattice vector and
-    rescales by the matching quasi-periodicity factor.
-    """
-    ec = ctx.ectx
-    a, ap = ctx.wp_alpha, ctx.wpp_alpha
-    lg = el.sigma_ratio_log(ec, ctx.alpha, b1)
-    b3 = (2.0 * ctx.zeta_alpha * b1 + lg) / ap
-    pwr = el.zeta_w(ec, b1) - 0.2 * a * b1 - 0.36 * a * a * b3
-    return b3, pwr
-
-
 def baker_psi(ctx: sg.DegenSigmaContext, B1, U3, U1):
     """Eigenfunction value psi(U1) for spectral parameter B1 (E = wp(B1)).
 
+    The Abel integrals at B1 give the numerator shift I1 and the exponent
+    slope I3 from one continued log, so the pair is branch-consistent.
     Elementwise on ndarrays U3, U1, like potential_u.
     """
     _require_generic(ctx)
     B1 = complex(B1)
     U3, U1 = complex_args(U3, U1)
-    b3, pwr = _b3_and_pwr(ctx, B1)
+    vals = lt.abel_integrals(ctx, B1)
     den = sg.sigma2_u(ctx, U3, U1)
     if any_true(den == 0):
         raise SingularConfiguration("U-point lies on the sigma2 divisor")
-    num = sg.sigma2_u(ctx, b3 - U3, B1 - U1)
-    val = num / den * np.exp(U1 * pwr)
+    num = sg.sigma2_u(ctx, vals.I1 - U3, B1 - U1)
+    val = num / den * np.exp(U1 * vals.I3)
     return val if isinstance(val, np.ndarray) else complex(val)
 
 
@@ -229,8 +214,7 @@ def real_family(ctx: sg.DegenSigmaContext, family: str, phi: float,
 # ---------------------------------------------------------------------------
 # Bloch multipliers
 
-def quasi_momenta(ctx: sg.DegenSigmaContext, xi0,
-                  lattice: lt.PeriodLattice | None = None):
+def quasi_momenta(ctx: sg.DegenSigmaContext, xi0, lattice: lt.PeriodLattice):
     """Bloch exponents (M1, M2, M3) for the Baker quotient at xi0,
     Phi(u) = sigma2(I1 - u3, I2 - u1) / sigma2(u) exp(u3 I4 + u1 I3), with
     I1..I4 the Abel integrals at xi0.
@@ -244,8 +228,6 @@ def quasi_momenta(ctx: sg.DegenSigmaContext, xi0,
     det K1 = 2 alpha / wp'(alpha).
     """
     _require_generic(ctx)
-    if lattice is None:
-        lattice = lt.period_matrices(ctx)
     vals = lt.abel_integrals(ctx, xi0)
     rho = np.array([vals.I4, vals.I3], dtype=complex)
     beta = np.array([vals.I1, vals.I2], dtype=complex)
@@ -257,15 +239,13 @@ def quasi_momenta(ctx: sg.DegenSigmaContext, xi0,
 
 
 def bloch_residual(ctx: sg.DegenSigmaContext, xi0, u, k: int,
-                   lattice: lt.PeriodLattice | None = None) -> float:
+                   lattice: lt.PeriodLattice) -> float:
     """Defect of Phi(u + T_k) = Phi(u) exp(M_k . T_k), in the log domain.
 
     The second-kind exponents grow like xi0^-3, so the ratio is assembled
     from sigma quotients and exponents separately; the residual is
     |exp(log ratio - M_k . T_k) - 1|, insensitive to the 2 pi i log branch.
     """
-    if lattice is None:
-        lattice = lt.period_matrices(ctx)
     momenta = quasi_momenta(ctx, xi0, lattice)
     tk, _ = lattice.column(k)
     u = np.asarray(u, dtype=complex)

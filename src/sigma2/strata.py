@@ -502,7 +502,7 @@ def tangency_residuals(lam: G2Params):
     return {"delta": tuple(delta_res), "gamma": tuple(gamma_res)}
 
 
-def gradient_delta_check(a2, gamma, ectx=None):
+def gradient_delta_check(a2, gamma):
     """Compare grad Delta on the stratum against its closed form.
 
     The closed form is (1/5)(4 g4^3 + 27 g6^2) wp'(alpha)^6 (a2^3, a2^2, a2, 1)
@@ -512,8 +512,7 @@ def gradient_delta_check(a2, gamma, ectx=None):
     g4, g6 = _gamma_pair(gamma)
     lam = lambda_from_lambda1(a2, (g4, g6))
     grad = [complex(g) for g in discriminant_gradient(lam)]
-    if ectx is None:
-        ectx = make_context(EllipticCurveParams(g4, g6))
+    ectx = make_context(EllipticCurveParams(g4, g6))
     alpha = invert_wp(ectx, 5.0 * a2 / 3.0)
     wpp6 = wp_prime(ectx, alpha) ** 6
     # prefactor 1/16: the exact polynomial gradient of the resultant-validated

@@ -1,15 +1,16 @@
 """Verification suites: every headline identity, runnable at desk scale.
 
-Each suite draws its own deterministic samples from a seed, checks one family
-of identities at its stated tolerance, and returns a SuiteResult with the
-worst residuals.  The CLI `verify` command and the acceptance tests both call
-these functions, so there is exactly one definition of "passing".
+Each suite draws deterministic samples from an rng and returns its worst
+residuals.  `SUITES` gives each its record name, default size and bounds, and
+`run_suite` applies the one pass rule; the CLI `verify` command and the
+acceptance tests both call it, so there is exactly one definition of "passing".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import strata as st
 from .errors import Sigma2Error
 from .numerics import cauchy_derivatives
 
-__all__ = ["SuiteResult", "run_suite", "SUITES",
+__all__ = ["SuiteResult", "Suite", "run_suite", "SUITES",
            "p_route_derivatives", "random_lambda1_context"]
 
 
@@ -31,13 +32,25 @@ __all__ = ["SuiteResult", "run_suite", "SUITES",
 class SuiteResult:
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict               # the suite's details and its "thresholds"
 
     def line(self):
+        """One line; a bounded detail is followed by its bound, as in
+        max_residual=6.09e-12 (<1e-05) or failures=0 (=0)."""
         status = "PASS" if self.passed else "FAIL"
-        extras = ", ".join(f"{k}={v:.3g}" if isinstance(v, float) else f"{k}={v}"
-                           for k, v in sorted(self.details.items()))
-        return f"[{status}] {self.name}: {extras}"
+        bounds = self.details["thresholds"]
+        extras = []
+        for k, v in sorted(self.details.items()):
+            if k in bounds:
+                rel = "<" if isinstance(bounds[k], float) else "="
+                extras.append(f"{k}={_fmt(v)} ({rel}{_fmt(bounds[k])})")
+            elif k != "thresholds":
+                extras.append(f"{k}={_fmt(v)}")
+        return f"[{status}] {self.name}: {', '.join(extras)}"
+
+
+def _fmt(v):
+    return f"{v:.3g}" if isinstance(v, float) else str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +142,8 @@ def p_route_derivatives(ctx, U3, U1):
 # ---------------------------------------------------------------------------
 # suites
 
-def suite_heat(seed=7, samples=20) -> SuiteResult:
-    """Q0, Q2, Q4, Q6 annihilate sigma2 (normalized residuals < 1e-5)."""
-    rng = np.random.default_rng(seed)
+def suite_heat(rng, samples):
+    """Q0, Q2, Q4, Q6 annihilate sigma2 (normalized residuals)."""
     worst = 0.0
     per_op = {k: 0.0 for k in ("Q0", "Q2", "Q4", "Q6")}
     for _ in range(samples):
@@ -141,16 +153,14 @@ def suite_heat(seed=7, samples=20) -> SuiteResult:
         for k, v in rep.residuals.items():
             per_op[k] = max(per_op[k], v)
         worst = max(worst, rep.max_residual)
-    return SuiteResult("heat_annihilation", worst < 1e-5,
-                       {"max_residual": worst, "threshold": 1e-5, **per_op})
+    return {"max_residual": worst, **per_op}
 
 
-def suite_taylor(seed=7, contexts=10) -> SuiteResult:
+def suite_taylor(rng, samples):
     """Schur-Weierstrass leading part u3 - u1^3/3 near the moduli origin."""
-    rng = np.random.default_rng(seed)
     u = 1e-2
     worst3 = worst1 = 0.0
-    for _ in range(contexts):
+    for _ in range(samples):
         g4, g6 = random_gamma(rng, rmax=0.02)
         a2 = _cdisc(rng, 0.02)
         ctx = sg.context_lambda1(a2, (g4, g6))
@@ -164,21 +174,17 @@ def suite_taylor(seed=7, contexts=10) -> SuiteResult:
         ctx0 = sg.context_lambda0(a2, b2)
         consts.append(sg.sigma2(ctx0, u, 0.0) / u)
     spread = max(abs(c - consts[0]) for c in consts)
-    ok = worst3 < 1e-6 and worst1 < 1e-4 and spread < 1e-4
-    return SuiteResult("taylor_leading_part", ok,
-                       {"u3_residual": worst3, "u1_residual": worst1,
-                        "lambda0_constant": complex(np.mean(consts)),
-                        "lambda0_spread": spread,
-                        "thresholds": (1e-6, 1e-4)})
+    return {"u3_residual": worst3, "u1_residual": worst1,
+            "lambda0_constant": complex(np.mean(consts)),
+            "lambda0_spread": spread}
 
 
-def suite_inversion(seed=7, instances=100, contexts=3) -> SuiteResult:
-    """Forward integrals -> closed-form inversion round trip, plus the
-    rational-limit closed form."""
-    rng = np.random.default_rng(seed)
+def suite_inversion(rng, samples):
+    """Forward integrals -> closed-form inversion round trip on three
+    contexts, plus the rational-limit closed form."""
     worst_rt = 0.0
-    per_ctx = max(1, instances // contexts)
-    for _ in range(contexts):
+    per_ctx = max(1, samples // 3)
+    for _ in range(3):
         ctx = random_lambda1_context(rng)
         ec = ctx.ectx
         done = 0
@@ -225,16 +231,12 @@ def suite_inversion(seed=7, instances=100, contexts=3) -> SuiteResult:
         worst_rat = max(worst_rat, abs(r["prod_X"] - prod ** -2) / scale)
         worst_rat = max(worst_rat,
                         abs(r["sum_X"] - (u1 * u1 - 2 * prod) / prod ** 2) / scale)
-    ok = worst_rt < 1e-8 and worst_rat < 1e-10
-    return SuiteResult("inversion_round_trip", ok,
-                       {"round_trip": worst_rt, "rational_limit": worst_rat,
-                        "thresholds": (1e-8, 1e-10)})
+    return {"round_trip": worst_rt, "rational_limit": worst_rat}
 
 
-def suite_two_route(seed=7, samples=8) -> SuiteResult:
+def suite_two_route(rng, samples):
     """P-route (Cauchy derivatives of sigma2) vs S-route closed forms, and the
     quintic-coefficient reconstruction from the log-derivative basis."""
-    rng = np.random.default_rng(seed)
     worst_sym = 0.0
     worst_lam = 0.0
     worst_delta = 0.0
@@ -259,17 +261,13 @@ def suite_two_route(seed=7, samples=8) -> SuiteResult:
         worst_lam = max(worst_lam, rec["lambda_residual"])
         worst_delta = max(worst_delta, rec["delta_residual"])
         done += 1
-    ok = worst_sym < 1e-9 and worst_lam < 1e-6 and worst_delta < 1e-6
-    return SuiteResult("two_route_consistency", ok,
-                       {"symmetric_functions": worst_sym,
-                        "lambda_reconstruction": worst_lam,
-                        "delta_residual": worst_delta,
-                        "thresholds": (1e-9, 1e-6)})
+    return {"symmetric_functions": worst_sym,
+            "lambda_reconstruction": worst_lam,
+            "delta_residual": worst_delta}
 
 
-def suite_periodicity(seed=7, samples=20) -> SuiteResult:
+def suite_periodicity(rng, samples):
     """sigma2 quasi-periodicity, P three-periodicity, functional equations."""
-    rng = np.random.default_rng(seed)
     ctxs = [random_lambda1_context(rng) for _ in range(3)]
     worst_qp = worst_p = worst_fe = worst_rc = 0.0
     for i in range(samples):
@@ -290,18 +288,14 @@ def suite_periodicity(seed=7, samples=20) -> SuiteResult:
                                           _cdisc(rng, 0.4))
         worst_fe = max(worst_fe, fe["product_residual"])
         worst_rc = max(worst_rc, fe["reciprocal_residual"])
-    ok = worst_qp < 1e-8 and worst_p < 1e-8 and worst_fe < 1e-9 and worst_rc < 1e-9
-    return SuiteResult("periodicity", ok,
-                       {"quasi_periodicity": worst_qp, "p_periodicity": worst_p,
-                        "functional_eq": worst_fe, "reciprocal": worst_rc,
-                        "thresholds": (1e-8, 1e-9)})
+    return {"quasi_periodicity": worst_qp, "p_periodicity": worst_p,
+            "functional_eq": worst_fe, "reciprocal": worst_rc}
 
 
-def suite_legendre(seed=7, contexts=10) -> SuiteResult:
+def suite_legendre(rng, samples):
     """Degenerate Legendre identity and xi-independence of period increments."""
-    rng = np.random.default_rng(seed)
     worst_leg = worst_inc = 0.0
-    for _ in range(contexts):
+    for _ in range(samples):
         ctx = random_lambda1_context(rng)
         L = lt.period_matrices(ctx)
         worst_leg = max(worst_leg, L.legendre_residual)
@@ -320,15 +314,11 @@ def suite_legendre(seed=7, contexts=10) -> SuiteResult:
             diff = a - incs[0]
             m = round((diff[0] / t1[0]).real)
             worst_inc = max(worst_inc, float(np.max(np.abs(diff - m * t1))))
-    ok = worst_leg < 1e-8 and worst_inc < 1e-9
-    return SuiteResult("degenerate_legendre", ok,
-                       {"legendre": worst_leg, "increment_spread": worst_inc,
-                        "thresholds": (1e-8, 1e-9)})
+    return {"legendre": worst_leg, "increment_spread": worst_inc}
 
 
-def suite_spectral(seed=7, samples=20) -> SuiteResult:
+def suite_spectral(rng, samples):
     """Eigen-equation, KdV, real potential families, Bloch multipliers."""
-    rng = np.random.default_rng(seed)
     worst_eig = worst_kdv = worst_bloch = worst_m23 = 0.0
     done = 0
     while done < samples:
@@ -372,23 +362,17 @@ def suite_spectral(seed=7, samples=20) -> SuiteResult:
             for fam in ("V1", "V2"):
                 s = sp.real_family(ctx, fam, 0.25, grid)
                 worst_im = max(worst_im, s.max_imag)
-    ok = (worst_eig < 1e-6 and worst_kdv < 1e-5 and worst_im < 1e-8
-          and worst_bloch < 1e-6 and worst_m23 < 1e-12)
-    return SuiteResult("spectral", ok,
-                       {"eigen": worst_eig, "kdv": worst_kdv,
-                        "reality_max_imag": worst_im, "bloch": worst_bloch,
-                        "m2_m3_gap": worst_m23,
-                        "thresholds": (1e-6, 1e-5, 1e-8)})
+    return {"eigen": worst_eig, "kdv": worst_kdv, "reality_max_imag": worst_im,
+            "bloch": worst_bloch, "m2_m3_gap": worst_m23}
 
 
 def _rand_fraction(rng, den_max=12):
     return Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, den_max)))
 
 
-def suite_algebra(seed=7, samples=100) -> SuiteResult:
+def suite_algebra(rng, samples):
     """Exact rational identities: det V = (16/5) Delta, the tangency
     identities, and the resultant-discriminant agreement."""
-    rng = np.random.default_rng(seed)
     fails = 0
     const = None
     for _ in range(samples):
@@ -410,16 +394,14 @@ def suite_algebra(seed=7, samples=100) -> SuiteResult:
                 const = ratio
             if ratio != const:
                 fails += 1
-    return SuiteResult("exact_algebra", fails == 0 and const == 1,
-                       {"failures": fails, "resultant_constant": str(const)})
+    return {"failures": fails, "resultant_constant": str(const)}
 
 
-def suite_classify(seed=7, per_chart=1000) -> SuiteResult:
-    """Chart -> classify -> chart round trips and the rank table."""
-    rng = np.random.default_rng(seed)
+def suite_classify(rng, samples):
+    """Chart -> classify -> chart round trips, samples per chart; rank table."""
     mis = 0
     worst_rt = 0.0
-    for _ in range(per_chart):
+    for _ in range(samples):
         lam = st.G2Params(_cunit(rng), _cunit(rng), _cunit(rng), _cunit(rng))
         try:
             cls = st.classify(lam)
@@ -428,7 +410,7 @@ def suite_classify(seed=7, per_chart=1000) -> SuiteResult:
             continue
         if cls.stratum != "Lambda2":
             mis += 1
-    for _ in range(per_chart):
+    for _ in range(samples):
         g4, g6 = random_gamma(rng)
         a2 = _cunit(rng)
         lam = st.lambda_from_lambda1(a2, (g4, g6))
@@ -444,7 +426,7 @@ def suite_classify(seed=7, per_chart=1000) -> SuiteResult:
         worst_rt = max(worst_rt, abs(cls.a2 - a2) / scale,
                        abs(cls.gamma.gamma4 - g4) / scale,
                        abs(cls.gamma.gamma6 - g6) / scale)
-    for _ in range(per_chart):
+    for _ in range(samples):
         a2, b2 = _cunit(rng), _cunit(rng)
         lam = st.lambda_from_lambda0(a2, b2)
         try:
@@ -475,16 +457,13 @@ def suite_classify(seed=7, per_chart=1000) -> SuiteResult:
         cls = st.classify(st.G2Params(*lam_t))
         if cls.partition != part or cls.rank != rank:
             table_ok = False
-    ok = mis == 0 and worst_rt < 1e-9 and table_ok
-    return SuiteResult("classification", ok,
-                       {"misclassified": mis, "round_trip": worst_rt,
-                        "rank_table_ok": table_ok, "threshold": 1e-9})
+    return {"misclassified": mis, "round_trip": worst_rt,
+            "rank_table_ok": table_ok}
 
 
-def suite_gradient(seed=7, samples=20) -> SuiteResult:
+def suite_gradient(rng, samples):
     """Closed-form discriminant gradient on the stratum vs the symbolic one
     and a Cauchy-ring one (still reported under the key closed_vs_fd)."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
     worst_fd = 0.0
     done = 0
@@ -506,10 +485,8 @@ def suite_gradient(seed=7, samples=20) -> SuiteResult:
     chk0 = st.gradient_delta_check(0.0, (1.0, 0.0))
     van = max(max(abs(g) for g in chk0["gradient"]),
               max(abs(g) for g in chk0["closed_form"]))
-    ok = worst < 1e-6 and worst_fd < 1e-6 and van < 1e-8
-    return SuiteResult("gradient_formula", ok,
-                       {"closed_vs_symbolic": worst, "closed_vs_fd": worst_fd,
-                        "branch_point_value": van, "threshold": 1e-6})
+    return {"closed_vs_symbolic": worst, "closed_vs_fd": worst_fd,
+            "branch_point_value": van}
 
 
 def _ring_gradient(lam):
@@ -525,9 +502,8 @@ def _ring_gradient(lam):
     return [partial(j) for j in range(4)]
 
 
-def suite_trig_limit(seed=7) -> SuiteResult:
-    """Degenerate Weierstrass sigma vs its hyperbolic closed form."""
-    rng = np.random.default_rng(seed)
+def suite_trig_limit(rng, samples):
+    """Degenerate Weierstrass sigma vs its hyperbolic closed form (fixed size)."""
     worst = 0.0
     for a in (1.0, 0.7, 1.1 + 0.4j):
         eps = 1e-6 * (1.0 + abs(a) ** 2)
@@ -537,27 +513,52 @@ def suite_trig_limit(seed=7) -> SuiteResult:
             got = el.sigma_w(ec, u)
             want = el.sigma_trig_limit(a, u)
             worst = max(worst, abs(got - want) / (1.0 + abs(want)))
-    return SuiteResult("trigonometric_limit", worst < 1e-4,
-                       {"max_residual": worst, "threshold": 1e-4})
+    return {"max_residual": worst}
 
 
-# suite name -> (function, keyword of its sample count or None)
+class Suite(NamedTuple):
+    name: str                   # the suite's key in the verify record
+    fn: Callable                # (rng, samples) -> details dict
+    samples: int | None         # default sample count; None: fixed size
+    bounds: dict                # {detail key: bound}; pass: < a float, == others
+
+
+# CLI key -> Suite; one entry per condition that decides a pass
 SUITES = {
-    "heat": (suite_heat, "samples"),
-    "taylor": (suite_taylor, "contexts"),
-    "inversion": (suite_inversion, "instances"),
-    "two_route": (suite_two_route, "samples"),
-    "periodicity": (suite_periodicity, "samples"),
-    "legendre": (suite_legendre, "contexts"),
-    "spectral": (suite_spectral, "samples"),
-    "algebra": (suite_algebra, "samples"),
-    "classify": (suite_classify, "per_chart"),
-    "gradient": (suite_gradient, "samples"),
-    "trig_limit": (suite_trig_limit, None),
+    "heat": Suite("heat_annihilation", suite_heat, 20, {"max_residual": 1e-5}),
+    "taylor": Suite("taylor_leading_part", suite_taylor, 10, {
+        "u3_residual": 1e-6, "u1_residual": 1e-4, "lambda0_spread": 1e-4}),
+    "inversion": Suite("inversion_round_trip", suite_inversion, 100, {
+        "round_trip": 1e-8, "rational_limit": 1e-10}),
+    "two_route": Suite("two_route_consistency", suite_two_route, 8, {
+        "symmetric_functions": 1e-9, "lambda_reconstruction": 1e-6,
+        "delta_residual": 1e-6}),
+    "periodicity": Suite("periodicity", suite_periodicity, 20, {
+        "quasi_periodicity": 1e-8, "p_periodicity": 1e-8, "functional_eq": 1e-9,
+        "reciprocal": 1e-9}),
+    "legendre": Suite("degenerate_legendre", suite_legendre, 10, {
+        "legendre": 1e-8, "increment_spread": 1e-9}),
+    "spectral": Suite("spectral", suite_spectral, 20, {
+        "eigen": 1e-6, "kdv": 1e-5, "reality_max_imag": 1e-8, "bloch": 1e-6,
+        "m2_m3_gap": 1e-12}),
+    "algebra": Suite("exact_algebra", suite_algebra, 100, {
+        "failures": 0, "resultant_constant": "1"}),
+    "classify": Suite("classification", suite_classify, 1000, {
+        "misclassified": 0, "round_trip": 1e-9, "rank_table_ok": True}),
+    "gradient": Suite("gradient_formula", suite_gradient, 20, {
+        "closed_vs_symbolic": 1e-6, "closed_vs_fd": 1e-6, "branch_point_value": 1e-8}),
+    "trig_limit": Suite("trigonometric_limit", suite_trig_limit, None, {
+        "max_residual": 1e-4}),
 }
 
 
-def run_suite(name, seed=7, **kw) -> SuiteResult:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name][0](seed=seed, **kw)
+def run_suite(key, seed=7, samples=None) -> SuiteResult:
+    """Suite `key` at `samples` (default: its table size), judged by its bounds."""
+    suite = SUITES[key]
+    if samples is None or suite.samples is None:
+        samples = suite.samples
+    details = suite.fn(np.random.default_rng(seed), samples)
+    passed = all(details[k] < b if isinstance(b, float) else details[k] == b
+                 for k, b in suite.bounds.items())
+    return SuiteResult(suite.name, passed,
+                       {**details, "thresholds": dict(suite.bounds)})

@@ -123,6 +123,17 @@ def test_verify_subset_and_determinism(capsys):
     assert set(rec["suites"]) == {"exact_algebra", "trigonometric_limit"}
 
 
+def test_verify_record_lists_every_bound(capsys):
+    code, out = run(capsys, "verify", "--suite", "spectral", "--samples", "1")
+    assert code == 0
+    rec = json.loads(out[out.index("{"):])
+    spectral = rec["suites"]["spectral"]
+    assert spectral["thresholds"] == {"eigen": 1e-6, "kdv": 1e-5,
+                                      "reality_max_imag": 1e-8, "bloch": 1e-6,
+                                      "m2_m3_gap": 1e-12}
+    assert "m2_m3_gap=0 (<1e-12)" in out[:out.index("{")]
+
+
 def test_ambiguous_exit_code(capsys):
     import numpy as np
     d = 1.6e-3

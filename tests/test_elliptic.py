@@ -177,13 +177,6 @@ def test_invert_wp_round_trip(ec_generic, rng):
         assert abs(el.wp_prime(ctx, alpha) - target) < 1e-8 * (1 + abs(target))
 
 
-def test_invert_wp_sign_flag(ec_generic):
-    x = 1.3 - 0.7j
-    a_plus = el.invert_wp(ec_generic, x, sign=+1)
-    a_minus = el.invert_wp(ec_generic, x, sign=-1)
-    assert abs(el.wp_prime(ec_generic, a_plus) + el.wp_prime(ec_generic, a_minus)) < 1e-8
-
-
 def test_sigma_char_basics(ec_generic):
     ctx = ec_generic
     for i in (1, 2, 3):

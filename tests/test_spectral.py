@@ -203,7 +203,8 @@ def test_real_family_rejects_complex_alpha(ctx_generic):
 # --- Bloch multipliers ------------------------------------------------------
 
 def test_quasi_momenta_equal_for_k23(ctx_generic):
-    m1, m2, m3 = sp.quasi_momenta(ctx_generic, 0.27 + 0.13j)
+    m1, m2, m3 = sp.quasi_momenta(ctx_generic, 0.27 + 0.13j,
+                                  lt.period_matrices(ctx_generic))
     assert np.allclose(m2, m3)
     assert not np.allclose(m1, m2)
 
