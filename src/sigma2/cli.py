@@ -61,27 +61,23 @@ def parse_complexes(text, n, name):
                      f"got {len(vals)}")
 
 
-def _jsonable(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.complexfloating,)):
+def _json_default(obj):
+    """json.dumps hook: complex as [re, im], numpy scalars and arrays as
+    Python values (integers as floats)."""
+    if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, (np.floating, np.integer)):
         return float(obj)
     if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def emit(record, out=None):
-    record = {"schema": SCHEMA, **_jsonable(record)}
-    text = json.dumps(record, indent=2, sort_keys=True)
+    text = json.dumps({"schema": SCHEMA, **record}, indent=2, sort_keys=True,
+                      default=_json_default)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

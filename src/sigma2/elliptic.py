@@ -24,7 +24,7 @@ from scipy.special import elliprf
 
 from .errors import DegenerateCurve, NumericalFailure, PoleAtArgument
 from .numerics import (POLE_TOL, all_finite, any_true, continuous_log,
-                       require_finite)
+                       require_finite, shc)
 
 __all__ = [
     "EllipticCurveParams", "EllipticContext", "make_context", "delta_gamma",
@@ -422,10 +422,11 @@ def invert_wp(ctx: EllipticContext, x) -> complex:
             a -= f / d
         else:
             ok = False
-        if not ok or abs(wp(ctx, a) - x) > 1e-9 * (1 + abs(x)):
+        if not ok:
             continue
         a, _, _ = _reduce(ctx, a)
-        if abs(wp_prime(ctx, a) - target) <= abs(wp_prime(ctx, a) + target):
+        d = wp_prime(ctx, a)
+        if abs(d - target) <= abs(d + target):
             best = a
         else:
             best, _, _ = _reduce(ctx, -a)
@@ -457,10 +458,4 @@ def sigma_trig_limit(a, u) -> complex:
     a, u = complex(a), complex(u)
     if a == 0:
         raise ValueError("sigma_trig_limit needs a != 0")
-    r = np.sqrt(3 * a)
-    z = r * u
-    if abs(z) < 1e-4:
-        sinhc = u * (1 + z ** 2 / 6 + z ** 4 / 120)
-    else:
-        sinhc = np.sinh(z) / r
-    return complex(np.exp(-0.5 * a * u ** 2) * sinhc)
+    return complex(np.exp(-0.5 * a * u ** 2) * shc(np.sqrt(3 * a), u))

@@ -76,16 +76,10 @@ def forward_integrals(ctx: sg.DegenSigmaContext, xi1, xi2):
 def solve_inversion(ctx: sg.DegenSigmaContext, U1, U3) -> InversionResult:
     """Closed-form solution of the inversion problem at transformed (U1, U3)."""
     _require_generic_l1(ctx)
-    U1, U3 = complex(U1), complex(U3)
     ec = ctx.ectx
-    a = ctx.wp_alpha
-    ap = ctx.wpp_alpha
-    pu = el.wp(ec, U1)
-    ppu = el.wp_prime(ec, U1)
-    s = sg.s_function(ctx, U3, U1)
+    a, ap = ctx.wp_alpha, ctx.wpp_alpha
+    s, e1, e2, pu, ppu = sg._s_point(ctx, complex(U3), complex(U1))
     dp = pu - a
-    e1 = s * s - pu
-    e2 = pu * s * s - ppu * s - a * (pu + a) + (ppu ** 2 - ap ** 2) / (4.0 * dp)
     disc = np.sqrt(e1 * e1 - 4.0 * e2)
     x1, x2 = (e1 + disc) / 2.0, (e1 - disc) / 2.0
     if (x2.real, x2.imag) < (x1.real, x1.imag):
@@ -115,7 +109,8 @@ def solve_inversion(ctx: sg.DegenSigmaContext, U1, U3) -> InversionResult:
 def _xi_from_point(ec, x, y):
     """Uniformizer with wp(xi) = x and Y = -wp'(xi)/2 matching y."""
     xi = el.invert_wp(ec, x)
-    if abs(el.wp_prime(ec, xi) + 2 * y) > abs(el.wp_prime(ec, xi) - 2 * y):
+    d = el.wp_prime(ec, xi)
+    if abs(d + 2 * y) > abs(d - 2 * y):
         xi, _, _ = el._reduce(ec, -xi)
     return xi
 
@@ -192,10 +187,7 @@ def solve_inversion_rational(alpha, U1, U3):
             * np.exp(ppa * U3 - 2.0 * U1 / alpha))
     if abs(pfun - 1.0) < 1e-12 * (1 + abs(pfun)):
         raise SingularConfiguration("P ~ 1 in the rational limit")
-    s = (ppu - ppa * (pfun + 1.0) / (pfun - 1.0)) / (2.0 * (pu - pa))
-    e1 = s * s - pu
-    e2 = (pu * s * s - ppu * s - pa * (pu + pa)
-          + (ppu ** 2 - ppa ** 2) / (4.0 * (pu - pa)))
+    _, e1, e2 = sg._s_route(pu, ppu, pa, ppa, pfun)
     return {"sum_X": complex(e1), "prod_X": complex(e2), "sum_xi": complex(U1)}
 
 

@@ -220,7 +220,7 @@ def functional_equation_check(ctx: sg.DegenSigmaContext, c, z1, z2) -> dict:
     }
 
 
-def reconstruct_lambda(ctx: sg.DegenSigmaContext, U1, U3=0.17 + 0.11j) -> dict:
+def reconstruct_lambda(ctx: sg.DegenSigmaContext, U1, U3) -> dict:
     """Rebuild (lambda, gamma) from the log-derivative basis at one point.
 
     lambda comes from the standard genus-2 expressions in the u-basis

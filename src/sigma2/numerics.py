@@ -35,7 +35,7 @@ def _ring(nodes, nmax):
     return unit, weights
 
 
-def cauchy_derivatives(f, z0, nmax, radius=0.2, nodes=64):
+def cauchy_derivatives(f, z0, nmax, radius, nodes):
     """[f(z0), f'(z0), ..., f^(nmax)(z0)] by trapezoidal Cauchy integrals.
 
     ``f`` is called once, on the ndarray of ring nodes z0 + radius e^(2 pi i
@@ -48,6 +48,17 @@ def cauchy_derivatives(f, z0, nmax, radius=0.2, nodes=64):
     vals = np.asarray(f(z0 + radius * unit), dtype=complex)
     out = (weights.T @ vals.reshape(nodes, -1)).reshape((nmax + 1,) + vals.shape[1:])
     return (out.T * [radius ** -n for n in range(nmax + 1)]).T
+
+
+def shc(c, z):
+    """sinh(c z)/c, even in c and finite at c = 0; elementwise on arrays."""
+    w = c * z
+    series = z * (1.0 + w * w / 6.0 + w ** 4 / 120.0)
+    if not isinstance(w, np.ndarray):
+        return series if abs(w) < 1e-4 else np.sinh(w) / c
+    big = abs(w) >= 1e-4
+    series[big] = np.sinh(w[big]) / c
+    return series
 
 
 def continuous_log(g):

@@ -28,7 +28,7 @@ from . import elliptic as el
 from .elliptic import EllipticCurveParams
 from .errors import (BranchPointCase, NotOnStratum, PoleAtArgument,
                      SingularConfiguration)
-from .numerics import POLE_TOL, any_true, complex_args, require_finite
+from .numerics import POLE_TOL, any_true, complex_args, require_finite, shc
 from .strata import (G2Params, StratumClassification, classify,
                      lambda_from_lambda1, lambda_from_lambda0)
 
@@ -174,23 +174,12 @@ def _sigma2_raw_l1(ctx, u3, u1):
     return pref * bracket / (wppa * ctx.sigma_alpha)
 
 
-def _shc(c, z):
-    """sinh(c z)/c, even in c and finite at c = 0; elementwise on arrays."""
-    w = c * z
-    series = z * (1.0 + w * w / 6.0 + w ** 4 / 120.0)
-    if not isinstance(w, np.ndarray):
-        return series if abs(w) < 1e-4 else np.sinh(w) / c
-    big = abs(w) >= 1e-4
-    series[big] = np.sinh(w[big]) / c
-    return series
-
-
 def _sigma2_raw_l0_direct(a2, b2, p, q, u3, u1):
     pref = np.exp(0.5 * (3 * a2 * b2 * (a2 + b2) * u3 ** 2
                          + 2 * a2 * b2 * u1 * u3 - (a2 + b2) * u1 ** 2))
     v = u1 - a2 * u3
     w = u1 - b2 * u3
-    bracket = (np.cosh(p * v) * _shc(q, w) - np.cosh(q * w) * _shc(p, v))
+    bracket = (np.cosh(p * v) * shc(q, w) - np.cosh(q * w) * shc(p, v))
     return pref * bracket / (4.0 * (a2 - b2))
 
 
@@ -296,12 +285,20 @@ def p_function(ctx: DegenSigmaContext, u3, u1) -> complex:
     return p_function_u(ctx, complex(u3), complex(u1) - sh * complex(u3))
 
 
-def s_function(ctx: DegenSigmaContext, U3, U1):
-    """S = (wp'(U1) - wp'(a) (P+1)/(P-1)) / (2 (wp(U1) - wp(a))).
+def _s_route(pu, ppu, wpa, wppa, pval):
+    """(S, X1 + X2, X1 X2) from wp(U1), wp'(U1), wp(alpha), wp'(alpha) and
+    the generator P: s_function's S and the inversion problem's symmetric
+    functions, X1 + X2 = S^2 - wp(U1) and X1 X2 polynomial in S."""
+    dp = pu - wpa
+    s = _result((ppu - wppa * (pval + 1.0) / (pval - 1.0)) / (2.0 * dp))
+    e1 = s * s - pu
+    e2 = pu * s * s - ppu * s - wpa * (pu + wpa) + (ppu ** 2 - wppa ** 2) / (4.0 * dp)
+    return s, e1, e2
 
-    At U1 = -a modulo the lattice P = 0 and wp(U1) = wp(a), so S is 0/0
-    there (a removable point) and PoleAtArgument is raised, as at U1 = a.
-    """
+
+def _s_point(ctx: DegenSigmaContext, U3, U1):
+    """(S, X1 + X2, X1 X2, wp(U1), wp'(U1)) behind s_function's guards, with
+    wp and wp' evaluated at U1 once; elementwise on ndarrays."""
     num, pval = _generator(ctx, U3, U1)
     ec = ctx.ectx
     if any_true(abs(num) < POLE_TOL * ec.scale()):
@@ -309,8 +306,16 @@ def s_function(ctx: DegenSigmaContext, U3, U1):
     if any_true(abs(pval - 1.0) < 1e-8 * (1.0 + abs(pval))):
         raise SingularConfiguration("P ~ 1: the configuration sits on the sigma divisor")
     pu, ppu = el.wp(ec, U1), el.wp_prime(ec, U1)
-    wpa, wppa = ctx.wp_alpha, ctx.wpp_alpha
-    return _result((ppu - wppa * (pval + 1.0) / (pval - 1.0)) / (2.0 * (pu - wpa)))
+    return (*_s_route(pu, ppu, ctx.wp_alpha, ctx.wpp_alpha, pval), pu, ppu)
+
+
+def s_function(ctx: DegenSigmaContext, U3, U1):
+    """S = (wp'(U1) - wp'(a) (P+1)/(P-1)) / (2 (wp(U1) - wp(a))).
+
+    At U1 = -a modulo the lattice P = 0 and wp(U1) = wp(a), so S is 0/0
+    there (a removable point) and PoleAtArgument is raised, as at U1 = a.
+    """
+    return _s_point(ctx, U3, U1)[0]
 
 
 @dataclass(frozen=True)
@@ -343,20 +348,11 @@ def log_derivatives(ctx: DegenSigmaContext, U3, U1) -> SigmaDerivatives:
         raise NotOnStratum("log_derivatives lives on the Lambda1 stratum")
     if ctx.branch_point:
         raise BranchPointCase("wp'(alpha) = 0: use branch_point_inversion")
-    U3, U1 = complex(U3), complex(U1)
-    ec = ctx.ectx
-    a = ctx.wp_alpha
-    ap = ctx.wpp_alpha
-    g4 = ec.gamma4
-    pu = el.wp(ec, U1)
-    ppu = el.wp_prime(ec, U1)
-    s = s_function(ctx, U3, U1)
+    a, ap = ctx.wp_alpha, ctx.wpp_alpha
+    s, e1, e2, pu, ppu = _s_point(ctx, complex(U3), complex(U1))
     dp = pu - a
-    ppr = 6 * pu ** 2 + 2 * g4        # wp''(U1)
-    pppr = 12 * pu * ppu              # wp'''(U1)
-    e1 = s * s - pu
-    e2 = (pu * s * s - ppu * s - a * (pu + a)
-          + (ppu ** 2 - ap ** 2) / (4.0 * dp))
+    ppr = 6 * pu ** 2 + 2 * ctx.ectx.gamma4        # wp''(U1)
+    pppr = 12 * pu * ppu                           # wp'''(U1)
     p11 = e1 - 0.8 * a
     p13 = a * p11 + 0.16 * a * a - e2
     # dS/dU1, dS/dU3 and their U1-derivatives

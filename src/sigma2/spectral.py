@@ -92,8 +92,8 @@ def potential_u(ctx: sg.DegenSigmaContext, U3, U1):
     h = 1e-3 * ec.scale()
 
     def direct(u3, u1):
-        s = sg.s_function(ctx, u3, u1)
-        return 2.0 * s * s - 2.0 * el.wp(ec, u1) - 2.0 * ctx.wp_alpha
+        s, _, _, pu, _ = sg._s_point(ctx, u3, u1)
+        return 2.0 * s * s - 2.0 * pu - 2.0 * ctx.wp_alpha
 
     def ring(u3, u1):
         return sum(direct(u3, u1 + h * 1j ** k) for k in range(4)) / 4.0
@@ -228,13 +228,15 @@ def quasi_momenta(ctx: sg.DegenSigmaContext, xi0, lattice: lt.PeriodLattice):
     det K1 = 2 alpha / wp'(alpha).
     """
     _require_generic(ctx)
-    vals = lt.abel_integrals(ctx, xi0)
+    return _momenta(lt.abel_integrals(ctx, xi0), lattice)
+
+
+def _momenta(vals, lattice):
+    """quasi_momenta from the Abel integrals at xi0."""
     rho = np.array([vals.I4, vals.I3], dtype=complex)
     beta = np.array([vals.I1, vals.I2], dtype=complex)
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    m1 = rho - beta @ swap @ lattice.K2
-    k1inv = np.linalg.inv(lattice.K1)
-    m23 = rho - beta @ swap @ (lattice.K2 + lattice.K3 @ k1inv)
+    m1 = rho - beta @ lt._SWAP @ lattice.K2
+    m23 = rho - beta @ lt._SWAP @ (lattice.K2 + lattice.K3 @ np.linalg.inv(lattice.K1))
     return m1, m23, m23
 
 
@@ -246,10 +248,11 @@ def bloch_residual(ctx: sg.DegenSigmaContext, xi0, u, k: int,
     from sigma quotients and exponents separately; the residual is
     |exp(log ratio - M_k . T_k) - 1|, insensitive to the 2 pi i log branch.
     """
-    momenta = quasi_momenta(ctx, xi0, lattice)
+    _require_generic(ctx)
+    vals = lt.abel_integrals(ctx, xi0)
+    momenta = _momenta(vals, lattice)
     tk, _ = lattice.column(k)
     u = np.asarray(u, dtype=complex)
-    vals = lt.abel_integrals(ctx, xi0)
     num0 = sg.sigma2(ctx, vals.I1 - u[0], vals.I2 - u[1])
     num1 = sg.sigma2(ctx, vals.I1 - u[0] - tk[0], vals.I2 - u[1] - tk[1])
     den0 = sg.sigma2(ctx, u[0], u[1])

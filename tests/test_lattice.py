@@ -144,7 +144,7 @@ def test_functional_equation_c_independence(ctx_generic):
 
 
 def test_reconstruct_lambda_u1_independent(ctx_generic):
-    recs = [lt.reconstruct_lambda(ctx_generic, u1)
+    recs = [lt.reconstruct_lambda(ctx_generic, u1, 0.17 + 0.11j)
             for u1 in (0.31 - 0.12j, 0.11 + 0.21j, -0.27 + 0.06j)]
     for r in recs:
         assert r["lambda_residual"] < 1e-6
@@ -157,7 +157,7 @@ def test_reconstruct_lambda_u1_independent(ctx_generic):
 
 def test_reconstruct_gamma(ctx_generic):
     for u1 in (0.31 - 0.12j, 0.11 + 0.21j):
-        r = lt.reconstruct_lambda(ctx_generic, u1)
+        r = lt.reconstruct_lambda(ctx_generic, u1, 0.17 + 0.11j)
         assert abs(r["gamma4"] - ctx_generic.gamma.gamma4) < 1e-9
         assert abs(r["gamma6"] - ctx_generic.gamma.gamma6) < 1e-9
 
