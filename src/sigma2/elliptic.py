@@ -28,8 +28,8 @@ from .numerics import (POLE_TOL, all_finite, any_true, continuous_log,
 
 __all__ = [
     "EllipticCurveParams", "EllipticContext", "make_context", "delta_gamma",
-    "wp", "wp_prime", "zeta_w", "sigma_w", "sigma_char", "invert_wp",
-    "sigma_trig_limit", "sigma_ratio_log",
+    "weierstrass", "wp", "wp_prime", "zeta_w", "sigma_w", "sigma_char",
+    "invert_wp", "sigma_trig_limit", "sigma_ratio_log",
 ]
 
 
@@ -276,7 +276,8 @@ def _evaluate(ctx, u, name, kernel):
     An ndarray u is evaluated in one numpy broadcast (xp = numpy); any other
     u is one complex scalar, evaluated with cmath (xp = cmath), which is
     several times faster than numpy on a single value.  A result past the
-    double range raises NumericalFailure rather than coming back inf or NaN.
+    double range, in any element of a tuple result, raises NumericalFailure
+    rather than coming back inf or NaN.
     """
     if isinstance(u, np.ndarray):
         u = u.astype(complex)
@@ -290,7 +291,8 @@ def _evaluate(ctx, u, name, kernel):
             val = kernel(ctx, *_reduce(ctx, u), cmath)
         except OverflowError:           # cmath.exp past the double range
             val = None
-    if val is None or not all_finite(val):
+    parts = val if isinstance(val, tuple) else (val,)
+    if val is None or not all(all_finite(v) for v in parts):
         raise NumericalFailure(f"{name}: value overflows double precision")
     return val
 
@@ -316,28 +318,17 @@ def _sigma_w_prime(ctx, u0, m, n, xp):
     return fac * (s0p + etal * s0)
 
 
-def _zeta_w(ctx, u0, m, n, xp):
-    _pole_guard(ctx, u0)
-    w1h = ctx.omega / 2
-    t, t1, _, _ = _theta(ctx, u0, xp)
-    return ((ctx.eta / 2) * u0 / w1h + (np.pi / (2 * w1h)) * t1 / t
-            + m * ctx.eta + n * ctx.etaP)
-
-
-def _wp(ctx, u0, m, n, xp):
-    _pole_guard(ctx, u0)
-    w1h = ctx.omega / 2
-    t, t1, t2, _ = _theta(ctx, u0, xp)
-    big_l = t1 / t
-    return -(ctx.eta / 2) / w1h - (np.pi / (2 * w1h)) ** 2 * (t2 / t - big_l ** 2)
-
-
-def _wp_prime(ctx, u0, m, n, xp):
+def _weierstrass(ctx, u0, m, n, xp):
+    """(zeta, wp, wp') from one theta1 table and its first three derivatives."""
     _pole_guard(ctx, u0)
     w1h = ctx.omega / 2
     t, t1, t2, t3 = _theta(ctx, u0, xp)
+    zeta = ((ctx.eta / 2) * u0 / w1h + (np.pi / (2 * w1h)) * t1 / t
+            + m * ctx.eta + n * ctx.etaP)
     big_l = t1 / t
-    return -(np.pi / (2 * w1h)) ** 3 * (t3 / t - 3 * big_l * (t2 / t) + 2 * big_l ** 3)
+    p = -(ctx.eta / 2) / w1h - (np.pi / (2 * w1h)) ** 2 * (t2 / t - big_l ** 2)
+    pp = -(np.pi / (2 * w1h)) ** 3 * (t3 / t - 3 * big_l * (t2 / t) + 2 * big_l ** 3)
+    return zeta, p, pp
 
 
 def sigma_w(ctx: EllipticContext, u):
@@ -354,19 +345,25 @@ def sigma_w_prime(ctx: EllipticContext, u):
     return _evaluate(ctx, u, "sigma_w_prime", _sigma_w_prime)
 
 
+def weierstrass(ctx: EllipticContext, u):
+    """(zeta(u), wp(u), wp'(u)) from one theta evaluation; a tuple of three
+    complex for a scalar u, of three complex ndarrays for an ndarray u."""
+    return _evaluate(ctx, u, "weierstrass", _weierstrass)
+
+
 def zeta_w(ctx: EllipticContext, u):
     """Weierstrass zeta(u) = sigma'(u)/sigma(u); simple pole on the lattice."""
-    return _evaluate(ctx, u, "zeta_w", _zeta_w)
+    return _evaluate(ctx, u, "zeta_w", _weierstrass)[0]
 
 
 def wp(ctx: EllipticContext, u):
     """Weierstrass wp(u) = -zeta'(u)."""
-    return _evaluate(ctx, u, "wp", _wp)
+    return _evaluate(ctx, u, "wp", _weierstrass)[1]
 
 
 def wp_prime(ctx: EllipticContext, u):
     """Derivative wp'(u); wp'^2 = 4 wp^3 + 4 gamma4 wp + 4 gamma6."""
-    return _evaluate(ctx, u, "wp_prime", _wp_prime)
+    return _evaluate(ctx, u, "wp_prime", _weierstrass)[2]
 
 
 def sigma_char(ctx: EllipticContext, u, i: int) -> complex:
@@ -407,33 +404,23 @@ def invert_wp(ctx: EllipticContext, x) -> complex:
             else a + 1e-13j * max(abs(a), 1.0) for a in args]
     alpha = complex(elliprf(*args))
     target = -2 * curve_y(ctx, x)
-    best = None
-    for cand in (alpha, -alpha, alpha + ctx.omega, alpha + ctx.omegaP):
-        a = cand
-        ok = True
-        for _ in range(60):
-            f = wp(ctx, a) - x
-            if abs(f) < 1e-13 * (1 + abs(x)):
-                break
-            d = wp_prime(ctx, a)
-            if abs(d) < 1e-14:
-                ok = False
-                break
-            a -= f / d
-        else:
-            ok = False
-        if not ok:
-            continue
-        a, _, _ = _reduce(ctx, a)
-        d = wp_prime(ctx, a)
-        if abs(d - target) <= abs(d + target):
-            best = a
-        else:
-            best, _, _ = _reduce(ctx, -a)
-        break
-    if best is None:
+    # one Newton run: -alpha and lattice shifts of alpha reduce to the same
+    # cell point up to sign, so restarting from them would repeat it
+    for _ in range(60):
+        f = wp(ctx, alpha) - x
+        if abs(f) < 1e-13 * (1 + abs(x)):
+            break
+        d = wp_prime(ctx, alpha)
+        if abs(d) < 1e-14:
+            raise NumericalFailure(f"invert_wp: Newton refinement failed for X={x!r}")
+        alpha -= f / d
+    else:
         raise NumericalFailure(f"invert_wp: Newton refinement failed for X={x!r}")
-    return best
+    a, _, _ = _reduce(ctx, alpha)
+    d = wp_prime(ctx, a)
+    if abs(d - target) <= abs(d + target):
+        return a
+    return _reduce(ctx, -a)[0]
 
 
 def sigma_ratio_log(ctx: EllipticContext, alpha, xi) -> complex:

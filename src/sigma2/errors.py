@@ -14,11 +14,7 @@ class DegenerateCurve(Sigma2Error):
 
 
 class NumericalFailure(Sigma2Error):
-    """An iteration or quadrature did not reach the requested accuracy."""
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
+    """An iteration did not reach the requested accuracy."""
 
 
 class PoleAtArgument(Sigma2Error):

@@ -155,7 +155,7 @@ def _alpha_values(ectx: el.EllipticContext, alpha):
     """[sigma, zeta, wp, wp'] at alpha and their d/d g4, d/d g6 gradients at
     fixed alpha; each ring node rebuilds its context once for all four."""
     def at(ec):
-        return [f(ec, alpha) for f in (el.sigma_w, el.zeta_w, el.wp, el.wp_prime)]
+        return [el.sigma_w(ec, alpha), *el.weierstrass(ec, alpha)]
 
     g4, g6 = ectx.gamma4, ectx.gamma6
     d4 = _moduli_derivative(lambda t: at(el.make_context((t, g6))), g4)

@@ -130,8 +130,8 @@ def branch_point_inversion(ctx: sg.DegenSigmaContext, U1) -> InversionResult:
     i = ctx.branch_index
     wi = ec.half_periods[i - 1]
     x1, y1 = ec.roots[i - 1], 0.0j
-    x2 = el.wp(ec, U1 + wi)
-    y2 = -0.5 * el.wp_prime(ec, U1 + wi)
+    _, x2, wpp2 = el.weierstrass(ec, U1 + wi)
+    y2 = -0.5 * wpp2
     g4, g6 = ec.gamma4, ec.gamma6
     memb = abs(y2 ** 2 - (x2 ** 3 + g4 * x2 + g6))
     return InversionResult(e1=x1 + x2, e2=x1 * x2, X1=complex(x1), X2=complex(x2),

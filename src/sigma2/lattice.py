@@ -93,39 +93,33 @@ def abel_integrals(ctx: sg.DegenSigmaContext, xi) -> AbelIntegralValues:
     _require_rank3(ctx)
     xi = complex(xi)
     ec = ctx.ectx
-    vals = _abel_map(ctx, xi, el.sigma_ratio_log(ec, ctx.alpha, xi),
-                     el.zeta_w(ec, xi), -0.5 * el.wp_prime(ec, xi))
+    lg = el.sigma_ratio_log(ec, ctx.alpha, xi)
+    zeta, _, wpp = el.weierstrass(ec, xi)
+    vals = _abel_map(ctx, xi, lg, zeta, -0.5 * wpp)
     return AbelIntegralValues(*(complex(v) for v in vals))
 
 
-def period_increment(ctx: sg.DegenSigmaContext, xi, per):
-    """(Delta I1..I4) continued analytically along the segment [xi, xi+per].
+def period_increment(ctx: sg.DegenSigmaContext, xi, m: int, n: int):
+    """(Delta I1..I4) continued analytically along the segment [xi, xi+per]
+    for the lattice period per = m omega + n omegaP.
 
-    For per a lattice period this is the finite period vector attached to the
-    cycle the segment represents; the multivalued log is tracked along the
-    segment itself, so the homology class (hence possible T1 offsets relative
-    to the closed-form columns) is fixed by the path, not by a branch cut.
+    This is the finite period vector attached to the cycle the segment
+    represents; the multivalued log is tracked along the segment itself, so
+    the homology class (hence possible T1 offsets relative to the closed-form
+    columns) is fixed by the path, not by a branch cut.
     """
     _require_rank3(ctx)
-    xi, per = complex(xi), complex(per)
+    xi = complex(xi)
     ec = ctx.ectx
+    per = m * ec.omega + n * ec.omegaP
     dlog = continuous_log(
         lambda t: (el.sigma_w(ec, ctx.alpha - xi - t * per)
                    / el.sigma_w(ec, ctx.alpha + xi + t * per)))
-    # for lattice vectors the elliptic parts are exact (zeta picks up
-    # m*eta + n*eta', wp' is periodic); forming the raw differences instead
-    # would amplify roundoff by wp'' when xi sits near a pole
-    om, omp = ec.omega, ec.omegaP
-    det = om.real * omp.imag - om.imag * omp.real
-    mf = (per.real * omp.imag - per.imag * omp.real) / det
-    nf = (om.real * per.imag - om.imag * per.real) / det
-    if abs(mf - round(mf)) < 1e-9 and abs(nf - round(nf)) < 1e-9:
-        dzeta = round(mf) * ec.eta + round(nf) * ec.etaP
-        dwpp = 0.0j
-    else:
-        dzeta = el.zeta_w(ec, xi + per) - el.zeta_w(ec, xi)
-        dwpp = -0.5 * (el.wp_prime(ec, xi + per) - el.wp_prime(ec, xi))
-    return np.array(_abel_map(ctx, per, dlog, dzeta, dwpp), dtype=complex)
+    # the elliptic parts are exact: zeta picks up m*eta + n*eta' and wp' is
+    # periodic; forming the raw differences instead would amplify roundoff
+    # by wp'' when xi sits near a pole
+    return np.array(_abel_map(ctx, per, dlog, m * ec.eta + n * ec.etaP, 0.0j),
+                    dtype=complex)
 
 
 def period_matrices(ctx: sg.DegenSigmaContext) -> PeriodLattice:
@@ -230,7 +224,7 @@ def reconstruct_lambda(ctx: sg.DegenSigmaContext, U1, U3) -> dict:
     """
     _require_rank3(ctx)
     U1 = complex(U1)
-    der = sg.log_derivatives(ctx, U3, U1)
+    der, pu, ppu = sg._log_derivatives(ctx, U3, U1)
     b = sg.derivatives_u_basis(der, ctx.wp_alpha)
     p11, p13 = b["p11"], b["p13"]
     p111, p113 = b["p111"], b["p113"]
@@ -242,8 +236,6 @@ def reconstruct_lambda(ctx: sg.DegenSigmaContext, U1, U3) -> dict:
           + p13 ** 2 + 4 * p11 ** 2 * p13)
     l10 = -0.5 * p1113 * p13 + 0.25 * p113 ** 2 + 2 * p13 ** 2 * p11
     lam = G2Params(l4, l6, l8, l10)
-    ec = ctx.ectx
-    pu, ppu = el.wp(ec, U1), el.wp_prime(ec, U1)
     a, ap = ctx.wp_alpha, ctx.wpp_alpha
     dpu = pu - a
     if abs(dpu) < 1e-10 * (1 + abs(pu)):

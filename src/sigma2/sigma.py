@@ -98,8 +98,7 @@ def context_lambda1(a2, gamma) -> DegenSigmaContext:
     ectx = el.make_context(gamma)
     lam = lambda_from_lambda1(a2, gamma)
     alpha = el.invert_wp(ectx, 5.0 * a2 / 3.0)
-    wpa = el.wp(ectx, alpha)
-    wppa = el.wp_prime(ectx, alpha)
+    za, wpa, wppa = el.weierstrass(ectx, alpha)
     g4, g6 = gamma.gamma4, gamma.gamma6
     # The branch-point evaluation is the exact wp'(alpha) -> 0 limit, with
     # O(wp') truncation away from it, while the generic bracket loses
@@ -114,7 +113,7 @@ def context_lambda1(a2, gamma) -> DegenSigmaContext:
     return DegenSigmaContext(
         kind="lambda1", lam=lam, a2=a2, ectx=ectx, alpha=alpha,
         d=wppa / 2.0, wp_alpha=wpa, wpp_alpha=wppa,
-        zeta_alpha=el.zeta_w(ectx, alpha), sigma_alpha=el.sigma_w(ectx, alpha),
+        zeta_alpha=za, sigma_alpha=el.sigma_w(ectx, alpha),
         branch_point=branch, branch_index=bidx)
 
 
@@ -305,7 +304,7 @@ def _s_point(ctx: DegenSigmaContext, U3, U1):
         raise PoleAtArgument("U1 hits -alpha modulo the lattice: S is 0/0 there")
     if any_true(abs(pval - 1.0) < 1e-8 * (1.0 + abs(pval))):
         raise SingularConfiguration("P ~ 1: the configuration sits on the sigma divisor")
-    pu, ppu = el.wp(ec, U1), el.wp_prime(ec, U1)
+    _, pu, ppu = el.weierstrass(ec, U1)
     return (*_s_route(pu, ppu, ctx.wp_alpha, ctx.wpp_alpha, pval), pu, ppu)
 
 
@@ -333,17 +332,9 @@ class SigmaDerivatives:
     P1113: complex
 
 
-def log_derivatives(ctx: DegenSigmaContext, U3, U1) -> SigmaDerivatives:
-    """Closed forms for the second/third/fourth log-derivatives of sigma2.
-
-    P11 and P13 come from the inversion-problem symmetric functions
-    (X1+X2 = P11 + (4/5)A, X1 X2 = -P13 + A P11 + (4/25)A^2); the higher ones
-    follow by the exact derivative identities of the generator,
-
-        dP/dU1 = -P wp'(a)/(wp(U1)-wp(a)),     dP/dU3 = wp'(a) P,
-
-    which close on rational functions of (S, wp(U1), wp'(U1), wp(a), wp'(a)).
-    """
+def _log_derivatives(ctx: DegenSigmaContext, U3, U1):
+    """(log_derivatives(ctx, U3, U1), wp(U1), wp'(U1)), with wp and wp'
+    evaluated at U1 once."""
     if ctx.kind != "lambda1":
         raise NotOnStratum("log_derivatives lives on the Lambda1 stratum")
     if ctx.branch_point:
@@ -368,9 +359,24 @@ def log_derivatives(ctx: DegenSigmaContext, U3, U1) -> SigmaDerivatives:
     p113 = 2 * s * sd
     p1111 = 2 * sp * sp + 2 * s * spp - ppr
     p1113 = 2 * sp * sd + 2 * s * dsd
-    return SigmaDerivatives(P11=complex(p11), P13=complex(p13),
-                            P111=complex(p111), P113=complex(p113),
-                            P1111=complex(p1111), P1113=complex(p1113))
+    der = SigmaDerivatives(P11=complex(p11), P13=complex(p13),
+                           P111=complex(p111), P113=complex(p113),
+                           P1111=complex(p1111), P1113=complex(p1113))
+    return der, pu, ppu
+
+
+def log_derivatives(ctx: DegenSigmaContext, U3, U1) -> SigmaDerivatives:
+    """Closed forms for the second/third/fourth log-derivatives of sigma2.
+
+    P11 and P13 come from the inversion-problem symmetric functions
+    (X1+X2 = P11 + (4/5)A, X1 X2 = -P13 + A P11 + (4/25)A^2); the higher ones
+    follow by the exact derivative identities of the generator,
+
+        dP/dU1 = -P wp'(a)/(wp(U1)-wp(a)),     dP/dU3 = wp'(a) P,
+
+    which close on rational functions of (S, wp(U1), wp'(U1), wp(a), wp'(a)).
+    """
+    return _log_derivatives(ctx, U3, U1)[0]
 
 
 def derivatives_u_basis(der: SigmaDerivatives, wp_alpha):

@@ -37,8 +37,9 @@ def quadrature_path(f, path):
         err = abs(left + right - whole)
         if err <= _QUAD_TOL * max(1.0, abs(left + right)) or depth >= 12:
             if depth >= 12 and err > 10 * _QUAD_TOL * max(1.0, abs(left + right)):
-                raise NumericalFailure("quadrature panel did not converge",
-                                       estimate=err)
+                exc = NumericalFailure("quadrature panel did not converge")
+                exc.estimate = err
+                raise exc
             return left + right
         return adapt(a, m, left, depth + 1) + adapt(m, b, right, depth + 1)
 

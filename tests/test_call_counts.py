@@ -1,7 +1,6 @@
-"""Evaluation counts on the inversion path: each Weierstrass value is
-computed once per call, and the Abel integrals once per Bloch residual."""
-
-from collections import Counter
+"""Evaluation counts: one (zeta, wp, wp') kernel evaluation per point on the
+inversion path, one Newton run in invert_wp, and the Abel integrals once per
+Bloch residual."""
 
 import numpy as np
 import pytest
@@ -11,51 +10,99 @@ from sigma2 import inversion as inv
 from sigma2 import lattice as lt
 from sigma2 import sigma as sg
 from sigma2 import spectral as sp
+from sigma2.errors import NumericalFailure
 
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """(kernel, reduced argument) of every wp / wp' evaluation, in order."""
+    """Reduced argument of every (zeta, wp, wp') kernel evaluation, in order."""
     calls = []
-    for name in ("_wp", "_wp_prime"):
-        def counted(ctx, u0, m, n, xp, _kernel=getattr(el, name), _name=name[1:]):
-            calls.append((_name, u0))
-            return _kernel(ctx, u0, m, n, xp)
-        monkeypatch.setattr(el, name, counted)
+    kernel = el._weierstrass
+
+    def counted(ctx, u0, m, n, xp):
+        calls.append(u0)
+        return kernel(ctx, u0, m, n, xp)
+
+    monkeypatch.setattr(el, "_weierstrass", counted)
     return calls
 
 
 def _at(calls, ec, u):
-    """Kernel counts among the calls whose argument is u modulo the lattice."""
+    """Number of kernel evaluations whose argument is u modulo the lattice."""
     u0 = el._reduce(ec, complex(u))[0]
-    return Counter(name for name, v in calls
-                   if not isinstance(v, np.ndarray) and v == u0)
+    return sum(1 for v in calls if not isinstance(v, np.ndarray) and v == u0)
+
+
+@pytest.fixture()
+def public_calls(monkeypatch):
+    """Names of the public wp / wp' calls, in order."""
+    calls = []
+    for name in ("wp", "wp_prime"):
+        def counted(ctx, u, _fn=getattr(el, name), _name=name):
+            calls.append(_name)
+            return _fn(ctx, u)
+        monkeypatch.setattr(el, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("fn", [
     lambda ctx, u1, u3: inv.solve_inversion(ctx, u1, u3),
     lambda ctx, u1, u3: sg.log_derivatives(ctx, u3, u1),
-], ids=["solve_inversion", "log_derivatives"])
+    lambda ctx, u1, u3: lt.reconstruct_lambda(ctx, u1, u3),
+], ids=["solve_inversion", "log_derivatives", "reconstruct_lambda"])
 def test_wp_and_wp_prime_once_at_u1(ctx_generic, kernel_calls, fn):
     u1, u3 = 0.31 - 0.12j, 0.009 + 0.04j
     fn(ctx_generic, u1, u3)
-    assert _at(kernel_calls, ctx_generic.ectx, u1) == {"wp": 1, "wp_prime": 1}
+    assert _at(kernel_calls, ctx_generic.ectx, u1) == 1
 
 
 def test_potential_array_evaluates_wp_once(ctx_gap, kernel_calls):
     om = sp.real_rectangle_periods(ctx_gap.ectx)[0]
     kernel_calls.clear()
     sp.potential_u(ctx_gap, 0.1j, om * np.linspace(0.1, 0.9, 9))
-    assert Counter(name for name, _ in kernel_calls) == {"wp": 1, "wp_prime": 1}
+    assert sum(isinstance(v, np.ndarray) for v in kernel_calls) == 1
 
 
-def test_invert_wp_stops_evaluating_wp_at_convergence(ec_generic, kernel_calls):
+def test_context_lambda1_one_kernel_evaluation_at_alpha(kernel_calls, monkeypatch):
+    invert = el.invert_wp
+
+    def inverted(ec, x):
+        alpha = invert(ec, x)
+        kernel_calls.clear()            # Newton's own evaluations at alpha
+        return alpha
+
+    monkeypatch.setattr(el, "invert_wp", inverted)
+    ctx = sg.context_lambda1(0.2 + 0.1j, (0.4 - 0.2j, 0.5 + 0.3j))
+    assert _at(kernel_calls, ctx.ectx, ctx.alpha) == 1
+
+
+def test_abel_integrals_one_kernel_evaluation_at_xi(ctx_generic, kernel_calls):
+    xi = 0.21 + 0.04j
+    lt.abel_integrals(ctx_generic, xi)
+    assert _at(kernel_calls, ctx_generic.ectx, xi) == 1
+
+
+def test_invert_wp_stops_evaluating_wp_at_convergence(ec_generic, public_calls):
     # Newton alternates wp and wp'; the converged iterate's wp is the last
     # wp call, followed only by the one wp' that picks the branch
     el.invert_wp(ec_generic, 0.3 + 0.1j)
-    names = [name for name, _ in kernel_calls]
-    assert len(names) >= 2
-    assert names == ["wp", "wp_prime"] * (len(names) // 2)
+    assert len(public_calls) >= 2
+    assert public_calls == ["wp", "wp_prime"] * (len(public_calls) // 2)
+
+
+def test_invert_wp_makes_one_newton_run(ec_generic, monkeypatch):
+    # wp held off the target: Newton takes small steps and never converges
+    x = 0.3 + 0.1j
+    calls = []
+
+    def stuck(ctx, u):
+        calls.append(u)
+        return x + 1e-6
+
+    monkeypatch.setattr(el, "wp", stuck)
+    with pytest.raises(NumericalFailure):
+        el.invert_wp(ec_generic, x)
+    assert len(calls) == 60
 
 
 def test_bloch_residual_evaluates_abel_integrals_once(ctx_generic, monkeypatch):

@@ -119,6 +119,28 @@ def test_far_argument_raises_instead_of_nan(ec_generic, periods):
                     f(ec_generic, arg)
 
 
+def test_weierstrass_is_zeta_wp_wp_prime(ec_generic):
+    # one theta evaluation gives the three single-value functions exactly
+    fns = (el.zeta_w, el.wp, el.wp_prime)
+    u = 0.3 + 0.1j + 2 * ec_generic.omegaP
+    assert el.weierstrass(ec_generic, u) == tuple(f(ec_generic, u) for f in fns)
+    arr = np.array([u, -0.2 + 0.35j])
+    for got, f in zip(el.weierstrass(ec_generic, arr), fns):
+        np.testing.assert_array_equal(got, f(ec_generic, arr))
+
+
+def test_overflow_check_covers_every_element(ec_generic, monkeypatch):
+    # wp' past the double range fails zeta_w too: the values share a kernel
+    def kernel(ctx, u0, m, n, xp):
+        inf = np.full(np.shape(u0), np.inf + 0j) if xp is np else complex("inf")
+        return u0, u0, inf
+
+    monkeypatch.setattr(el, "_weierstrass", kernel)
+    for arg in (0.3 + 0.1j, np.array([0.3 + 0.1j])):
+        with pytest.raises(NumericalFailure):
+            el.zeta_w(ec_generic, arg)
+
+
 @pytest.mark.parametrize("which", ["omega", "omegaP", "sum"])
 def test_wp_periodicity_drift_is_linear(ec_generic, which):
     # the float reduction of z + n p loses about one ulp of n p, so the

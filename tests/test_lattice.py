@@ -54,11 +54,11 @@ def test_degenerate_legendre_identity(lat):
 
 def test_period_increments_match_columns_mod_t1(ctx_generic, lat):
     t1 = np.concatenate([lat.T[:, 0], lat.H[:, 0]])
-    for k, per in ((2, ctx_generic.ectx.omega), (3, ctx_generic.ectx.omegaP)):
+    for k, mn in ((2, (1, 0)), (3, (0, 1))):
         col = np.concatenate([lat.T[:, k - 1], lat.H[:, k - 1]])
         incs = []
         for xi in (0.21 + 0.04j, -0.13 + 0.3j, 0.05 - 0.18j):
-            inc = lt.period_increment(ctx_generic, xi, per)
+            inc = lt.period_increment(ctx_generic, xi, *mn)
             m = round(((inc - col)[0] / t1[0]).real)
             assert np.max(np.abs(inc - col - m * t1)) < 1e-9
             incs.append(inc - m * t1)
