@@ -29,7 +29,7 @@ from .numerics import (POLE_TOL, all_finite, any_true, continuous_log,
 __all__ = [
     "EllipticCurveParams", "EllipticContext", "make_context", "delta_gamma",
     "weierstrass", "wp", "wp_prime", "zeta_w", "sigma_w", "sigma_char",
-    "invert_wp", "sigma_trig_limit", "sigma_ratio_log",
+    "invert_wp", "on_lattice", "sigma_trig_limit", "sigma_ratio_log",
 ]
 
 
@@ -102,8 +102,6 @@ def _lattice_from_roots(roots):
         big_kp = complex(elliprf(0, m, 1))
         s = np.sqrt(d13)
         w1h, w3h = big_k / s, 1j * big_kp / s
-        if (w3h / w1h).imag < 0:
-            w3h = -w3h
         return 2 * w1h, 2 * w3h
     return None
 
@@ -227,6 +225,13 @@ def _reduce(ctx: EllipticContext, u):
     else:
         m, n = round(x), round(y)
     return u - m * om - n * omp, m, n
+
+
+def on_lattice(ctx: EllipticContext, u):
+    """Whether u lies within POLE_TOL times the period scale of a lattice
+    point: the one test for the divisors where sigma vanishes (on the lattice)
+    and zeta, wp and wp' have their poles.  Elementwise on ndarrays."""
+    return abs(_reduce(ctx, u)[0]) < POLE_TOL * ctx.scale()
 
 
 def _pole_guard(ctx, u0):
@@ -380,13 +385,9 @@ def sigma_char(ctx: EllipticContext, u, i: int) -> complex:
     return np.exp(-u * etai) * sigma_w(ctx, u + wi) / sigma_w(ctx, wi)
 
 
-def curve_y(ctx: EllipticContext, x) -> complex:
-    """Principal branch sqrt(X^3 + gamma4*X + gamma6)."""
-    return complex(np.sqrt(x ** 3 + ctx.gamma4 * x + ctx.gamma6))
-
-
-def invert_wp(ctx: EllipticContext, x) -> complex:
-    """A preimage alpha with wp(alpha) = x, reduced to the fundamental cell.
+def invert_wp(ctx: EllipticContext, x):
+    """A preimage alpha with wp(alpha) = x, reduced to the fundamental cell,
+    and (zeta, wp, wp') at alpha from one kernel evaluation there.
 
     The branch satisfies wp'(alpha) = -2*sqrt(X^3+g4*X+g6) with the principal
     square root (the branch the degenerate formulas assume).  At a cubic root
@@ -397,13 +398,13 @@ def invert_wp(ctx: EllipticContext, x) -> complex:
     rscale = max(1.0, max(abs(e) for e in ctx.roots))
     for e, hp in zip(ctx.roots, ctx.half_periods):
         if abs(x - e) <= 1e-12 * rscale:
-            return hp
+            return hp, weierstrass(ctx, hp)
     args = [x - e for e in ctx.roots]
     # keep Carlson arguments off the negative-real cut
     args = [a if abs(a.imag) > 1e-14 * abs(a) or a.real > 0
             else a + 1e-13j * max(abs(a), 1.0) for a in args]
     alpha = complex(elliprf(*args))
-    target = -2 * curve_y(ctx, x)
+    target = -2 * complex(np.sqrt(x ** 3 + ctx.gamma4 * x + ctx.gamma6))
     # one Newton run: -alpha and lattice shifts of alpha reduce to the same
     # cell point up to sign, so restarting from them would repeat it
     for _ in range(60):
@@ -417,10 +418,11 @@ def invert_wp(ctx: EllipticContext, x) -> complex:
     else:
         raise NumericalFailure(f"invert_wp: Newton refinement failed for X={x!r}")
     a, _, _ = _reduce(ctx, alpha)
-    d = wp_prime(ctx, a)
-    if abs(d - target) <= abs(d + target):
-        return a
-    return _reduce(ctx, -a)[0]
+    vals = weierstrass(ctx, a)
+    if abs(vals[2] - target) <= abs(vals[2] + target):
+        return a, vals
+    a = _reduce(ctx, -a)[0]
+    return a, weierstrass(ctx, a)
 
 
 def sigma_ratio_log(ctx: EllipticContext, alpha, xi) -> complex:

@@ -108,7 +108,7 @@ def q_residuals(ctx: sg.DegenSigmaContext, u3, U1) -> HeatResidualReport:
     l2z = 6 * g6 * zg4 - (4.0 / 3.0) * g4 ** 2 * zg6
 
     d2 = g6 + (5.0 / 3.0) * a2 * g4 + (125.0 / 27.0) * a2 ** 3
-    d = ctx.d
+    d = ctx.wpp_alpha / 2.0
     d_prime = ((5.0 / 3.0) * g4 + (125.0 / 9.0) * a2 ** 2) / (2.0 * d)
 
     def assemble(terms):

@@ -108,11 +108,9 @@ def solve_inversion(ctx: sg.DegenSigmaContext, U1, U3) -> InversionResult:
 
 def _xi_from_point(ec, x, y):
     """Uniformizer with wp(xi) = x and Y = -wp'(xi)/2 matching y."""
-    xi = el.invert_wp(ec, x)
-    d = el.wp_prime(ec, xi)
-    if abs(d + 2 * y) > abs(d - 2 * y):
-        xi, _, _ = el._reduce(ec, -xi)
-    return xi
+    xi, (_, _, d) = el.invert_wp(ec, x)
+    # the cell is symmetric, so -xi is the other branch's cell point
+    return -xi if abs(d + 2 * y) > abs(d - 2 * y) else xi
 
 
 def branch_point_inversion(ctx: sg.DegenSigmaContext, U1) -> InversionResult:

@@ -28,7 +28,7 @@ from . import elliptic as el
 from .elliptic import EllipticCurveParams
 from .errors import (BranchPointCase, NotOnStratum, PoleAtArgument,
                      SingularConfiguration)
-from .numerics import POLE_TOL, any_true, complex_args, require_finite, shc
+from .numerics import any_true, complex_args, require_finite, shc
 from .strata import (G2Params, StratumClassification, classify,
                      lambda_from_lambda1, lambda_from_lambda0)
 
@@ -45,7 +45,7 @@ class DegenSigmaContext:
     """Cached data for evaluating the degenerate sigma-function.
 
     kind is "lambda1" or "lambda0".  For lambda1 the elliptic context and the
-    Abel preimage alpha (with wp(alpha) = (5/3) a2, wp'(alpha) = 2 d) are
+    Abel preimage alpha (with wp(alpha) = (5/3) a2) are
     cached together with the function values at alpha; branch_point marks the
     wp'(alpha) ~ 0 regime.  norm_c, the u3-linear Taylor coefficient that the
     ``normalized`` evaluation flag divides by, is a stratum constant.
@@ -57,7 +57,6 @@ class DegenSigmaContext:
     b2: complex | None = None
     ectx: el.EllipticContext | None = None
     alpha: complex | None = None
-    d: complex | None = None
     wp_alpha: complex | None = None
     wpp_alpha: complex | None = None
     zeta_alpha: complex | None = None
@@ -97,8 +96,7 @@ def context_lambda1(a2, gamma) -> DegenSigmaContext:
     require_finite("context_lambda1", a2)
     ectx = el.make_context(gamma)
     lam = lambda_from_lambda1(a2, gamma)
-    alpha = el.invert_wp(ectx, 5.0 * a2 / 3.0)
-    za, wpa, wppa = el.weierstrass(ectx, alpha)
+    alpha, (za, wpa, wppa) = el.invert_wp(ectx, 5.0 * a2 / 3.0)
     g4, g6 = gamma.gamma4, gamma.gamma6
     # The branch-point evaluation is the exact wp'(alpha) -> 0 limit, with
     # O(wp') truncation away from it, while the generic bracket loses
@@ -112,7 +110,7 @@ def context_lambda1(a2, gamma) -> DegenSigmaContext:
         bidx = 1 + int(np.argmin([abs(alpha - h) for h in hp]))
     return DegenSigmaContext(
         kind="lambda1", lam=lam, a2=a2, ectx=ectx, alpha=alpha,
-        d=wppa / 2.0, wp_alpha=wpa, wpp_alpha=wppa,
+        wp_alpha=wpa, wpp_alpha=wppa,
         zeta_alpha=za, sigma_alpha=el.sigma_w(ectx, alpha),
         branch_point=branch, branch_index=bidx)
 
@@ -241,9 +239,9 @@ def sigma2_baker_form(ctx: DegenSigmaContext, u3, u1) -> complex:
         raise BranchPointCase("Baker form needs wp'(alpha) != 0")
     ec = ctx.ectx
     w = complex(u1) - ctx.shift() * complex(u3)
-    sig_w = el.sigma_w(ec, w)
-    if abs(sig_w) < POLE_TOL * ec.scale():
+    if el.on_lattice(ec, w):
         raise PoleAtArgument("W lies on the divisor of the Baker factors")
+    sig_w = el.sigma_w(ec, w)
 
     def phi(u):
         return (el.sigma_w(ec, ctx.alpha - u) * np.exp(ctx.zeta_alpha * u)
@@ -257,17 +255,17 @@ def sigma2_baker_form(ctx: DegenSigmaContext, u3, u1) -> complex:
 
 
 def _generator(ctx: DegenSigmaContext, U3, U1):
-    """(sigma(a+U1), P) for p_function_u and s_function; raises where
-    sigma(a-U1) ~ 0."""
+    """The generator P for p_function_u and s_function; raises where
+    U1 = alpha modulo the lattice, so that sigma(a-U1) = 0."""
     if ctx.kind != "lambda1":
         raise NotOnStratum("p_function lives on the Lambda1 stratum")
     ec = ctx.ectx
     U3, U1 = complex_args(U3, U1)
-    den = el.sigma_w(ec, ctx.alpha - U1)
-    if any_true(abs(den) < POLE_TOL * ec.scale()):
+    if any_true(el.on_lattice(ec, ctx.alpha - U1)):
         raise PoleAtArgument("U1 hits alpha modulo the lattice")
+    den = el.sigma_w(ec, ctx.alpha - U1)
     num = el.sigma_w(ec, ctx.alpha + U1)
-    return num, num / den * np.exp(ctx.wpp_alpha * U3 - 2 * ctx.zeta_alpha * U1)
+    return num / den * np.exp(ctx.wpp_alpha * U3 - 2 * ctx.zeta_alpha * U1)
 
 
 def p_function_u(ctx: DegenSigmaContext, U3, U1):
@@ -275,7 +273,7 @@ def p_function_u(ctx: DegenSigmaContext, U3, U1):
 
     Elementwise on ndarrays, like s_function.
     """
-    return _result(_generator(ctx, U3, U1)[1])
+    return _result(_generator(ctx, U3, U1))
 
 
 def p_function(ctx: DegenSigmaContext, u3, u1) -> complex:
@@ -298,9 +296,9 @@ def _s_route(pu, ppu, wpa, wppa, pval):
 def _s_point(ctx: DegenSigmaContext, U3, U1):
     """(S, X1 + X2, X1 X2, wp(U1), wp'(U1)) behind s_function's guards, with
     wp and wp' evaluated at U1 once; elementwise on ndarrays."""
-    num, pval = _generator(ctx, U3, U1)
+    pval = _generator(ctx, U3, U1)
     ec = ctx.ectx
-    if any_true(abs(num) < POLE_TOL * ec.scale()):
+    if any_true(el.on_lattice(ec, ctx.alpha + U1)):
         raise PoleAtArgument("U1 hits -alpha modulo the lattice: S is 0/0 there")
     if any_true(abs(pval - 1.0) < 1e-8 * (1.0 + abs(pval))):
         raise SingularConfiguration("P ~ 1: the configuration sits on the sigma divisor")

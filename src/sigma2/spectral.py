@@ -20,7 +20,7 @@ from . import elliptic as el
 from . import lattice as lt
 from . import sigma as sg
 from .errors import NotRealAlpha, NotRealLattice, SingularConfiguration
-from .numerics import POLE_TOL, any_true, cauchy_derivatives, complex_args
+from .numerics import any_true, cauchy_derivatives, complex_args
 
 __all__ = [
     "PotentialSample", "baker_psi", "eigen_residual", "potential_u",
@@ -99,11 +99,9 @@ def potential_u(ctx: sg.DegenSigmaContext, U3, U1):
         return sum(direct(u3, u1 + h * 1j ** k) for k in range(4)) / 4.0
 
     # where direct() raises PoleAtArgument: a lattice point of wp(U1), or
-    # U1 = +-alpha, where sigma(alpha -+ U1) ~ 0 in the generator P
-    lim = POLE_TOL * ec.scale()
-    on_pole = ((abs(el._reduce(ec, U1)[0]) < lim)
-               | (abs(el.sigma_w(ec, ctx.alpha - U1)) < lim)
-               | (abs(el.sigma_w(ec, ctx.alpha + U1)) < lim))
+    # U1 = +-alpha, where sigma(alpha -+ U1) = 0 in the generator P
+    on_pole = (el.on_lattice(ec, U1) | el.on_lattice(ec, ctx.alpha - U1)
+               | el.on_lattice(ec, ctx.alpha + U1))
     if not isinstance(U1, np.ndarray):
         return complex(ring(U3, U1) if on_pole else direct(U3, U1))
     out = np.empty(U1.shape, dtype=complex)

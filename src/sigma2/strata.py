@@ -19,8 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elliptic import (EllipticCurveParams, delta_gamma, make_context, invert_wp,
-                       wp_prime)
+from .elliptic import EllipticCurveParams, delta_gamma, make_context, invert_wp
 from .errors import AmbiguousClassification, DegenerateCurve, NotOnStratum
 from .numerics import cluster_points, require_finite
 
@@ -417,11 +416,9 @@ def _recover_lambda0_normalized(ln, centers, mults):
         t = by_mult[3][0]
         d = by_mult[2][0]
         cand = [t, d]
-    elif mults == (4, 1):
+    else:  # (4, 1)
         r = by_mult[4][0]
         cand = [r, r]
-    else:  # (5,)
-        cand = [0j, 0j]
     a2, b2 = sorted(cand, key=lambda z: (z.real, z.imag))
     rt = _rel(lambda_from_lambda0(a2, b2), ln)
     return a2, b2, rt
@@ -513,11 +510,10 @@ def gradient_delta_check(a2, gamma):
     lam = lambda_from_lambda1(a2, (g4, g6))
     grad = [complex(g) for g in discriminant_gradient(lam)]
     ectx = make_context(EllipticCurveParams(g4, g6))
-    alpha = invert_wp(ectx, 5.0 * a2 / 3.0)
-    wpp6 = wp_prime(ectx, alpha) ** 6
+    _, (_, _, wpp) = invert_wp(ectx, 5.0 * a2 / 3.0)
     # prefactor 1/16: the exact polynomial gradient of the resultant-validated
     # discriminant fixes the constant (a 1/5 here fails by exactly 5/16)
-    pref = delta_gamma(g4, g6) * wpp6 / 16.0
+    pref = delta_gamma(g4, g6) * wpp ** 6 / 16.0
     closed = [pref * a2**3, pref * a2**2, pref * a2, pref]
     scale = max(1.0, max(abs(g) for g in grad), max(abs(g) for g in closed))
     resid = max(abs(a - b) for a, b in zip(grad, closed)) / scale

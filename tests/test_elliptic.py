@@ -29,7 +29,7 @@ def test_roots_match_cubic_gamma_10():
     got = _sorted(ctx.roots)
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
     # the root 0 is a branch point: wp' vanishes at its half-period preimage
-    alpha = el.invert_wp(ctx, 0.0)
+    alpha, _ = el.invert_wp(ctx, 0.0)
     assert abs(el.wp_prime(ctx, alpha)) < 1e-10
 
 
@@ -186,17 +186,21 @@ def test_array_matches_scalar(k, xy):
 
 def test_invert_wp_half_period(ec_generic):
     ctx = ec_generic
-    assert abs(el.invert_wp(ctx, ctx.roots[0]) - ctx.omega / 2) < 1e-12
+    alpha, vals = el.invert_wp(ctx, ctx.roots[0])
+    assert abs(alpha - ctx.omega / 2) < 1e-12
+    assert vals == el.weierstrass(ctx, alpha)
 
 
 def test_invert_wp_round_trip(ec_generic, rng):
     ctx = ec_generic
     for _ in range(50):
         x = complex(rng.normal(), rng.normal()) * 2.0
-        alpha = el.invert_wp(ctx, x)
-        assert abs(el.wp(ctx, alpha) - x) < 1e-10 * (1 + abs(x))
-        target = -2 * el.curve_y(ctx, x)
-        assert abs(el.wp_prime(ctx, alpha) - target) < 1e-8 * (1 + abs(target))
+        alpha, vals = el.invert_wp(ctx, x)
+        # the returned values are one kernel evaluation at the returned point
+        assert vals == el.weierstrass(ctx, alpha)
+        assert abs(vals[1] - x) < 1e-10 * (1 + abs(x))
+        target = -2 * np.sqrt(x ** 3 + ctx.gamma4 * x + ctx.gamma6)
+        assert abs(vals[2] - target) < 1e-8 * (1 + abs(target))
 
 
 def test_sigma_char_basics(ec_generic):

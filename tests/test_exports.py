@@ -41,3 +41,28 @@ def test_no_unused_imports():
                 used |= set(ast.literal_eval(node.value))
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert not unused
+
+
+def _identifiers(path):
+    """Every name, attribute and imported name a module's source mentions."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_lattice_distance_rule_lives_in_elliptic():
+    """POLE_TOL is read only where it is defined and in elliptic, whose
+    on_lattice is the one divisor test; the modules built on sigma leave
+    lattice reduction to elliptic as well."""
+    src = pathlib.Path(importlib.import_module("sigma2").__file__).parent
+    uses = {path.name: _identifiers(path) for path in sorted(src.glob("*.py"))}
+    assert [name for name, ids in uses.items() if "POLE_TOL" in ids] == [
+        "elliptic.py", "numerics.py"]
+    assert not [name for name in ("sigma.py", "spectral.py", "inversion.py")
+                if "_reduce" in uses[name]]

@@ -28,8 +28,7 @@ def test_context_invariants(ctx_generic):
     assert abs(ctx.wp_alpha - 5 * ctx.a2 / 3) < 1e-10
     d2 = (ctx.ectx.gamma6 + 5 * ctx.a2 * ctx.ectx.gamma4 / 3
           + (5 * ctx.a2 / 3) ** 3)
-    assert abs(ctx.d ** 2 - d2) < 1e-10 * (1 + abs(d2))
-    assert abs(ctx.wpp_alpha - 2 * ctx.d) < 1e-12
+    assert abs((ctx.wpp_alpha / 2) ** 2 - d2) < 1e-10 * (1 + abs(d2))
 
 
 def test_taylor_leading_parts(ctx_generic):
@@ -103,7 +102,7 @@ def test_sato_weight_homogeneity(ctx_generic):
 
 def _alpha_flipped(ctx):
     return replace(ctx, alpha=-ctx.alpha, wpp_alpha=-ctx.wpp_alpha,
-                   d=-ctx.d, zeta_alpha=-ctx.zeta_alpha,
+                   zeta_alpha=-ctx.zeta_alpha,
                    sigma_alpha=-ctx.sigma_alpha)
 
 

@@ -6,7 +6,9 @@ from sigma2 import inversion as inv
 from sigma2 import lattice as lt
 from sigma2 import sigma as sg
 from sigma2 import spectral as sp
-from sigma2.errors import NotRealAlpha, NotRealLattice, SingularConfiguration
+from sigma2.errors import (NotRealAlpha, NotRealLattice, PoleAtArgument,
+                           SingularConfiguration)
+from sigma2.numerics import POLE_TOL
 
 
 def test_eigen_equation(ctx_generic, rng):
@@ -131,10 +133,28 @@ def test_kdv_residual(ctx_generic, rng):
         assert sp.kdv_residual(ctx_generic, u3, u1) < 1e-5
 
 
+@pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_alpha_divisor_guard_is_translation_invariant(ctx_generic, m, n):
+    # one distance rule at every lattice translate of U1 = alpha: within
+    # POLE_TOL (relative to the period scale) P and S raise and U takes its
+    # ring average; five radii out nothing raises
+    ctx, ec = ctx_generic, ctx_generic.ectx
+    base = ctx.alpha + m * ec.omega + n * ec.omegaP
+    step = np.exp(0.3j) * POLE_TOL * ec.scale()
+    u3 = 0.05 + 0.02j
+    for fn in (sg.p_function_u, sg.s_function):
+        with pytest.raises(PoleAtArgument):
+            fn(ctx, u3, base + step / 2)
+    assert np.isfinite(sp.potential_u(ctx, u3, base + step / 2))
+    far = base + 5 * step
+    for fn in (sg.p_function_u, sg.s_function, sp.potential_u):
+        assert np.isfinite(fn(ctx, u3, far))
+
+
 def test_kdv_alpha_flip_invariance(ctx_generic):
     from dataclasses import replace
     flipped = replace(ctx_generic, alpha=-ctx_generic.alpha,
-                      wpp_alpha=-ctx_generic.wpp_alpha, d=-ctx_generic.d,
+                      wpp_alpha=-ctx_generic.wpp_alpha,
                       zeta_alpha=-ctx_generic.zeta_alpha,
                       sigma_alpha=-ctx_generic.sigma_alpha)
     u3, u1 = 0.04 - 0.03j, 0.22 + 0.11j
