@@ -135,6 +135,8 @@ def cmd_classify(args):
 
 
 def cmd_sigma(args):
+    if args.grid is not None and args.out is None:
+        raise UsageError("grid output needs --out")
     ctx = _degen_context(args)
     rec = {"command": "sigma", "lambda": list(ctx.lam.astuple()),
            "stratum": "Lambda1" if ctx.kind == "lambda1" else "Lambda0",
@@ -144,9 +146,11 @@ def cmd_sigma(args):
         g = np.linspace(lo, hi, n)
         u3, u1 = (a.ravel() for a in np.meshgrid(g, g, indexing="ij"))  # u3 outer
         val = sg.sigma2(ctx, u3, u1, normalized=args.normalized)
-        rows = np.column_stack((u3, u1, val.real, val.imag))
-        _write_csv(args.out, ("u3", "u1", "re", "im"), rows)
-        rec["rows"] = len(rows)
+        gs = _reprs(g)      # each grid coordinate formatted once
+        _write_csv(args.out, ("u3", "u1", "re", "im"),
+                   ([s for s in gs for _ in range(n)], gs * n,
+                    _reprs(val.real), _reprs(val.imag)))
+        rec["rows"] = n * n
         rec["csv"] = args.out
         emit(rec, None)
         return 0
@@ -181,13 +185,14 @@ def cmd_potential(args):
     lo, hi, n = _parse_grid(args.grid)
     grid = np.linspace(lo, hi, n)
     sample = sp.real_family(ctx, args.family, args.phi, grid)
-    rows = np.column_stack((sample.grid, sample.values.real, sample.values.imag))
     out = args.out or "potential.csv"
-    _write_csv(out, ("x", "re", "im"), rows)
+    _write_csv(out, ("x", "re", "im"), (_reprs(sample.grid),
+                                         _reprs(sample.values.real),
+                                         _reprs(sample.values.imag)))
     sidecar = {"command": "potential", "family": sample.family,
                "phi": sample.phi, "lambda": list(ctx.lam.astuple()),
                "spectrum": sample.spectrum, "max_imag": sample.max_imag,
-               "csv": out, "rows": len(rows)}
+               "csv": out, "rows": n}
     emit(sidecar, os.path.splitext(out)[0] + ".json")
     emit({"command": "potential", "csv": out, "max_imag": sample.max_imag,
           "spectrum": sample.spectrum}, None)
@@ -240,15 +245,16 @@ def _parse_grid(text):
     return lo, hi, n
 
 
-def _write_csv(path, header, rows):
-    """Header, then one line per row of the float ndarray (repr of each value)."""
-    if path is None:
-        raise UsageError("grid output needs --out")
-    import csv
+def _reprs(a):
+    """The float ndarray's values as repr strings (shortest round-trip form)."""
+    return list(map(repr, a.tolist()))
+
+
+def _write_csv(path, header, columns):
+    """Header, then one CRLF-terminated line per row of the equal-length
+    string columns, in one write (the bytes csv.writer gives for float reprs)."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows.tolist())
+        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
 
 
 @functools.cache

@@ -6,6 +6,7 @@ import pytest
 
 from sigma2 import cli
 from sigma2 import sigma as sg
+from sigma2 import spectral as sp
 
 
 def run(capsys, *argv):
@@ -93,6 +94,77 @@ def test_sigma_grid_csv(tmp_path, capsys):
     for r in rows[1::13]:
         want = sg.sigma2(ctx, float(r[0]), float(r[1]))
         assert abs(complex(float(r[2]), float(r[3])) - want) <= 1e-14 * max(abs(want), 1.0)
+
+
+def _csv_writer_bytes(path, header, *columns):
+    """What csv.writer writes for the float columns: the reference for the
+    CLI's own CSV writer."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(np.column_stack(columns).tolist())
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("grid", ["-0.5,0.5,12", "-0,1,3", "-1,-0,3"])
+def test_sigma_grid_csv_bytes_match_csv_writer(tmp_path, capsys, grid):
+    out_csv = tmp_path / "z.csv"
+    code, _ = run(capsys, "sigma", "--a2", "0.2,0.1",
+                  "--gamma", "0.4,-0.2,0.5,0.3",
+                  f"--grid={grid}", "--out", str(out_csv))
+    assert code == 0
+    lo, hi, n = cli._parse_grid(grid)
+    g = np.linspace(lo, hi, n)
+    u3, u1 = (a.ravel() for a in np.meshgrid(g, g, indexing="ij"))
+    ctx = sg.context_lambda1(0.2 + 0.1j, (0.4 - 0.2j, 0.5 + 0.3j))
+    val = sg.sigma2(ctx, u3, u1)
+    want = _csv_writer_bytes(tmp_path / "ref.csv", ("u3", "u1", "re", "im"),
+                             u3, u1, val.real, val.imag)
+    got = out_csv.read_bytes()
+    assert got == want
+    assert got.count(b"\r\n") == n * n + 1 and b"\n" not in got.replace(b"\r\n", b"")
+    if grid == "-1,-0,3":
+        # linspace ends on hi exactly, so -0.0 reaches both coordinate columns
+        # (a start of -0 comes out as 0.0); its repr keeps the sign
+        assert got.splitlines()[-1] == b"-0.0,-0.0,-0.0,-0.0"
+
+
+def test_potential_csv_bytes_match_csv_writer(tmp_path, capsys):
+    out_csv = tmp_path / "v.csv"
+    code, _ = run(capsys, "potential", "--a2", "0.34", "--gamma=-1.2,0.1",
+                  "--family", "V2", "--phi", "0.25",
+                  "--grid", "0.02,0.98,64", "--out", str(out_csv))
+    assert code == 0
+    ctx = sg.context_lambda1(0.34 + 0j, (-1.2 + 0j, 0.1 + 0j))
+    sample = sp.real_family(ctx, "V2", 0.25, np.linspace(0.02, 0.98, 64))
+    want = _csv_writer_bytes(tmp_path / "ref.csv", ("x", "re", "im"), sample.grid,
+                             sample.values.real, sample.values.imag)
+    got = out_csv.read_bytes()
+    assert got == want
+    assert got.count(b"\r\n") == 65 and b"\n" not in got.replace(b"\r\n", b"")
+
+
+def test_potential_default_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "potential", "--a2", "0.34", "--gamma=-1.2,0.1",
+                    "--grid", "0.02,0.98,16")
+    assert code == 0
+    assert json.loads(out)["csv"] == "potential.csv"
+    assert len((tmp_path / "potential.csv").read_bytes().splitlines()) == 17
+    sidecar = json.loads((tmp_path / "potential.json").read_text())
+    assert sidecar["rows"] == 16 and sidecar["csv"] == "potential.csv"
+
+
+def test_sigma_grid_without_out_fails_before_evaluating(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(sg, "sigma2", lambda *a, **k: calls.append(a))
+    code = cli.main(["sigma", "--a2", "0.2,0.1", "--gamma", "0.4,-0.2,0.5,0.3",
+                     "--grid=-0.5,0.5,40"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and "--out" in err
+    assert calls == []
 
 
 def test_usage_errors(capsys):
