@@ -70,18 +70,45 @@ def _gauss_reduce(a, b):
     return a, b
 
 
+_TIE_TOL = 1e-12
+
+
+def _signed(a, b):
+    """(a, b) or (-a, -b), whichever has arg a in (-pi/2, pi/2]; arguments
+    within _TIE_TOL of -pi/2 count as +pi/2."""
+    if a.real < -_TIE_TOL * abs(a) or (abs(a.real) <= _TIE_TOL * abs(a) and a.imag < 0):
+        return -a, -b
+    return a, b
+
+
 def _canonical_pair(a, b):
-    """Deterministic full-period basis: shortest vector first, fixed signs."""
+    """Deterministic full-period basis (omega, omegaP).
+
+    tau = omegaP/omega is put in the half-open fundamental domain
+    -1/2 <= Re tau < 1/2, |tau| >= 1, with Re tau <= 0 on |tau| = 1, each
+    boundary decided within _TIE_TOL, so periods that differ by a few ulp (or
+    by a weight rescaling) give the same basis.  Of the bases left, related
+    by -1 and, on the square and hexagonal lattices, by the rotations fixing
+    tau, the one whose omega has the smallest argument in (-pi/2, pi/2] wins.
+    """
     a, b = _gauss_reduce(complex(a), complex(b))
     if abs(a) > abs(b):
         a, b = b, a
-    s = abs(a)
-    if a.real < -1e-12 * s or (abs(a.real) <= 1e-12 * s and a.imag < 0):
-        a = -a
     if (b / a).imag < 0:
         b = -b
-    b -= round((b / a).real) * a
-    return a, b
+    tau = b / a
+    if tau.real >= 0.5 - _TIE_TOL:
+        b -= a
+        tau -= 1
+    bases = [(a, b)]
+    if abs(tau) <= 1 + _TIE_TOL:
+        if tau.real > _TIE_TOL:
+            bases = [(b, -a)]
+        elif tau.real >= -_TIE_TOL:
+            bases.append((b, -a))
+        elif tau.real <= _TIE_TOL - 0.5:
+            bases += [(a + b, -a), (b, -a - b)]
+    return min((_signed(*p) for p in bases), key=lambda p: cmath.phase(p[0]))
 
 
 def _lattice_from_roots(roots):

@@ -47,3 +47,26 @@ def quadrature_path(f, path):
     for a, b in zip(path[:-1], path[1:]):
         total += adapt(a, b, _gl_panel(f, a, b), 0)
     return total
+
+
+def roundoff_tie_pair(a, b):
+    """The period-basis rule that breaks the ties of a tied lattice by
+    roundoff: Gauss reduction, the shortest vector first with Re >= 0 (an
+    Im >= 0 tie-break), then Re(omegaP/omega) rounded away.  Off the
+    fundamental-domain boundaries it picks the basis elliptic._canonical_pair
+    picks, which the tests check."""
+    a, b = complex(a), complex(b)
+    for _ in range(256):
+        if abs(a) > abs(b):
+            a, b = b, a
+        k = round((b * a.conjugate()).real / abs(a) ** 2)
+        if k == 0:
+            break
+        b -= k * a
+    s = abs(a)
+    if a.real < -1e-12 * s or (abs(a.real) <= 1e-12 * s and a.imag < 0):
+        a = -a
+    if (b / a).imag < 0:
+        b = -b
+    b -= round((b / a).real) * a
+    return a, b

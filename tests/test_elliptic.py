@@ -1,3 +1,5 @@
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +10,7 @@ from sigma2 import elliptic as el
 from sigma2.errors import DegenerateCurve, NumericalFailure, PoleAtArgument
 from sigma2.numerics import cauchy_derivatives
 
-from oracles import quadrature_path
+from oracles import quadrature_path, roundoff_tie_pair
 
 
 def _sorted(zs):
@@ -275,3 +277,69 @@ def test_context_determinism():
     a = el.make_context((0.4 - 0.2j, 0.5 + 0.3j))
     b = el.make_context((0.4 - 0.2j, 0.5 + 0.3j))
     assert a.omega == b.omega and a.omegaP == b.omegaP and a.eta == b.eta
+
+
+# tied lattices: rhombic on |tau| = 1, hexagonal, two squares, and a flat
+# rhombic lattice whose reduced tau sits on Re tau = +-1/2
+_TIED = [(0.4, 0.5), (0.0, 1.0), (1.0, 0.0), (-1.0, 0.0), (-0.1, 1.0)]
+
+
+def _same_basis(p, q, tol=1e-13):
+    return all(abs(x - y) <= tol * abs(x) for x, y in zip(p, q))
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3])
+def test_rhombic_basis_is_scale_covariant(s):
+    ctx = el.make_context((0.4 * s ** 4, 0.5 * s ** 6))
+    assert _same_basis((ctx.omega * s, ctx.omegaP * s),
+                       (2.2024164351322364 + 1.447107179691528j,
+                        -2.2024164351322364 + 1.447107179691529j))
+
+
+@pytest.mark.parametrize("gamma", _TIED)
+def test_tied_basis_survives_ulp_changes(gamma):
+    """Any basis of the lattice, each period moved by +-4 ulp in both parts,
+    gives the context's basis back."""
+    ctx = el.make_context(gamma)
+    a, b = ctx.omega, ctx.omegaP
+
+    def nudge(z, sr, si):
+        return complex(z.real + 4 * sr * math.ulp(z.real), z.imag + 4 * si * math.ulp(z.imag))
+
+    for p, q in ((a, b), (b, -a), (a + b, -a), (-a, -b), (a, b + a), (a - b, b)):
+        for signs in itertools.product((-1, 1), repeat=4):
+            got = el._canonical_pair(nudge(p, *signs[:2]), nudge(q, *signs[2:]))
+            assert _same_basis(got, (a, b)), (p, q, signs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_TIED), st.floats(1e-3, 1e3))
+def test_tied_basis_under_weight_rescaling(gamma, s):
+    """(gamma4 s^4, gamma6 s^6) has periods omega/s and roots e s^2, in the
+    same order: the labels e1, e2, e3 and the half periods are covariant."""
+    g4, g6 = gamma
+    one, ctx = el.make_context(gamma), el.make_context((g4 * s ** 4, g6 * s ** 6))
+    assert _same_basis((ctx.omega * s, ctx.omegaP * s), (one.omega, one.omegaP))
+    assert all(abs(e / s ** 2 - e1) <= 1e-12 for e, e1 in zip(ctx.roots, one.roots))
+
+
+def _raw_periods(gamma):
+    g4, g6 = gamma
+    return el._lattice_from_roots(el._cubic_roots(-4 * g4, -4 * g6))
+
+
+def test_untied_lattices_keep_their_basis():
+    """Off the fundamental-domain boundaries the tie rule picks the basis the
+    roundoff rule picks, on 200 complex and 200 rectangular curves."""
+    rng = np.random.default_rng(20261018)
+    curves = [tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(2)) for _ in range(200)]
+    while len(curves) < 400:        # three real roots: a rectangular lattice
+        g4, g6 = -rng.uniform(0.05, 2), rng.uniform(-1, 1)
+        if 4 * g4 ** 3 + 27 * g6 ** 2 < -1e-3:
+            curves.append((g4, g6))
+    for gamma in curves:
+        raw = _raw_periods(gamma)
+        a, b = roundoff_tie_pair(*raw)
+        tau = b / a
+        assert abs(abs(tau) - 1) > 1e-9 and abs(abs(tau.real) - 0.5) > 1e-9
+        assert el._canonical_pair(*raw) == (a, b), gamma
