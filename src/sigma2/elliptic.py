@@ -5,22 +5,24 @@ The curve coefficients (gamma4, gamma6) fix the invariants
 
     wp'^2 = 4*wp^3 + 4*gamma4*wp + 4*gamma6.
 
-Periods come from Carlson symmetric integrals on the cubic roots; sigma, zeta,
-wp, wp' are then evaluated through Jacobi theta q-series after reduction of the
-argument to the fundamental cell, elementwise in one numpy broadcast when the
-argument is an ndarray.  The period pair is canonicalized (lattice
-reduction, deterministic signs) so identical parameters always produce the
-identical context.
+The cubic roots come from Cardano's formula with two Newton steps, the
+periods from Carlson's R_F (duplication, in cmath) at their cross-ratio; sigma,
+zeta, wp, wp' are then evaluated through Jacobi theta q-series after reduction
+of the argument to the fundamental cell, elementwise in one numpy broadcast
+when the argument is an ndarray.  The period pair is canonicalized (tau in the
+half-open fundamental domain, boundary ties decided within a fixed tolerance)
+so identical parameters always produce the identical context, and periods a
+few ulp apart or weight-rescaled curves produce the same basis.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import elliprf
 
 from .errors import DegenerateCurve, NumericalFailure, PoleAtArgument
 from .numerics import (POLE_TOL, all_finite, any_true, continuous_log,
@@ -49,21 +51,60 @@ def delta_gamma(gamma4, gamma6):
     return 4 * gamma4**3 + 27 * gamma6**2
 
 
-def _cubic_roots(g2, g3):
-    r = np.roots([4.0, 0.0, -g2, -g3]).astype(complex)
-    for _ in range(2):
-        p = 4 * r**3 - g2 * r - g3
-        dp = 12 * r**2 - g2
-        mask = np.abs(dp) > 0
-        r[mask] -= p[mask] / dp[mask]
-    return [complex(x) for x in r]
+_OMEGA3 = complex(-0.5, math.sqrt(3) / 2)     # exp(2 pi i / 3)
+
+
+def _cubic_roots(g4, g6):
+    """Roots of X^3 + g4 X + g6 (not both zero) by Cardano's formula, each
+    polished by two Newton steps.
+
+    X = u + v with u^3 = (d - g6)/2, d^2 = g6^2 + 4 g4^3/27 and u v = -g4/3;
+    the sign of d is taken to avoid cancellation in d - g6.
+    """
+    d = cmath.sqrt(g6 * g6 + 4 * g4 ** 3 / 27)
+    w = d - g6 if abs(d - g6) >= abs(d + g6) else -d - g6
+    u = (w / 2) ** (1 / 3)
+    v = -g4 / (3 * u)
+    w3 = _OMEGA3.conjugate()
+    roots = []
+    for x in (u + v, _OMEGA3 * u + w3 * v, w3 * u + _OMEGA3 * v):
+        for _ in range(2):
+            dp = 3 * x * x + g4
+            if dp:
+                x -= (x ** 3 + g4 * x + g6) / dp
+        roots.append(x)
+    return roots
+
+
+# duplication stops once max |X| < (3 eps)^(1/8), where the series error
+# O(X^8) is below the rounding of double precision
+_RF_STOP = (3 * 2.0 ** -53) ** (-1 / 8)
+
+
+def _carlson_rf(x, y, z):
+    """Carlson's R_F(x, y, z) for complex x, y, z off the cut (-inf, 0], at
+    most one of them zero: the duplication theorem, then the DLMF 19.36.1
+    series through seventh order (Carlson, Numer. Algorithms 10, 1995)."""
+    a = (x + y + z) / 3
+    dx, dy = a - x, a - y
+    q = _RF_STOP * max(abs(dx), abs(dy), abs(a - z))
+    while q >= abs(a):
+        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z, a = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4, (a + lam) / 4
+        dx, dy, q = dx / 4, dy / 4, q / 4
+    bx, by = dx / a, dy / a
+    bz = -bx - by
+    e2, e3 = bx * by - bz * bz, bx * by * bz
+    return (1 + e2 * (-1 / 10 + e2 / 24 - 3 * e3 / 44 - 5 * e2 * e2 / 208 + e2 * e3 / 16)
+            + e3 * (1 / 14 + 3 * e3 / 104)) / cmath.sqrt(a)
 
 
 def _gauss_reduce(a, b):
     for _ in range(256):
         if abs(a) > abs(b):
             a, b = b, a
-        k = round((b * np.conj(a)).real / abs(a) ** 2)
+        k = round((b * a.conjugate()).real / abs(a) ** 2)
         if k == 0:
             break
         b -= k * a
@@ -125,9 +166,9 @@ def _lattice_from_roots(roots):
         m = (e2 - e3) / d13
         if abs(m.imag) < 1e-13 * (1 + abs(m)) and (m.real <= 1e-13 or m.real >= 1 - 1e-13):
             continue
-        big_k = complex(elliprf(0, 1 - m, 1))
-        big_kp = complex(elliprf(0, m, 1))
-        s = np.sqrt(d13)
+        big_k = _carlson_rf(0, 1 - m, 1)
+        big_kp = _carlson_rf(0, m, 1)
+        s = cmath.sqrt(d13)
         w1h, w3h = big_k / s, 1j * big_kp / s
         return 2 * w1h, 2 * w3h
     return None
@@ -209,22 +250,22 @@ def make_context(params) -> EllipticContext:
     if scale == 0 or abs(dlt) <= 1e-12 * scale:
         raise DegenerateCurve(f"4*g4^3 + 27*g6^2 = {dlt!r} is (relatively) zero")
     g2, g3 = -4 * g4, -4 * g6
-    roots = _cubic_roots(g2, g3)
+    roots = _cubic_roots(g4, g6)
     pair = _lattice_from_roots(roots)
     if pair is None:
         raise NumericalFailure("period construction failed: collinear root degeneracy")
     omega, omegaP = _canonical_pair(*pair)
     w1h = omega / 2
     tau = omegaP / omega
-    q = complex(np.exp(1j * np.pi * tau))
+    q = cmath.exp(1j * math.pi * tau)
     table = _theta_table(q)
     t1 = sum(row[2] for row in table)
     t3 = sum(row[4] for row in table)
-    eta1h = -np.pi ** 2 * t3 / (12 * w1h * t1)
+    eta1h = -math.pi ** 2 * t3 / (12 * w1h * t1)
     eta = 2 * eta1h
-    etaP = 2 * (eta1h * (omegaP / 2) - 1j * np.pi / 2) / w1h
+    etaP = 2 * (eta1h * (omegaP / 2) - 1j * math.pi / 2) / w1h
     th2, th3, th4 = _theta_consts(q, len(table))
-    sc = (np.pi / w1h) ** 2 / 12
+    sc = (math.pi / w1h) ** 2 / 12
     e1 = sc * (th3 ** 4 + th4 ** 4)
     e2 = sc * (th2 ** 4 - th4 ** 4)
     e3 = -sc * (th2 ** 4 + th3 ** 4)
@@ -430,8 +471,8 @@ def invert_wp(ctx: EllipticContext, x):
     # keep Carlson arguments off the negative-real cut
     args = [a if abs(a.imag) > 1e-14 * abs(a) or a.real > 0
             else a + 1e-13j * max(abs(a), 1.0) for a in args]
-    alpha = complex(elliprf(*args))
-    target = -2 * complex(np.sqrt(x ** 3 + ctx.gamma4 * x + ctx.gamma6))
+    target = -2 * cmath.sqrt(x ** 3 + ctx.gamma4 * x + ctx.gamma6)
+    alpha = _carlson_rf(*args)
     # one Newton run: -alpha and lattice shifts of alpha reduce to the same
     # cell point up to sign, so restarting from them would repeat it
     for _ in range(60):

@@ -325,7 +325,7 @@ def test_tied_basis_under_weight_rescaling(gamma, s):
 
 def _raw_periods(gamma):
     g4, g6 = gamma
-    return el._lattice_from_roots(el._cubic_roots(-4 * g4, -4 * g6))
+    return el._lattice_from_roots(el._cubic_roots(g4, g6))
 
 
 def test_untied_lattices_keep_their_basis():
@@ -343,3 +343,91 @@ def test_untied_lattices_keep_their_basis():
         tau = b / a
         assert abs(abs(tau) - 1) > 1e-9 and abs(abs(tau.real) - 0.5) > 1e-9
         assert el._canonical_pair(*raw) == (a, b), gamma
+
+
+def _rf_triples(rng, n):
+    """Random complex triples with magnitudes 1e-3..1e3, the (0, 1 - m, 1)
+    and (0, m, 1) forms of the period integrals, and invert_wp's arguments
+    nudged off the negative real axis."""
+    def z(k):
+        return 10 ** rng.uniform(-3, 3, k) * np.exp(1j * rng.uniform(-np.pi, np.pi, k))
+
+    def nudged(k):
+        a = -(10 ** rng.uniform(-3, 3, k))
+        return a + 1e-13j * np.maximum(np.abs(a), 1.0)
+
+    out = [tuple(t) for t in np.column_stack([z(n), z(n), z(n)])]
+    out += [(0, 1 - m, 1) for m in z(n // 4)] + [(0, m, 1) for m in z(n // 4)]
+    out += [(a, b, c) for a, b, c in np.column_stack([nudged(n // 4), z(n // 4), nudged(n // 4)])]
+    out += [(a, b, c) for a, b, c in np.column_stack(
+        [nudged(n // 4), 10 ** rng.uniform(-3, 3, n // 4), z(n // 4)])]
+    return [tuple(complex(v) for v in t) for t in out]
+
+
+def test_carlson_rf_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(19)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for x, y, z in _rf_triples(rng, 1000):
+            want = complex(mpmath.elliprf(x, y, z))
+            worst = max(worst, abs(el._carlson_rf(x, y, z) - want) / abs(want))
+    assert worst <= 2e-15
+
+
+def _cubic_error(g4, g6, mpmath):
+    """Largest distance from a root of X^3 + g4 X + g6 to its computed match,
+    over rscale = max(1, |roots|) times the root's condition number
+    max(1, rscale^2 / |prod of its distances to the other roots|)."""
+    with mpmath.workdps(40):
+        want = [complex(r) for r in mpmath.polyroots(
+            [1, 0, mpmath.mpc(g4), mpmath.mpc(g6)], maxsteps=100, extraprec=60)]
+    got = el._cubic_roots(complex(g4), complex(g6))
+    rscale = max(1.0, max(abs(r) for r in want))
+    worst = 0.0
+    for i, w in enumerate(want):
+        gap = abs((w - want[i - 1]) * (w - want[i - 2]))
+        cond = max(1.0, rscale * rscale / gap)
+        j = min(range(len(got)), key=lambda k: abs(got[k] - w))
+        worst = max(worst, abs(got.pop(j) - w) / (rscale * cond))
+    return worst
+
+
+def _random_curves(rng, kind, n):
+    def disk(k):
+        return rng.uniform(0, 1, k) * np.exp(2j * np.pi * rng.uniform(0, 1, k))
+
+    if kind == "complex":
+        return list(zip(disk(n), disk(n)))
+    if kind == "rectangular":           # three real roots e1 + e2 + e3 = 0
+        e1, e2 = rng.uniform(-2, 2, n), rng.uniform(-2, 2, n)
+        return [(a * b - (a + b) ** 2, a * b * (a + b)) for a, b in zip(e1, e2)]
+    if kind == "rhombic":               # one real root, both j ranges
+        return list(zip(rng.uniform(-2, 2, n), rng.uniform(-2, 2, n)))
+    if kind == "hexagonal":
+        return [(0.0, g6) for g6 in disk(n)] + [(0.0, g6) for g6 in rng.uniform(-2, 2, n)]
+    if kind == "lemniscatic":           # a zero root
+        return [(g4, 0.0) for g4 in disk(n)] + [(g4, 0.0) for g4 in rng.uniform(-2, 2, n)]
+    # |Delta| just above the DegenerateCurve cut 1e-12 (|g4|^3 + |g6|^2)
+    out = []
+    for a, turn in zip(disk(n) + 0.1, rng.uniform(0, 1, n)):
+        g4, g6 = -3 * a * a, 2 * a ** 3
+        scale = abs(g4) ** 3 + abs(g6) ** 2
+        g6 += 2e-12 * scale / (54 * abs(g6)) * np.exp(2j * np.pi * turn)
+        assert 1e-12 * scale < abs(el.delta_gamma(g4, g6)) < 1e-11 * scale
+        out.append((g4, g6))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["complex", "rectangular", "rhombic", "hexagonal",
+                                  "lemniscatic", "near_cut"])
+def test_cubic_roots_against_mpmath(kind):
+    """Cardano plus two Newton steps is within 4e-15 rscale of each root
+    times its condition number; that number is 1 away from the cut, and near
+    the cut (roots ~1e-6 rscale apart) no double-precision evaluation of the
+    cubic does better, np.roots included."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(["complex", "rectangular", "rhombic", "hexagonal",
+                                 "lemniscatic", "near_cut"].index(kind))
+    worst = max(_cubic_error(g4, g6, mpmath) for g4, g6 in _random_curves(rng, kind, 100))
+    assert worst <= 4e-15

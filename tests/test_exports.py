@@ -66,3 +66,18 @@ def test_lattice_distance_rule_lives_in_elliptic():
         "elliptic.py", "numerics.py"]
     assert not [name for name in ("sigma.py", "spectral.py", "inversion.py")
                 if "_reduce" in uses[name]]
+
+
+def test_scipy_not_imported():
+    """numpy is the only runtime dependency: importing the package and every
+    submodule in a fresh interpreter loads no scipy."""
+    import os
+    import subprocess
+    import sys
+    pkg = pathlib.Path(importlib.import_module("sigma2").__file__).parent
+    names = ["sigma2"] + [f"sigma2.{p.stem}" for p in sorted(pkg.glob("*.py"))
+                          if p.name != "__init__.py"]
+    code = (f"import importlib, sys; [importlib.import_module(n) for n in {names!r}]; "
+            "assert 'scipy' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(pkg.parent)})
