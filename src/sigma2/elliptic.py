@@ -471,8 +471,8 @@ def invert_wp(ctx: EllipticContext, x):
     # keep Carlson arguments off the negative-real cut
     args = [a if abs(a.imag) > 1e-14 * abs(a) or a.real > 0
             else a + 1e-13j * max(abs(a), 1.0) for a in args]
-    target = -2 * cmath.sqrt(x ** 3 + ctx.gamma4 * x + ctx.gamma6)
     alpha = _carlson_rf(*args)
+    target = -2 * cmath.sqrt(x ** 3 + ctx.gamma4 * x + ctx.gamma6)
     # one Newton run: -alpha and lattice shifts of alpha reduce to the same
     # cell point up to sign, so restarting from them would repeat it
     for _ in range(60):

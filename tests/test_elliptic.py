@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -365,7 +366,6 @@ def _rf_triples(rng, n):
 
 
 def test_carlson_rf_against_mpmath():
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(19)
     worst = 0.0
     with mpmath.workdps(30):
@@ -375,7 +375,7 @@ def test_carlson_rf_against_mpmath():
     assert worst <= 2e-15
 
 
-def _cubic_error(g4, g6, mpmath):
+def _cubic_error(g4, g6):
     """Largest distance from a root of X^3 + g4 X + g6 to its computed match,
     over rscale = max(1, |roots|) times the root's condition number
     max(1, rscale^2 / |prod of its distances to the other roots|)."""
@@ -402,8 +402,9 @@ def _random_curves(rng, kind, n):
     if kind == "rectangular":           # three real roots e1 + e2 + e3 = 0
         e1, e2 = rng.uniform(-2, 2, n), rng.uniform(-2, 2, n)
         return [(a * b - (a + b) ** 2, a * b * (a + b)) for a, b in zip(e1, e2)]
-    if kind == "rhombic":               # one real root, both j ranges
-        return list(zip(rng.uniform(-2, 2, n), rng.uniform(-2, 2, n)))
+    if kind == "rhombic":               # one real root: |tau| = 1 or Re tau = -1/2
+        g4, g6 = rng.uniform(-2, 2, 4 * n), rng.uniform(-2, 2, 4 * n)
+        return [c for c in zip(g4, g6) if el.delta_gamma(*c) > 0][:n]
     if kind == "hexagonal":
         return [(0.0, g6) for g6 in disk(n)] + [(0.0, g6) for g6 in rng.uniform(-2, 2, n)]
     if kind == "lemniscatic":           # a zero root
@@ -419,15 +420,15 @@ def _random_curves(rng, kind, n):
     return out
 
 
-@pytest.mark.parametrize("kind", ["complex", "rectangular", "rhombic", "hexagonal",
-                                  "lemniscatic", "near_cut"])
+_CURVE_KINDS = ["complex", "rectangular", "rhombic", "hexagonal", "lemniscatic", "near_cut"]
+
+
+@pytest.mark.parametrize("kind", _CURVE_KINDS)
 def test_cubic_roots_against_mpmath(kind):
     """Cardano plus two Newton steps is within 4e-15 rscale of each root
     times its condition number; that number is 1 away from the cut, and near
     the cut (roots ~1e-6 rscale apart) no double-precision evaluation of the
     cubic does better, np.roots included."""
-    mpmath = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(["complex", "rectangular", "rhombic", "hexagonal",
-                                 "lemniscatic", "near_cut"].index(kind))
-    worst = max(_cubic_error(g4, g6, mpmath) for g4, g6 in _random_curves(rng, kind, 100))
+    rng = np.random.default_rng(_CURVE_KINDS.index(kind))
+    worst = max(_cubic_error(g4, g6) for g4, g6 in _random_curves(rng, kind, 100))
     assert worst <= 4e-15
