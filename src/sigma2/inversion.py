@@ -82,7 +82,13 @@ def solve_inversion(ctx: sg.DegenSigmaContext, U1, U3) -> InversionResult:
     dp = pu - a
     disc = np.sqrt(e1 * e1 - 4.0 * e2)
     x1, x2 = (e1 + disc) / 2.0, (e1 - disc) / 2.0
-    if (x2.real, x2.imag) < (x1.real, x1.imag):
+    # by real part, then imaginary part; real parts within rounding count as
+    # equal, so a real curve's conjugate pair comes out in one fixed order
+    if abs(x1.real - x2.real) <= 1e-12 * (1 + abs(x1) + abs(x2)):
+        swap = x2.imag < x1.imag
+    else:
+        swap = x2.real < x1.real
+    if swap:
         x1, x2 = x2, x1
 
     def y_of(x):

@@ -8,8 +8,13 @@ coefficients), cross-checked against |Delta| and |Gamma| magnitudes and the
 chart round trips; disagreement raises AmbiguousClassification.
 
 Polynomials are stored as monomial lists so the same code path evaluates them
-over complex floats and over exact Fractions (det V = 16/5 Delta and the
-tangency identities are exact rational statements).
+over complex floats and exactly over Python ints and Fractions.  det V = 16/5
+Delta, the tangency identities and Res(f, f') = Delta are exact rational
+statements, weighted-homogeneous in (l4, l6, l8, l10); `integer_point` moves a
+rational point to an int point where each holds exactly when it held before,
+the frame's constants are stored as integers (one factor per field clears its
+fifths) and determinants use Bareiss's fraction-free elimination, so the
+exact checks run over Python ints.
 """
 
 from __future__ import annotations
@@ -28,10 +33,8 @@ __all__ = [
     "discriminant", "gamma_vec", "upsilon", "classify",
     "lambda_from_lambda1", "lambda_from_lambda0",
     "vmatrix", "tangency_residuals", "gradient_delta_check",
-    "discriminant_resultant_oracle", "RANK_BY_PARTITION",
+    "discriminant_resultant_oracle", "integer_point", "RANK_BY_PARTITION",
 ]
-
-F = Fraction
 
 
 @dataclass(frozen=True)
@@ -44,9 +47,11 @@ class G2Params:
     lambda10: complex
 
     def __post_init__(self):
-        if not isinstance(self.lambda4, Fraction):
+        try:
             require_finite("G2Params", self.lambda4, self.lambda6,
                            self.lambda8, self.lambda10)
+        except OverflowError:   # an int or Fraction beyond the float range
+            pass
 
     def astuple(self):
         return (self.lambda4, self.lambda6, self.lambda8, self.lambda10)
@@ -142,46 +147,66 @@ def _gamma_from_powers(pw):
 
 
 def discriminant_resultant_oracle(lam: G2Params):
-    """Res_x(f, f') for the monic quintic: independent discriminant route."""
+    """Res_x(f, f') for the monic quintic: independent discriminant route.
+
+    Exact for int and Fraction points (an int point gives an int)."""
     l4, l6, l8, l10 = lam.astuple()
     f = [1, 0, l4, l6, l8, l10]
     fp = [5, 0, 3 * l4, 2 * l6, l8]
     n, m = 5, 4
-    size = n + m
-    one = F(1) if isinstance(l4, Fraction) else 1.0
-    rows = []
-    for i in range(m):
-        rows.append([one * 0] * i + [one * c for c in f] + [one * 0] * (m - 1 - i))
-    for i in range(n):
-        rows.append([one * 0] * i + [one * c for c in fp] + [one * 0] * (n - 1 - i))
-    return _det(rows, size)
+    rows = [[0] * i + f + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + fp + [0] * (n - 1 - i) for i in range(n)]
+    return _det(rows)
 
 
-def _det(rows, size):
-    """Determinant by Gaussian elimination with row pivoting on the first
-    nonzero entry; exact for Fraction entries, rounded for complex ones."""
-    a = [row[:] for row in rows]
-    sign = 1
-    det = None
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if a[r][col] != 0:
-                piv = r
-                break
+def _div(x, n):
+    """x / n, exact when both are ints: an int when n divides x, else a
+    Fraction; true division otherwise."""
+    if type(x) is int and type(n) is int:
+        q, r = divmod(x, n)
+        return q if r == 0 else Fraction(x, n)
+    return x / n
+
+
+def _det(rows):
+    """Determinant by Bareiss's fraction-free elimination (Math. Comp. 22,
+    1968), pivoting on the first nonzero entry of each column.  Every
+    division is exact, so int entries stay ints (floor division), Fraction
+    entries give the exact value and complex ones a rounded one."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    ints = all(type(x) is int for r in a for x in r)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
         if piv is None:
             return 0 * a[0][0]
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for r in range(col + 1, size):
-            fct = a[r][col] / a[col][col]
-            for c in range(col, size):
-                a[r][c] = a[r][c] - fct * a[col][c]
-    det = a[0][0]
-    for i in range(1, size):
-        det = det * a[i][i]
-    return sign * det
+        ak, p = a[k], a[k][k]
+        for ai in a[k + 1:]:
+            aik = ai[k]
+            for j in range(k + 1, n):
+                v = ai[j] * p - aik * ak[j]
+                ai[j] = v // prev if ints else _div(v, prev)
+        prev = p
+    return sign * a[-1][-1]
+
+
+def integer_point(lam: G2Params):
+    """(lam', D): lam' = (D^2 l4, D^3 l6, D^4 l8, D^5 l10) with D the lcm of
+    the denominators of the int/Fraction point lam, so lam' is an int point.
+
+    This is the Sato rescaling with t^2 = D: a polynomial of weight w gains
+    the factor D^(w/2) (D^20 for Delta, det V and Res(f, f')), so every
+    weighted-homogeneous identity holds at lam' exactly when it holds at lam.
+    """
+    from math import lcm
+    vals = lam.astuple()
+    d = lcm(*(v.denominator for v in vals))
+    return G2Params(*(v.numerator * (d**k // v.denominator)
+                      for v, k in zip(vals, (2, 3, 4, 5)))), d
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +242,7 @@ def _gamma_pair(gamma):
 
 
 def _third_like(x):
-    return F(1, 3) if isinstance(x, Fraction) else 1.0 / 3.0
+    return Fraction(1, 3) if isinstance(x, Fraction) else 1.0 / 3.0
 
 
 def mu_from_gamma(a2, g4, g6):
@@ -434,51 +459,63 @@ class VectorFieldData:
     psi: tuple     # four 4x4 matrices for l_k Gamma = psi_k Gamma
 
 
-def vmatrix(lam: G2Params) -> VectorFieldData:
-    """The frame matrix V(lambda) with det V = (16/5) Delta, plus phi, psi."""
-    l4, l6, l8, l10 = lam.astuple()
-    c = F
+# row k of V, phi_k and psi_k (the field l_2k) are written times
+# _FRAME_DEN[k], which clears their fifths (and the 25ths of psi_6), so every
+# constant is an integer and an int point stays in the ints
+_FRAME_DEN = (1, 5, 5, 25)
+
+
+def _frame(l4, l6, l8, l10):
+    """(V, phi, psi) of the frame, row k scaled by _FRAME_DEN[k]."""
     V = (
         (4 * l4, 6 * l6, 8 * l8, 10 * l10),
-        (6 * l6, 8 * l8 - c(12, 5) * l4**2, 10 * l10 - c(8, 5) * l6 * l4,
-         -c(4, 5) * l8 * l4),
-        (8 * l8, 10 * l10 - c(8, 5) * l6 * l4, 4 * l8 * l4 - c(12, 5) * l6**2,
-         6 * l10 * l4 - c(6, 5) * l8 * l6),
-        (10 * l10, -c(4, 5) * l8 * l4, 6 * l10 * l4 - c(6, 5) * l8 * l6,
-         4 * l10 * l6 - c(8, 5) * l8**2),
+        (30 * l6, 40 * l8 - 12 * l4**2, 50 * l10 - 8 * l6 * l4, -4 * l8 * l4),
+        (40 * l8, 50 * l10 - 8 * l6 * l4, 20 * l8 * l4 - 12 * l6**2,
+         30 * l10 * l4 - 6 * l8 * l6),
+        (250 * l10, -20 * l8 * l4, 150 * l10 * l4 - 30 * l8 * l6,
+         100 * l10 * l6 - 40 * l8**2),
     )
-    phi = (40 + 0 * l4, 0 * l4, 12 * l4, 4 * l6)
-    zero = 0 * l4
-    psi0 = ((16 + zero, zero, zero, zero), (zero, 18 + zero, zero, zero),
-            (zero, zero, 20 + zero, zero), (zero, zero, zero, 24 + zero))
-    psi2 = ((zero, -6 + zero, zero, zero),
-            (-c(116, 5) * l4, zero, c(16, 5) + zero, zero),
-            (27 * l6, -77 * l4, zero, zero),
-            (72 * l6 * l4, 240 * l8 - 56 * l4**2, zero, zero))
-    psi4 = ((-c(32, 5) * l4, zero, c(4, 5) + zero, zero),
-            (c(33, 5) * l6, 5 * l4, zero, zero),
-            (24 * l8 - c(432, 5) * l4**2, zero, 12 * l4, -c(12, 5) + zero),
-            (144 * l8 * l4 + 108 * l6**2 - c(176, 5) * l4**3, zero, zero,
-             c(44, 5) * l4))
-    psi6 = ((-c(7, 5) * l6, -c(7, 5) * l4, zero, zero),
-            (4 * l8 - c(128, 25) * l4**2, zero, c(16, 25) * l4, zero),
-            (100 * l10 - c(81, 5) * l6 * l4, -6 * l8 - c(81, 5) * l4**2, zero, zero),
-            (72 * l8 * l6 - c(48, 5) * l6 * l4**2, 40 * l8 * l4 - c(48, 5) * l4**3,
-             zero, zero))
-    return VectorFieldData(V=V, phi=phi, psi=(psi0, psi2, psi4, psi6))
+    phi = (40, 0, 60 * l4, 100 * l6)
+    psi0 = ((16, 0, 0, 0), (0, 18, 0, 0), (0, 0, 20, 0), (0, 0, 0, 24))
+    psi2 = ((0, -30, 0, 0),
+            (-116 * l4, 0, 16, 0),
+            (135 * l6, -385 * l4, 0, 0),
+            (360 * l6 * l4, 1200 * l8 - 280 * l4**2, 0, 0))
+    psi4 = ((-32 * l4, 0, 4, 0),
+            (33 * l6, 25 * l4, 0, 0),
+            (120 * l8 - 432 * l4**2, 0, 60 * l4, -12),
+            (720 * l8 * l4 + 540 * l6**2 - 176 * l4**3, 0, 0, 44 * l4))
+    psi6 = ((-35 * l6, -35 * l4, 0, 0),
+            (100 * l8 - 128 * l4**2, 0, 16 * l4, 0),
+            (2500 * l10 - 405 * l6 * l4, -150 * l8 - 405 * l4**2, 0, 0),
+            (1800 * l8 * l6 - 240 * l6 * l4**2, 1000 * l8 * l4 - 240 * l4**3,
+             0, 0))
+    return V, phi, (psi0, psi2, psi4, psi6)
+
+
+def vmatrix(lam: G2Params) -> VectorFieldData:
+    """The frame matrix V(lambda) with det V = (16/5) Delta, plus phi, psi."""
+    V, phi, psi = _frame(*lam.astuple())
+    return VectorFieldData(
+        V=tuple(tuple(_div(x, d) for x in row) for row, d in zip(V, _FRAME_DEN)),
+        phi=tuple(_div(x, d) for x, d in zip(phi, _FRAME_DEN)),
+        psi=tuple(tuple(tuple(_div(x, d) for x in row) for row in m)
+                  for m, d in zip(psi, _FRAME_DEN)))
 
 
 def vmatrix_det(lam: G2Params):
-    return _det([list(r) for r in vmatrix(lam).V], 4)
+    """det V, exact for int and Fraction points."""
+    from math import prod
+    return _div(_det(_frame(*lam.astuple())[0]), prod(_FRAME_DEN))
 
 
 def tangency_residuals(lam: G2Params):
     """Residuals of l_k Delta = phi_k Delta and l_k Gamma = psi_k Gamma.
 
-    Exact zeros for Fraction inputs; small floats otherwise.  Directional
-    derivatives use the symbolic polynomial gradients.
+    Exact zeros for int and Fraction inputs; small floats otherwise.
+    Directional derivatives use the symbolic polynomial gradients.
     """
-    vf = vmatrix(lam)
+    V, phi, psi = _frame(*lam.astuple())
     pw = _powers(lam.astuple())
     grad_d = _grad_monomials(_DELTA_MONOMIALS, pw)
     dval = _eval_monomials(_DELTA_MONOMIALS, pw)
@@ -486,15 +523,14 @@ def tangency_residuals(lam: G2Params):
     gval = _gamma_from_powers(pw)
     delta_res = []
     gamma_res = []
-    for k in range(4):
-        row = vf.V[k]
+    for row, ph, ps, den in zip(V, phi, psi, _FRAME_DEN):
         lhs = sum(row[j] * grad_d[j] for j in range(4))
-        delta_res.append(lhs - vf.phi[k] * dval)
+        delta_res.append(_div(lhs - ph * dval, den))
         comp = []
         for i in range(4):
             lhs_i = sum(row[j] * grad_g[i][j] for j in range(4))
-            rhs_i = sum(vf.psi[k][i][j] * gval[j] for j in range(4))
-            comp.append(lhs_i - rhs_i)
+            rhs_i = sum(ps[i][j] * gval[j] for j in range(4))
+            comp.append(_div(lhs_i - rhs_i, den))
         gamma_res.append(tuple(comp))
     return {"delta": tuple(delta_res), "gamma": tuple(gamma_res)}
 

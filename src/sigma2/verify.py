@@ -371,12 +371,15 @@ def _rand_fraction(rng, den_max=12):
 
 def suite_algebra(rng, samples):
     """Exact rational identities: det V = (16/5) Delta, the tangency
-    identities, and the resultant-discriminant agreement."""
+    identities, and the resultant-discriminant agreement.  Each rational
+    sample is checked at its integer twin (`strata.integer_point`), where
+    the same identities hold exactly over Python ints."""
     fails = 0
     const = None
     for _ in range(samples):
-        lam = st.G2Params(_rand_fraction(rng), _rand_fraction(rng),
-                          _rand_fraction(rng), _rand_fraction(rng))
+        lam, _ = st.integer_point(st.G2Params(
+            _rand_fraction(rng), _rand_fraction(rng),
+            _rand_fraction(rng), _rand_fraction(rng)))
         d = st.discriminant(lam)
         if st.vmatrix_det(lam) != Fraction(16, 5) * d:
             fails += 1
@@ -388,7 +391,7 @@ def suite_algebra(rng, samples):
             continue
         r = st.discriminant_resultant_oracle(lam)
         if d != 0:
-            ratio = r / d
+            ratio = Fraction(r, d)
             if const is None:
                 const = ratio
             if ratio != const:

@@ -1,6 +1,10 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
+from sigma2 import cli
 from sigma2 import elliptic as el
 from sigma2 import inversion as inv
 from sigma2 import sigma as sg
@@ -241,3 +245,33 @@ def test_small_gamma_tends_to_rational_limit():
     rat = inv.solve_inversion_rational(alpha, u1c, u3c)
     assert abs((res.X1 + res.X2) - rat["sum_X"]) < 1e-4 * (1 + abs(rat["sum_X"]))
     assert abs(res.X1 * res.X2 - rat["prod_X"]) < 1e-4 * (1 + abs(rat["prod_X"]))
+
+
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@pytest.mark.parametrize("nudge", [
+    {}, {"u1": 1}, {"u1": -2}, {"u3": 3}, {"u3": -1},
+    {"g4": 1}, {"g4": -3}, {"g6": 2}, {"g6": -1}, {"a2": 1}, {"a2": -2},
+])
+def test_real_curve_conjugate_pair_keeps_its_order(capsys, nudge):
+    """On a real curve X1, X2 are a conjugate pair whose real parts differ
+    by rounding only; nudging the inputs (hence the periods) by a few ulp
+    must not swap them: the lower half-plane point comes first."""
+    args = {"a2": 0.3, "g4": 0.4, "g6": 0.5, "u1": 0.31, "u3": -0.12}
+    args = {k: _ulps(v, nudge.get(k, 0)) for k, v in args.items()}
+    code = cli.main(["invert", "--a2", repr(args["a2"]),
+                     "--gamma", f"{args['g4']!r},{args['g6']!r}",
+                     "--U", f"{args['u1']!r},{args['u3']!r}"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 0
+    (x1r, x1i), (x2r, x2i) = rec["X"]
+    assert abs(x1r - x2r) < 1e-12 * (1 + abs(x1r)) and abs(x1i + x2i) < 1e-12
+    assert x1i < 0 < x2i
+    # Y and xi follow their points: the pair is conjugate entry by entry
+    for key in ("Y", "xi"):
+        (ar, ai), (br, bi) = rec[key]
+        assert abs(ar - br) < 1e-9 and abs(ai + bi) < 1e-9

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st_h
 from sigma2 import strata as st
 from sigma2.errors import DegenerateCurve
 from sigma2.numerics import cluster_points
-from sigma2.verify import _cunit, _ring_gradient, random_gamma
+from sigma2.verify import (_cunit, _ring_gradient, random_gamma, run_suite,
+                           suite_algebra)
 
 
 # --- polynomial values ------------------------------------------------------
@@ -282,6 +283,126 @@ def test_tangency_float_residuals(rng):
         scale = 1 + abs(st.discriminant(lam))
         worst = max(worst, max(abs(x) for x in res["delta"]) / scale)
     assert worst < 1e-9
+
+
+def test_exact_on_int_points():
+    """Int points give exact values, with no float on the way."""
+    lam = st.G2Params(7, -13, 29, -31)
+    res = st.discriminant_resultant_oracle(lam)
+    assert res == 3861629721 and type(res) is int
+    assert st.discriminant(lam) == res
+    big = st.G2Params(10**6, -13 * 10**9, 29 * 10**12, -31 * 10**15)
+    det = st.vmatrix_det(big)
+    assert isinstance(det, (int, F))
+    assert det == F(16, 5) * st.discriminant(big)
+
+
+def test_bareiss_det_pivots_and_zero_columns():
+    assert st._det([[0, 2, 1], [3, 1, 0], [1, 0, 4]]) == -25
+    assert st._det([[0, 1], [0, 5]]) == 0
+    assert st._det([[F(1, 2), 3], [1, F(1, 3)]]) == F(-17, 6)
+    assert abs(st._det([[2j, 1.0], [1.0, 3.0]]) - (6j - 1)) < 1e-15
+
+
+# the Sato weights of (l4, l6, l8, l10), of Gamma's four components and of
+# the frame fields l_0, l_2, l_4, l_6
+_W = (4, 6, 8, 10)
+_GW = (16, 18, 20, 24)
+_FW = (0, 2, 4, 6)
+
+
+def _exact_route_points():
+    rng = np.random.default_rng(2024)
+
+    def frac():
+        return F(int(rng.integers(-30, 31)), int(rng.integers(1, 12)))
+
+    pts = [st.G2Params(*[frac() for _ in range(4)]) for _ in range(6)]
+    pts += [st.G2Params(F(0), frac(), F(0), frac()),
+            st.G2Params(frac(), F(0), frac(), F(0)),
+            st.G2Params(F(0), F(0), F(0), F(0))]
+    pts += [st.G2Params(*[F(int(rng.integers(-30, 31))) for _ in range(4)])
+            for _ in range(3)]
+    pts += [st.lambda_from_lambda1(frac(), (frac(), frac())) for _ in range(3)]
+    pts += [st.lambda_from_lambda0(frac(), frac()) for _ in range(3)]
+    return pts
+
+
+@pytest.mark.parametrize("lam", _exact_route_points())
+def test_integer_route_matches_fraction_route(lam):
+    """At the integer twin every exact quantity is the Fraction value times
+    D to half its weight."""
+    ilam, d = st.integer_point(lam)
+    assert all(type(v) is int for v in ilam.astuple())
+    assert ilam.astuple() == tuple(d**(w // 2) * v
+                                   for v, w in zip(lam.astuple(), _W))
+    d = F(d)
+    assert st.discriminant(ilam) == d**20 * st.discriminant(lam)
+    assert st.gamma_vec(ilam) == tuple(d**(g // 2) * v for v, g
+                                       in zip(st.gamma_vec(lam), _GW))
+    assert st.vmatrix_det(ilam) == d**20 * st.vmatrix_det(lam)
+    assert (st.discriminant_resultant_oracle(ilam)
+            == d**20 * st.discriminant_resultant_oracle(lam))
+    vi, vf = st.vmatrix(ilam), st.vmatrix(lam)
+    for k, fw in enumerate(_FW):
+        assert vi.V[k] == tuple(d**((fw + w) // 2) * x for x, w in zip(vf.V[k], _W))
+        assert vi.phi[k] == d**(fw // 2) * vf.phi[k]
+        for i, gi in enumerate(_GW):
+            assert vi.psi[k][i] == tuple(d**((gi + fw - gj) // 2) * x
+                                         for x, gj in zip(vf.psi[k][i], _GW))
+    ti, tf = st.tangency_residuals(ilam), st.tangency_residuals(lam)
+    assert ti["delta"] == tf["delta"] == (0, 0, 0, 0)
+    assert ti["gamma"] == tf["gamma"] == ((0, 0, 0, 0),) * 4
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4242])
+def test_exact_algebra_record(seed):
+    details = run_suite("algebra", seed=seed).details
+    assert details["failures"] == 0
+    assert details["resultant_constant"] == "1"
+
+
+def _plant_delta(monkeypatch):
+    c, p = st._DELTA_MONOMIALS[5]
+    monkeypatch.setattr(st, "_DELTA_MONOMIALS", st._DELTA_MONOMIALS[:5]
+                        + ((c + 1, p),) + st._DELTA_MONOMIALS[6:])
+
+
+def _plant_gamma(monkeypatch):
+    (c, p), *rest = st._GAMMA_MONOMIALS[2]
+    monkeypatch.setattr(st, "_GAMMA_MONOMIALS", st._GAMMA_MONOMIALS[:2]
+                        + (((c + 1, p), *rest),) + st._GAMMA_MONOMIALS[3:])
+
+
+def _plant_frame(where):
+    """Change one constant of the frame table: V's -12 l4^2 in row 1, phi_2's
+    60 l4, or psi_6's 16 l4 at (1, 2)."""
+    def plant(monkeypatch):
+        frame = st._frame
+
+        def planted(l4, l6, l8, l10):
+            V, phi, psi = frame(l4, l6, l8, l10)
+            V, phi, psi = [list(r) for r in V], list(phi), [list(map(list, m)) for m in psi]
+            if where == "V":
+                V[1][1] += l4**2
+            elif where == "phi":
+                phi[2] += l4
+            else:
+                psi[3][1][2] += l4
+            return V, phi, psi
+        monkeypatch.setattr(st, "_frame", planted)
+    return plant
+
+
+@pytest.mark.parametrize("plant", [
+    _plant_delta, _plant_gamma, _plant_frame("V"), _plant_frame("phi"),
+    _plant_frame("psi")], ids=["delta", "gamma", "V", "phi", "psi"])
+def test_planted_error_is_caught(monkeypatch, plant):
+    """A wrong coefficient in any table the identities read makes the
+    integer-route suite fail."""
+    assert suite_algebra(np.random.default_rng(1), 20)["failures"] == 0
+    plant(monkeypatch)
+    assert suite_algebra(np.random.default_rng(1), 20)["failures"] > 0
 
 
 # --- restricted frame fields -------------------------------------------------
