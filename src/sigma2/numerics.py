@@ -1,4 +1,4 @@
-"""Shared numerical utilities: tolerances, differentiation, clustering.
+"""Shared numerical utilities: tolerances, differentiation, finiteness.
 
 Everything here is deliberately dependency-light (numpy only).  The
 tolerances are fixed module constants, not settings: the sigma-function is
@@ -79,33 +79,6 @@ def continuous_log(g):
             return np.sum(np.log(ratios))
         steps *= 2
     raise NumericalFailure("continuous_log could not resolve the branch")
-
-
-def cluster_points(points, radius):
-    """Greedy single-linkage clustering of complex points.
-
-    Returns a list of (center, members) with centers ordered by (Re, Im).
-    """
-    pts = [complex(p) for p in points]
-    used = [False] * len(pts)
-    clusters = []
-    for i in range(len(pts)):
-        if used[i]:
-            continue
-        group = [i]
-        used[i] = True
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
-            for k in range(len(pts)):
-                if not used[k] and abs(pts[k] - pts[j]) <= radius:
-                    used[k] = True
-                    group.append(k)
-                    frontier.append(k)
-        members = [pts[j] for j in group]
-        clusters.append((sum(members) / len(members), members))
-    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
-    return clusters
 
 
 def all_finite(v):

@@ -7,6 +7,14 @@ is root-cluster-first (companion-matrix eigenvalues on weight-normalized
 coefficients), cross-checked against |Delta| and |Gamma| magnitudes and the
 chart round trips; disagreement raises AmbiguousClassification.
 
+`classify` and `classify_many` share one route.  The batch stacks the
+companion matrices into one eigvals call per size (bit-identical
+eigenvalues) and evaluates the Delta/Gamma monomials on the columns of the
+normalized points, where numpy's complex arithmetic moves the magnitudes by
+rounding only; a single point evaluates them over Python complex scalars.
+Everything after that (clustering, Newton polish of the multiple roots,
+every gate and the chart recovery) is the same per-point code, `_decide`.
+
 Polynomials are stored as monomial lists so the same code path evaluates them
 over complex floats and exactly over Python ints and Fractions.  det V = 16/5
 Delta, the tangency identities and Res(f, f') = Delta are exact rational
@@ -25,12 +33,13 @@ from fractions import Fraction
 import numpy as np
 
 from .elliptic import EllipticCurveParams, delta_gamma, make_context, invert_wp
-from .errors import AmbiguousClassification, DegenerateCurve, NotOnStratum
-from .numerics import cluster_points, require_finite
+from .errors import (AmbiguousClassification, DegenerateCurve, NotOnStratum,
+                     Sigma2Error)
+from .numerics import require_finite
 
 __all__ = [
     "G2Params", "StratumClassification", "VectorFieldData",
-    "discriminant", "gamma_vec", "upsilon", "classify",
+    "discriminant", "gamma_vec", "upsilon", "classify", "classify_many",
     "lambda_from_lambda1", "lambda_from_lambda0",
     "vmatrix", "tangency_residuals", "gradient_delta_check",
     "discriminant_resultant_oracle", "integer_point", "RANK_BY_PARTITION",
@@ -308,10 +317,13 @@ def _normalized(lam, s):
     return G2Params(l4 / s**4, l6 / s**6, l8 / s**8, l10 / s**10)
 
 
-def _poly_derivs(l4, l6, l8, l10):
-    """Coefficient lists (highest degree first) of the quintic and its first
-    four derivatives."""
-    p = [1.0 + 0j, 0j, l4, l6, l8, l10]
+def _monic(ln):
+    """Coefficient list (highest degree first) of the normalized quintic."""
+    return [1.0 + 0j, 0j, *(complex(v) for v in ln.astuple())]
+
+
+def _poly_derivs(p):
+    """Coefficient lists of the quintic p and its first four derivatives."""
     ds = [p]
     for n in range(5, 1, -1):       # p has degree n
         p = [c * k for c, k in zip(p, range(n, 0, -1))]
@@ -326,15 +338,51 @@ def _horner(p, z):
     return y
 
 
-def _quintic_roots(p):
-    """Roots of the monic coefficient list p: eigenvalues of its companion
-    matrix, with one exact 0j per trailing zero coefficient."""
-    n = len(p) - 1
-    while p[n] == 0:
-        n -= 1
-    a = np.eye(n, k=-1, dtype=complex)
-    a[0] = [-c for c in p[1:n + 1]]
-    return np.linalg.eigvals(a).tolist() + [0j] * (len(p) - 1 - n)
+def _quintic_roots(ps):
+    """Roots of each monic coefficient list in ps: the eigenvalues of its
+    companion matrix, with one exact 0j per trailing zero coefficient.
+
+    The companion matrices of one size are stacked into one eigvals call;
+    each one's eigenvalues are those of its own call, bit for bit.
+    """
+    by_size = {}
+    for i, p in enumerate(ps):
+        n = len(p) - 1
+        while p[n] == 0:
+            n -= 1
+        by_size.setdefault(n, []).append(i)
+    roots = [None] * len(ps)
+    for n, idx in by_size.items():
+        a = np.zeros((len(idx), n, n), dtype=complex)
+        a[:, 0] = [[-c for c in ps[i][1:n + 1]] for i in idx]
+        a.reshape(len(idx), n * n)[:, n::n + 1] = 1     # the subdiagonal
+        for i, r in zip(idx, np.linalg.eigvals(a).tolist()):
+            roots[i] = r + [0j] * (len(ps[i]) - 1 - n)
+    return roots
+
+
+def _clusters(roots, radius=_CLUSTER_FLOOR):
+    """Single-linkage clusters of the roots, as (center, multiplicity) pairs.
+
+    A cluster starts at the first free root; the member found last is
+    searched next, its free neighbours within radius joining in index order,
+    and the center is the mean of the members in the order they joined.
+    """
+    free = list(range(len(roots)))
+    out = []
+    while free:
+        group = [free.pop(0)]
+        frontier = group[:]
+        while frontier and free:
+            z = roots[frontier.pop()]
+            near = [k for k in free if abs(roots[k] - z) <= radius]
+            for k in near:
+                free.remove(k)
+            group += near
+            frontier += near
+        members = [roots[j] for j in group]
+        out.append((sum(members) / len(members), len(members)))
+    return out
 
 
 def _polish_root(ds, m, z):
@@ -353,28 +401,67 @@ def _polish_root(ds, m, z):
     return z
 
 
-def classify(lam: G2Params) -> StratumClassification:
-    """Stratum, partition and rank of the quintic parameter point."""
+def _setup(lam):
+    """(lam, s, ln): the point as G2Params, its weight scale s and, when
+    s > 0, the weight-normalized point."""
     if not isinstance(lam, G2Params):
         lam = G2Params(*lam)
     s = _weight_scale(lam)
+    return lam, s, (_normalized(lam, s) if s else None)
+
+
+def _origin(lam):
+    return StratumClassification(
+        stratum="Lambda0", partition=(5,), rank=0, lam=lam,
+        a2=0j, b2=0j, residuals={"delta_abs": 0.0, "gamma_norm": 0.0,
+                                 "roundtrip": 0.0})
+
+
+def classify(lam: G2Params) -> StratumClassification:
+    """Stratum, partition and rank of the quintic parameter point."""
+    lam, s, ln = _setup(lam)
     if s == 0.0:
-        return StratumClassification(
-            stratum="Lambda0", partition=(5,), rank=0, lam=lam,
-            a2=0j, b2=0j, residuals={"delta_abs": 0.0, "gamma_norm": 0.0,
-                                     "roundtrip": 0.0})
-    ln = _normalized(lam, s)
-    l4, l6, l8, l10 = (complex(v) for v in ln.astuple())
-    ds = _poly_derivs(l4, l6, l8, l10)
-    roots = _quintic_roots(ds[0])
-    clusters = cluster_points(roots, _CLUSTER_FLOOR)
-    mults = tuple(sorted((len(m) for _, m in clusters), reverse=True))
+        return _origin(lam)
+    p = _monic(ln)
+    pw = _powers(ln.astuple())
+    return _decide(lam, s, ln, p, _quintic_roots([p])[0],
+                   abs(_eval_monomials(_DELTA_MONOMIALS, pw)),
+                   max(abs(g) for g in _gamma_from_powers(pw)))
+
+
+def classify_many(points):
+    """classify over a list of points in one array pass.
+
+    One entry per point: its StratumClassification, or the Sigma2Error that
+    classify raises there.  The companion eigenvalues come from stacked
+    eigvals calls and the Delta/Gamma magnitudes from the monomial tables
+    evaluated on the columns of the normalized points, which moves those
+    magnitudes by rounding only; the rest is classify's own per-point code.
+    """
+    setups = [_setup(lam) for lam in points]
+    out = [_origin(lam) if s == 0.0 else None for lam, s, _ in setups]
+    live = [i for i, o in enumerate(out) if o is None]
+    ps = [_monic(setups[i][2]) for i in live]
+    pw = _powers(np.array([p[2:] for p in ps], dtype=complex).reshape(-1, 4).T)
+    delta_abs = np.abs(_eval_monomials(_DELTA_MONOMIALS, pw)).tolist()
+    gamma_norm = np.abs(_gamma_from_powers(pw)).max(axis=0).tolist()
+    for i, p, roots, d, g in zip(live, ps, _quintic_roots(ps), delta_abs,
+                                 gamma_norm):
+        try:
+            out[i] = _decide(*setups[i], p, roots, d, g)
+        except Sigma2Error as exc:
+            out[i] = exc
+    return out
+
+
+def _decide(lam, s, ln, p, roots, delta_abs, gamma_norm):
+    """classify's verdict from the roots of the normalized quintic p and the
+    normalized point's |Delta| and max |Gamma_i|: clustering, polishing,
+    every magnitude and round-trip gate, and chart recovery."""
+    clusters = _clusters(roots)
+    mults = tuple(sorted((m for _, m in clusters), reverse=True))
     if mults not in RANK_BY_PARTITION:
         raise AmbiguousClassification(f"unrecognized multiplicity pattern {mults}")
-    centers = [(_polish_root(ds, len(m), c), len(m)) for c, m in clusters]
-    pw = _powers(ln.astuple())
-    delta_abs = abs(_eval_monomials(_DELTA_MONOMIALS, pw))
-    gamma_norm = max(abs(g) for g in _gamma_from_powers(pw))
     res = {"delta_abs": delta_abs, "gamma_norm": gamma_norm}
 
     if mults == (1, 1, 1, 1, 1):
@@ -383,13 +470,16 @@ def classify(lam: G2Params) -> StratumClassification:
                 f"distinct roots but |Delta|={delta_abs:.3g} is tiny")
         return StratumClassification("Lambda2", mults, 4, lam, residuals=res)
 
+    # simple roots are never read, so only the multiple ones are polished
+    ds = _poly_derivs(p)
+    centers = [(_polish_root(ds, m, c), m) for c, m in clusters if m > 1]
+
     if mults in ((2, 1, 1, 1), (3, 1, 1)):
         if delta_abs > 1e-6 or gamma_norm < 1e-8:
             raise AmbiguousClassification(
                 f"partition {mults} but Delta/Gamma magnitudes disagree "
                 f"({delta_abs:.3g}, {gamma_norm:.3g})")
-        a2n = max(centers, key=lambda cm: cm[1])[0]
-        a2, gamma, rt = _recover_lambda1_normalized(ln, a2n)
+        a2, gamma, rt = _recover_lambda1_normalized(ln, centers[0][0])
         res["roundtrip"] = rt
         res["upsilon"] = max(abs(u) for u in upsilon(ln, gamma, a2))
         if rt > 1e-6:

@@ -70,3 +70,32 @@ def roundoff_tie_pair(a, b):
         b = -b
     b -= round((b / a).real) * a
     return a, b
+
+
+def cluster_points(points, radius):
+    """Greedy single-linkage clustering of complex points: the reference
+    that strata._clusters, classify's one clustering routine, must match
+    (same partition, bit-identical centers).
+
+    Returns a list of (center, members) with centers ordered by (Re, Im).
+    """
+    pts = [complex(p) for p in points]
+    used = [False] * len(pts)
+    clusters = []
+    for i in range(len(pts)):
+        if used[i]:
+            continue
+        group = [i]
+        used[i] = True
+        frontier = [i]
+        while frontier:
+            j = frontier.pop()
+            for k in range(len(pts)):
+                if not used[k] and abs(pts[k] - pts[j]) <= radius:
+                    used[k] = True
+                    group.append(k)
+                    frontier.append(k)
+        members = [pts[j] for j in group]
+        clusters.append((sum(members) / len(members), members))
+    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
+    return clusters

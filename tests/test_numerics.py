@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from sigma2.errors import NumericalFailure
-from sigma2.numerics import (cauchy_derivatives, cluster_points, continuous_log,
-                             require_finite)
+from sigma2.numerics import cauchy_derivatives, continuous_log, require_finite
 
-from oracles import quadrature_path
+from oracles import cluster_points, quadrature_path
 
 
 def test_require_finite():

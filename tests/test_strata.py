@@ -1,14 +1,17 @@
+import cmath
+import struct
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st_h
+from hypothesis import assume, example, given, settings, strategies as st_h
 
 from sigma2 import strata as st
-from sigma2.errors import DegenerateCurve
-from sigma2.numerics import cluster_points
+from sigma2.errors import AmbiguousClassification, DegenerateCurve, Sigma2Error
 from sigma2.verify import (_cunit, _ring_gradient, random_gamma, run_suite,
-                           suite_algebra)
+                           suite_algebra, suite_classify)
+
+from oracles import cluster_points
 
 
 # --- polynomial values ------------------------------------------------------
@@ -170,11 +173,14 @@ RANK_TABLE = [
     (1, 0, 0, 0), (-3, 2, 0, 0), st.lambda_from_lambda0(1.0, -2.0 / 3.0).astuple(),
     (-10, 20, -15, 4), (0, 0, 0, 0),
 ]
+RANK_TABLE_POINTS = [st.G2Params(*t) for t in RANK_TABLE]
+RANK_TABLE_PARTITIONS = [(1, 1, 1, 1, 1), (2, 1, 1, 1), (3, 1, 1), (2, 2, 1),
+                         (3, 2), (4, 1), (5,)]
 
 
 def test_classify_matches_numpy_polynomial_reference():
     rng = np.random.default_rng(11)
-    lams = [st.G2Params(*t) for t in RANK_TABLE]
+    lams = list(RANK_TABLE_POINTS)
     for _ in range(150):
         lams.append(st.G2Params(*(_cunit(rng) for _ in range(4))))
         lams.append(st.lambda_from_lambda1(_cunit(rng), random_gamma(rng)))
@@ -195,7 +201,7 @@ def test_classify_matches_numpy_polynomial_reference():
 
 
 def test_trailing_zero_roots_are_exact():
-    assert st._quintic_roots([1, 0, 1, 0, 0, 0])[2:] == [0j, 0j, 0j]
+    assert st._quintic_roots([[1, 0, 1, 0, 0, 0]])[0][2:] == [0j, 0j, 0j]
     assert st.classify(st.G2Params(1, 0, 0, 0)).partition == (3, 1, 1)
 
 
@@ -246,6 +252,161 @@ def test_classify_sato_covariance_lambda0(a2, b2, t):
     err = min(max(_rel_err(x, y, t**2) for x, y in zip(got, pair))
               for pair in ((base.a2, base.b2), (base.b2, base.a2)))
     assert err < 1e-12
+
+
+# --- the batched route --------------------------------------------------------
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+_R = st._CLUSTER_FLOOR
+_EPS = float(np.finfo(float).eps)
+# a point at 0, anywhere, or a few radii from an earlier point (step 0: an
+# exact duplicate); steps along one angle make single-linkage chains
+_moves = st_h.one_of(
+    st_h.just(0j), _points,
+    st_h.tuples(st_h.integers(0, 3),
+                st_h.sampled_from((0.0, 0.3, 0.7, 0.99, 1.01, 1.5, 4.0)),
+                st_h.sampled_from((0.0, 0.5, 2.5, np.pi))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st_h.lists(_moves, min_size=5, max_size=5))
+@example([0j, (0, 0.7, 0.0), (1, 0.7, 0.0), (0, 0.7, np.pi), 0.5 + 0.5j])  # a chain
+@example([0j, 0j, (1, 0.0, 0.0), (0, 0.99, 2.5), (3, 0.99, 2.5)])
+def test_clusters_match_greedy_reference(moves):
+    roots = []
+    for i, mv in enumerate(moves):
+        if isinstance(mv, tuple):
+            j, step, angle = mv
+            mv = (roots[j % i] if i else 0j) + step * _R * cmath.rect(1.0, angle)
+        roots.append(mv)
+    want = sorted((_bits(c), len(m)) for c, m in cluster_points(roots, _R))
+    got = sorted((_bits(c), m) for c, m in st._clusters(roots))
+    assert got == want
+
+
+def _mixed_points(rng, per_chart):
+    pts = RANK_TABLE_POINTS + [_near_boundary_point(), st.G2Params(0, 0, 0, 0)]
+    for _ in range(per_chart):
+        pts.append(st.G2Params(*(_cunit(rng) for _ in range(4))))
+        pts.append(st.lambda_from_lambda1(_cunit(rng), random_gamma(rng)))
+        pts.append(st.lambda_from_lambda0(_cunit(rng), _cunit(rng)))
+    return [pts[i] for i in rng.permutation(len(pts))]
+
+
+def _monomial_mass(monos, ln):
+    """sum |c| |monomial| at the normalized point ln: the scale of the
+    rounding error of one evaluation of the polynomial there."""
+    pw = st._powers([abs(complex(v)) for v in ln.astuple()])
+    return st._eval_monomials([(abs(c), p) for c, p in monos], pw)
+
+
+def test_classify_many_matches_classify():
+    assert st.classify_many([]) == []
+    pts = _mixed_points(np.random.default_rng(19), 100)
+    raised = 0
+    for lam, got in zip(pts, st.classify_many(pts)):
+        try:
+            want = st.classify(lam)
+        except Sigma2Error as exc:
+            assert type(got) is type(exc)
+            raised += 1
+            continue
+        assert isinstance(got, st.StratumClassification)
+        for key in ("stratum", "partition", "rank", "lam", "a2", "b2", "gamma"):
+            assert getattr(got, key) == getattr(want, key)
+        assert got.residuals.keys() == want.residuals.keys()
+        # numpy's complex arithmetic rounds differently from Python's, so the
+        # batched magnitudes move by rounding: a few eps times the mass
+        ln = st._setup(lam)[2]
+        mass = {} if ln is None else {
+            "delta_abs": _monomial_mass(st._DELTA_MONOMIALS, ln),
+            "gamma_norm": max(_monomial_mass(m, ln) for m in st._GAMMA_MONOMIALS)}
+        for key, value in want.residuals.items():
+            if key in mass:
+                assert abs(got.residuals[key] - value) <= 16 * _EPS * mass[key]
+            else:
+                assert got.residuals[key] == value
+    assert raised >= 1      # the near-boundary point
+
+
+def _suite_classify_reference(rng, samples):
+    """verify.suite_classify as a loop of one-point classify calls."""
+    mis = 0
+    worst_rt = 0.0
+    for _ in range(samples):
+        lam = st.G2Params(_cunit(rng), _cunit(rng), _cunit(rng), _cunit(rng))
+        try:
+            cls = st.classify(lam)
+        except Sigma2Error:
+            mis += 1
+            continue
+        if cls.stratum != "Lambda2":
+            mis += 1
+    for _ in range(samples):
+        g4, g6 = random_gamma(rng)
+        a2 = _cunit(rng)
+        try:
+            cls = st.classify(st.lambda_from_lambda1(a2, (g4, g6)))
+        except Sigma2Error:
+            mis += 1
+            continue
+        if cls.stratum != "Lambda1":
+            mis += 1
+            continue
+        scale = 1.0 + abs(a2) + abs(g4) + abs(g6)
+        worst_rt = max(worst_rt, abs(cls.a2 - a2) / scale,
+                       abs(cls.gamma.gamma4 - g4) / scale,
+                       abs(cls.gamma.gamma6 - g6) / scale)
+    for _ in range(samples):
+        a2, b2 = _cunit(rng), _cunit(rng)
+        try:
+            cls = st.classify(st.lambda_from_lambda0(a2, b2))
+        except Sigma2Error:
+            mis += 1
+            continue
+        if cls.stratum != "Lambda0":
+            mis += 1
+            continue
+        want = sorted([a2, b2], key=lambda z: (z.real, z.imag))
+        scale = 1.0 + abs(a2) + abs(b2)
+        worst_rt = max(worst_rt, max(abs(x - y) for x, y in
+                                     zip([cls.a2, cls.b2], want)) / scale)
+    table_ok = all((cls.partition, cls.rank) == (part, st.RANK_BY_PARTITION[part])
+                   for cls, part in zip(map(st.classify, RANK_TABLE_POINTS),
+                                        RANK_TABLE_PARTITIONS))
+    return {"misclassified": mis, "round_trip": worst_rt,
+            "rank_table_ok": table_ok}
+
+
+@pytest.mark.parametrize("seed,samples", [(1, 200), (42, 200), (4242, 200),
+                                          (42, 1000)])
+def test_suite_classify_equals_per_point_loop(seed, samples):
+    got = suite_classify(np.random.default_rng(seed), samples)
+    assert got == _suite_classify_reference(np.random.default_rng(seed), samples)
+    if samples == 1000:
+        # the default size at seed 42 meets the merged double roots of
+        # ROADMAP item 1, and both routes report them alike
+        assert got["round_trip"] > 1e-9
+
+
+def test_suite_classify_counts_points_that_raise(monkeypatch):
+    # a planted refusal on the chart points with Re lambda4 > 0 (the rank
+    # table's real points pass): each is one misclassified sample, and the
+    # batch still classifies the rest
+    decide = st._decide
+
+    def planted(lam, *args):
+        if isinstance(lam.lambda4, complex) and lam.lambda4.real > 0:
+            raise AmbiguousClassification("planted")
+        return decide(lam, *args)
+
+    monkeypatch.setattr(st, "_decide", planted)
+    got = suite_classify(np.random.default_rng(1), 50)
+    assert got == _suite_classify_reference(np.random.default_rng(1), 50)
+    assert 30 < got["misclassified"] < 120
 
 
 # --- vector fields ----------------------------------------------------------
@@ -560,14 +721,17 @@ def test_gradient_vanishes_at_branch_point():
     assert max(abs(g) for g in chk["closed_form"]) < 1e-10
 
 
-def test_ambiguous_near_boundary():
-    # two root pairs straddling the clustering radius: the partition and the
-    # polynomial magnitudes disagree, which must surface, not silently pick
+def _near_boundary_point():
+    """Two root pairs straddling the clustering radius."""
     d = 1.6e-3
     roots = [1.0, 1.0 + d, -0.5, -0.5 - d, 0.0]
     roots[-1] = -sum(roots[:-1])
     coeffs = np.poly(roots)
-    lam = st.G2Params(*[complex(c) for c in coeffs[2:]])
-    from sigma2.errors import AmbiguousClassification
+    return st.G2Params(*[complex(c) for c in coeffs[2:]])
+
+
+def test_ambiguous_near_boundary():
+    # the partition and the polynomial magnitudes disagree, which must
+    # surface, not silently pick
     with pytest.raises(AmbiguousClassification):
-        st.classify(lam)
+        st.classify(_near_boundary_point())
