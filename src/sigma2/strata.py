@@ -433,7 +433,8 @@ def classify_many(points):
     """classify over a list of points in one array pass.
 
     One entry per point: its StratumClassification, or the Sigma2Error that
-    classify raises there.  The companion eigenvalues come from stacked
+    classify raises there (any other exception propagates, as from
+    classify).  The companion eigenvalues come from stacked
     eigvals calls and the Delta/Gamma magnitudes from the monomial tables
     evaluated on the columns of the normalized points, which moves those
     magnitudes by rounding only; the rest is classify's own per-point code.
@@ -442,9 +443,7 @@ def classify_many(points):
     out = [_origin(lam) if s == 0.0 else None for lam, s, _ in setups]
     live = [i for i, o in enumerate(out) if o is None]
     ps = [_monic(setups[i][2]) for i in live]
-    pw = _powers(np.array([p[2:] for p in ps], dtype=complex).reshape(-1, 4).T)
-    delta_abs = np.abs(_eval_monomials(_DELTA_MONOMIALS, pw)).tolist()
-    gamma_norm = np.abs(_gamma_from_powers(pw)).max(axis=0).tolist()
+    delta_abs, gamma_norm = _magnitudes(ps)
     for i, p, roots, d, g in zip(live, ps, _quintic_roots(ps), delta_abs,
                                  gamma_norm):
         try:
@@ -452,6 +451,14 @@ def classify_many(points):
         except Sigma2Error as exc:
             out[i] = exc
     return out
+
+
+def _magnitudes(ps):
+    """(|Delta|, max |Gamma_i|) lists for the normalized quintics ps, from
+    one evaluation of the monomial tables on the columns of the points."""
+    pw = _powers(np.array([p[2:] for p in ps], dtype=complex).reshape(-1, 4).T)
+    return (np.abs(_eval_monomials(_DELTA_MONOMIALS, pw)).tolist(),
+            np.abs(_gamma_from_powers(pw)).max(axis=0).tolist())
 
 
 def _decide(lam, s, ln, p, roots, delta_abs, gamma_norm):
