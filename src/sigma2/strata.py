@@ -361,12 +361,14 @@ def _quintic_roots(ps):
     return roots
 
 
-def _clusters(roots, radius=_CLUSTER_FLOOR):
-    """Single-linkage clusters of the roots, as (center, multiplicity) pairs.
+def _clusters(roots):
+    """Single-linkage clusters of the roots at radius _CLUSTER_FLOOR, as
+    (center, multiplicity) pairs.
 
     A cluster starts at the first free root; the member found last is
-    searched next, its free neighbours within radius joining in index order,
-    and the center is the mean of the members in the order they joined.
+    searched next, its free neighbours within the radius joining in index
+    order, and the center is the mean of the members in the order they
+    joined.
     """
     free = list(range(len(roots)))
     out = []
@@ -375,7 +377,7 @@ def _clusters(roots, radius=_CLUSTER_FLOOR):
         frontier = group[:]
         while frontier and free:
             z = roots[frontier.pop()]
-            near = [k for k in free if abs(roots[k] - z) <= radius]
+            near = [k for k in free if abs(roots[k] - z) <= _CLUSTER_FLOOR]
             for k in near:
                 free.remove(k)
             group += near
@@ -434,10 +436,10 @@ def classify_many(points):
 
     One entry per point: its StratumClassification, or the Sigma2Error that
     classify raises there (any other exception propagates, as from
-    classify).  The companion eigenvalues come from stacked
-    eigvals calls and the Delta/Gamma magnitudes from the monomial tables
-    evaluated on the columns of the normalized points, which moves those
-    magnitudes by rounding only; the rest is classify's own per-point code.
+    classify).  The companion eigenvalues come from stacked eigvals calls
+    and the Delta/Gamma magnitudes from the monomial tables evaluated on
+    the columns of the normalized points, which moves those magnitudes by
+    rounding only; the rest is classify's own per-point code.
     """
     setups = [_setup(lam) for lam in points]
     out = [_origin(lam) if s == 0.0 else None for lam, s, _ in setups]
