@@ -455,7 +455,8 @@ def sigma_char(ctx: EllipticContext, u, i: int) -> complex:
 
 def invert_wp(ctx: EllipticContext, x):
     """A preimage alpha with wp(alpha) = x, reduced to the fundamental cell,
-    and (zeta, wp, wp') at alpha from one kernel evaluation there.
+    and (zeta, wp, wp') at alpha from one kernel evaluation, there or, when
+    the symmetry gives the same bits, at -alpha.
 
     The branch satisfies wp'(alpha) = -2*sqrt(X^3+g4*X+g6) with the principal
     square root (the branch the degenerate formulas assume).  At a cubic root
@@ -489,8 +490,13 @@ def invert_wp(ctx: EllipticContext, x):
     vals = weierstrass(ctx, a)
     if abs(vals[2] - target) <= abs(vals[2] + target):
         return a, vals
-    a = _reduce(ctx, -a)[0]
-    return a, weierstrass(ctx, a)
+    b, m, n = _reduce(ctx, -a)
+    zeta, p, pp = vals
+    # the kernel is exactly odd (zeta, wp') and even (wp) where -a needs no
+    # lattice shift, up to the sign of an exact zero
+    if m or n or 0 in (zeta.real, zeta.imag, pp.real, pp.imag):
+        return b, weierstrass(ctx, b)
+    return b, (-zeta, p, -pp)
 
 
 def sigma_ratio_log(ctx: EllipticContext, alpha, xi) -> complex:

@@ -59,10 +59,12 @@ def test_wp_and_wp_prime_once_at_u1(ctx_generic, kernel_calls, fn):
 
 def test_solve_inversion_evaluates_each_point_once_past_newton(ctx_generic, kernel_calls):
     # U1 once, then per xi Newton's converged wp and the branch's values;
-    # xi2 keeps the principal branch, xi1 flips to it inside invert_wp
+    # xi2 keeps the principal branch, xi1 flips to it inside invert_wp by
+    # symmetry, with no evaluation at the flipped point
     res = inv.solve_inversion(ctx_generic, 0.31 - 0.12j, 0.009 + 0.04j)
-    assert len(kernel_calls) == 6
+    assert len(kernel_calls) == 5
     assert _at(kernel_calls, ctx_generic.ectx, res.xi2) == 2
+    assert _at(kernel_calls, ctx_generic.ectx, res.xi1) == 0
 
 
 def test_potential_array_evaluates_wp_once(ctx_gap, kernel_calls):

@@ -206,6 +206,56 @@ def test_invert_wp_round_trip(ec_generic, rng):
         assert abs(vals[2] - target) < 1e-8 * (1 + abs(target))
 
 
+def _bits(vals):
+    """The exact bits of a tuple of complex values (-0.0 differs from 0.0)."""
+    return [float.hex(x) for z in vals for x in (z.real, z.imag)]
+
+
+# generic, hexagonal and square lattices (the last two with extra symmetries)
+@pytest.mark.parametrize("gamma", [(0.4 - 0.2j, 0.5 + 0.3j), (0, 1), (-1, 0)],
+                         ids=["generic", "hexagonal", "square"])
+def test_invert_wp_flip_is_the_kernel_at_the_negated_point(gamma, rng, monkeypatch):
+    # invert_wp's branch flip returns (-zeta, wp, -wp') from the values at
+    # the converged point instead of evaluating again at its negation, which
+    # relies on the kernel being exactly odd (zeta, wp') and even (wp) inside
+    # the cell; on its edges and at exact zeros it evaluates again
+    ctx = el.make_context(gamma)
+    for _ in range(60):
+        a = el._reduce(ctx, rng.uniform(-0.5, 0.5) * ctx.omega
+                       + rng.uniform(-0.5, 0.5) * ctx.omegaP)[0]
+        zeta, p, pp = el.weierstrass(ctx, a)
+        assert _bits(el.weierstrass(ctx, el._reduce(ctx, -a)[0])) == \
+            _bits((-zeta, p, -pp))
+    args = []
+    kernel = el._weierstrass
+
+    def recorded(ctx, u0, m, n, xp):
+        args.append(u0)
+        return kernel(ctx, u0, m, n, xp)
+
+    monkeypatch.setattr(el, "_weierstrass", recorded)
+    flips = 0
+    for k in range(40):
+        # real x puts alpha on a symmetry line or the cell edge of the square
+        # and hexagonal lattices, where parts of the values are exact zeros
+        x = complex(rng.normal(), rng.normal() * (k % 2)) * 2.0
+        alpha, vals = el.invert_wp(ctx, x)
+        flips += alpha != args[-1]      # the last evaluation is Newton's point
+        assert _bits(vals) == _bits(el.weierstrass(ctx, alpha))
+    assert 0 < flips < 40
+
+
+def test_invert_wp_flip_keeps_the_sign_of_an_exact_zero():
+    # a near-real curve of the benchmark's curve sweep: the flipped alpha lies
+    # on the imaginary axis, where the kernel gives zeta an exact +0.0 real
+    # part that negating its value at -alpha would turn into -0.0
+    ctx = el.make_context((0.04148510969843194 + 1.2289375295824185e-31j,
+                           -0.2111788087326075 - 1.1007761973279046e-31j))
+    alpha, vals = el.invert_wp(ctx, 5 * (-0.5182153134874277 - 7.114441609099034e-32j) / 3)
+    assert vals[0].real == 0
+    assert _bits(vals) == _bits(el.weierstrass(ctx, alpha))
+
+
 def test_sigma_char_basics(ec_generic):
     ctx = ec_generic
     for i in (1, 2, 3):
