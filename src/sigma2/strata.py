@@ -268,9 +268,13 @@ def upsilon(lam: G2Params, gamma, a2):
     Zero exactly when the quintic equals (x-a2)^2 (x^3 + 2 a2 x^2 + mu4 x +
     mu6) with mu expressed through gamma.
     """
+    return _upsilon(lam.astuple(), gamma, a2)
+
+
+def _upsilon(vals, gamma, a2):
     g4, g6 = _gamma_pair(gamma)
     mu4, mu6 = mu_from_gamma(a2, g4, g6)
-    l4, l6, l8, l10 = lam.astuple()
+    l4, l6, l8, l10 = vals
     return (l4 - (mu4 - 3 * a2**2),
             l6 - (mu6 - 2 * a2 * mu4 + 2 * a2**3),
             l8 - (-2 * a2 * mu6 + a2**2 * mu4),
@@ -313,13 +317,15 @@ def _weight_scale(lam):
 
 
 def _normalized(lam, s):
+    """The quotients l_w / s^w, a plain tuple: the weight scale s bounds
+    each by 1 in modulus, so they need no finite check of their own."""
     l4, l6, l8, l10 = lam.astuple()
-    return G2Params(l4 / s**4, l6 / s**6, l8 / s**8, l10 / s**10)
+    return l4 / s**4, l6 / s**6, l8 / s**8, l10 / s**10
 
 
 def _monic(ln):
     """Coefficient list (highest degree first) of the normalized quintic."""
-    return [1.0 + 0j, 0j, *(complex(v) for v in ln.astuple())]
+    return [1.0 + 0j, 0j, *(complex(v) for v in ln)]
 
 
 def _poly_derivs(p):
@@ -425,7 +431,7 @@ def classify(lam: G2Params) -> StratumClassification:
     if s == 0.0:
         return _origin(lam)
     p = _monic(ln)
-    pw = _powers(ln.astuple())
+    pw = _powers(ln)
     return _decide(lam, s, ln, p, _quintic_roots([p])[0],
                    abs(_eval_monomials(_DELTA_MONOMIALS, pw)),
                    max(abs(g) for g in _gamma_from_powers(pw)))
@@ -490,7 +496,7 @@ def _decide(lam, s, ln, p, roots, delta_abs, gamma_norm):
                 f"({delta_abs:.3g}, {gamma_norm:.3g})")
         a2, gamma, rt = _recover_lambda1_normalized(ln, centers[0][0])
         res["roundtrip"] = rt
-        res["upsilon"] = max(abs(u) for u in upsilon(ln, gamma, a2))
+        res["upsilon"] = max(abs(u) for u in _upsilon(ln, gamma, a2))
         if rt > 1e-6:
             raise AmbiguousClassification(f"Lambda1 chart round trip residual {rt:.3g}")
         g4, g6 = gamma
@@ -512,14 +518,15 @@ def _decide(lam, s, ln, p, roots, delta_abs, gamma_norm):
         a2=a2 * s**2, b2=b2 * s**2, residuals=res)
 
 
-def _rel(lam_a: G2Params, lam_b: G2Params):
-    num = max(abs(x - y) for x, y in zip(lam_a.astuple(), lam_b.astuple()))
-    den = 1.0 + max(abs(complex(x)) for x in lam_b.astuple())
+def _rel(lam_a: G2Params, ln):
+    """max |lam_a - ln| / (1 + max |ln|), ln a normalized coefficient tuple."""
+    num = max(abs(x - y) for x, y in zip(lam_a.astuple(), ln))
+    den = 1.0 + max(abs(complex(x)) for x in ln)
     return num / den
 
 
 def _recover_lambda1_normalized(ln, a2):
-    l4, l6, _, _ = (complex(v) for v in ln.astuple())
+    l4, l6, _, _ = (complex(v) for v in ln)
     mu4 = l4 + 3 * a2**2
     mu6 = l6 + 2 * a2 * mu4 - 2 * a2**3
     g4 = mu4 - 4 * a2**2 / 3

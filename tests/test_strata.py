@@ -152,7 +152,7 @@ def _reference_classify(lam):
     if s == 0.0:
         return "Lambda0", (5,), 0j, 0j, None
     ln = st._normalized(lam, s)
-    ds = [np.array([1, 0, *ln.astuple()], dtype=complex)]
+    ds = [np.array([1, 0, *ln], dtype=complex)]
     for _ in range(4):
         ds.append(np.polyder(ds[-1]))
     clusters = cluster_points(np.roots(ds[0]), st._CLUSTER_FLOOR)
@@ -299,7 +299,7 @@ def _mixed_points(rng, per_chart):
 def _monomial_mass(monos, ln):
     """sum |c| |monomial| at the normalized point ln: the scale of the
     rounding error of one evaluation of the polynomial there."""
-    pw = st._powers([abs(complex(v)) for v in ln.astuple()])
+    pw = st._powers([abs(complex(v)) for v in ln])
     return st._eval_monomials([(abs(c), p) for c, p in monos], pw)
 
 
