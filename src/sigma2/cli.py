@@ -219,7 +219,7 @@ def cmd_verify(args):
                              f"choose from {', '.join(vf.SUITES)} or 'all'")
     if args.samples is not None and args.samples < 1:
         raise UsageError("--samples must be at least 1")
-    results = sorted((vf.run_suite(name, seed, args.samples) for name in names),
+    results = sorted(vf.run_suites(names, seed, args.samples),
                      key=lambda r: r.name)
     for r in results:
         print(r.line())

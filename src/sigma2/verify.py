@@ -8,6 +8,9 @@ acceptance tests both call it, so there is exactly one definition of "passing".
 
 from __future__ import annotations
 
+import functools
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -24,7 +27,7 @@ from . import strata as st
 from .errors import Sigma2Error
 from .numerics import cauchy_derivatives
 
-__all__ = ["SuiteResult", "Suite", "run_suite", "SUITES",
+__all__ = ["SuiteResult", "Suite", "run_suite", "run_suites", "SUITES",
            "p_route_derivatives", "random_lambda1_context"]
 
 
@@ -514,30 +517,31 @@ class Suite(NamedTuple):
     bounds: dict                # {detail key: bound}; pass: < a float, == others
 
 
-# CLI key -> Suite; one entry per condition that decides a pass
+# CLI key -> Suite; one entry per condition that decides a pass.  Rows run
+# longest first (seed-1 times), so a worker pool starts the long suites first
 SUITES = {
-    "heat": Suite("heat_annihilation", suite_heat, 20, {"max_residual": 1e-5}),
-    "taylor": Suite("taylor_leading_part", suite_taylor, 10, {
-        "u3_residual": 1e-6, "u1_residual": 1e-4, "lambda0_spread": 1e-4}),
+    "classify": Suite("classification", suite_classify, 1000, {
+        "misclassified": 0, "round_trip": 1e-9, "rank_table_ok": True}),
     "inversion": Suite("inversion_round_trip", suite_inversion, 100, {
         "round_trip": 1e-8, "rational_limit": 1e-10}),
-    "two_route": Suite("two_route_consistency", suite_two_route, 8, {
-        "symmetric_functions": 1e-9, "lambda_reconstruction": 1e-6,
-        "delta_residual": 1e-6}),
-    "periodicity": Suite("periodicity", suite_periodicity, 20, {
-        "quasi_periodicity": 1e-8, "p_periodicity": 1e-8, "functional_eq": 1e-9,
-        "reciprocal": 1e-9}),
-    "legendre": Suite("degenerate_legendre", suite_legendre, 10, {
-        "legendre": 1e-8, "increment_spread": 1e-9}),
+    "heat": Suite("heat_annihilation", suite_heat, 20, {"max_residual": 1e-5}),
     "spectral": Suite("spectral", suite_spectral, 20, {
         "eigen": 1e-6, "kdv": 1e-5, "reality_max_imag": 1e-8, "bloch": 1e-6,
         "m2_m3_gap": 1e-12}),
     "algebra": Suite("exact_algebra", suite_algebra, 100, {
         "failures": 0, "resultant_constant": "1"}),
-    "classify": Suite("classification", suite_classify, 1000, {
-        "misclassified": 0, "round_trip": 1e-9, "rank_table_ok": True}),
+    "two_route": Suite("two_route_consistency", suite_two_route, 8, {
+        "symmetric_functions": 1e-9, "lambda_reconstruction": 1e-6,
+        "delta_residual": 1e-6}),
+    "legendre": Suite("degenerate_legendre", suite_legendre, 10, {
+        "legendre": 1e-8, "increment_spread": 1e-9}),
     "gradient": Suite("gradient_formula", suite_gradient, 20, {
         "closed_vs_symbolic": 1e-6, "closed_vs_fd": 1e-6, "branch_point_value": 1e-8}),
+    "periodicity": Suite("periodicity", suite_periodicity, 20, {
+        "quasi_periodicity": 1e-8, "p_periodicity": 1e-8, "functional_eq": 1e-9,
+        "reciprocal": 1e-9}),
+    "taylor": Suite("taylor_leading_part", suite_taylor, 10, {
+        "u3_residual": 1e-6, "u1_residual": 1e-4, "lambda0_spread": 1e-4}),
     "trig_limit": Suite("trigonometric_limit", suite_trig_limit, None, {
         "max_residual": 1e-4}),
 }
@@ -553,3 +557,44 @@ def run_suite(key, seed=7, samples=None) -> SuiteResult:
                  for k, b in suite.bounds.items())
     return SuiteResult(suite.name, passed,
                        {**details, "thresholds": dict(suite.bounds)})
+
+
+def run_suites(keys, seed=7, samples=None) -> list:
+    """run_suite over `keys`, the results in `keys` order.
+
+    The suites run on min(len(keys), usable CPUs) forked worker processes,
+    handed out in `keys` order, or in this process when that is below 2.
+    Each suite seeds its own rng, so the results are those of a sequential
+    run; an exception a suite raises is raised here, the first in `keys`
+    order, and every worker is joined before this returns.
+    """
+    keys = list(keys)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(len(keys), cpus)
+    if workers < 2:
+        return [run_suite(key, seed, samples) for key in keys]
+    import multiprocessing          # ~25 ms cold, so only when forking
+    # a worker would otherwise write out a copy of what is buffered here
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        results = list(pool.imap(
+            functools.partial(_run_in_worker, seed=seed, samples=samples), keys))
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+    return results
+
+
+def _run_in_worker(key, seed, samples):
+    """A worker's task.  run_suite is looked up here, in the worker, so a
+    rebinding of it (the benchmark's tracer wraps it) is never pickled."""
+    return run_suite(key, seed, samples)

@@ -13,37 +13,37 @@ import pytest
 from sigma2 import verify as vf
 
 CRITERIA = [
-    # (criterion, suite, default samples, bounds)
-    ("1. heat operators annihilate sigma2 (<1e-5, 20 samples)",
-     "heat", 20, {"max_residual": 1e-5}),
-    ("2. Taylor leading part u3 - u1^3/3 (<1e-6 / 1e-4, 10 contexts)",
-     "taylor", 10,
-     {"u3_residual": 1e-6, "u1_residual": 1e-4, "lambda0_spread": 1e-4}),
+    # (criterion, suite, default samples, bounds), in verify.SUITES order
+    ("9. classification round trips (1000 per chart, <1e-9) and rank table",
+     "classify", 1000,
+     {"misclassified": 0, "round_trip": 1e-9, "rank_table_ok": True}),
     ("3. inversion round trip (<1e-8, 100 instances) and rational limit (<1e-10)",
      "inversion", 100, {"round_trip": 1e-8, "rational_limit": 1e-10}),
-    ("4. two-route log-derivative consistency (<1e-9) and coefficient "
-     "reconstruction (<1e-6)", "two_route", 8,
-     {"symmetric_functions": 1e-9, "lambda_reconstruction": 1e-6,
-      "delta_residual": 1e-6}),
-    ("5. quasi-periodicity (<1e-8), three-periodicity (<1e-8), functional "
-     "equation (<1e-9)", "periodicity", 20,
-     {"quasi_periodicity": 1e-8, "p_periodicity": 1e-8, "functional_eq": 1e-9,
-      "reciprocal": 1e-9}),
-    ("6. degenerate Legendre identity (<1e-8) and increment xi-independence "
-     "(<1e-9)", "legendre", 10, {"legendre": 1e-8, "increment_spread": 1e-9}),
+    ("1. heat operators annihilate sigma2 (<1e-5, 20 samples)",
+     "heat", 20, {"max_residual": 1e-5}),
     ("7. eigen equation (<1e-6), KdV (<1e-5), reality (<1e-8), Bloch (<1e-6), "
      "M2 = M3 (<1e-12)", "spectral", 20,
      {"eigen": 1e-6, "kdv": 1e-5, "reality_max_imag": 1e-8, "bloch": 1e-6,
       "m2_m3_gap": 1e-12}),
     ("8. exact rational algebra (det V, tangency, resultant constant)",
      "algebra", 100, {"failures": 0, "resultant_constant": "1"}),
-    ("9. classification round trips (1000 per chart, <1e-9) and rank table",
-     "classify", 1000,
-     {"misclassified": 0, "round_trip": 1e-9, "rank_table_ok": True}),
+    ("4. two-route log-derivative consistency (<1e-9) and coefficient "
+     "reconstruction (<1e-6)", "two_route", 8,
+     {"symmetric_functions": 1e-9, "lambda_reconstruction": 1e-6,
+      "delta_residual": 1e-6}),
+    ("6. degenerate Legendre identity (<1e-8) and increment xi-independence "
+     "(<1e-9)", "legendre", 10, {"legendre": 1e-8, "increment_spread": 1e-9}),
     ("10. discriminant gradient closed form (<1e-6, vanishing at branch points)",
      "gradient", 20,
      {"closed_vs_symbolic": 1e-6, "closed_vs_fd": 1e-6,
       "branch_point_value": 1e-8}),
+    ("5. quasi-periodicity (<1e-8), three-periodicity (<1e-8), functional "
+     "equation (<1e-9)", "periodicity", 20,
+     {"quasi_periodicity": 1e-8, "p_periodicity": 1e-8, "functional_eq": 1e-9,
+      "reciprocal": 1e-9}),
+    ("2. Taylor leading part u3 - u1^3/3 (<1e-6 / 1e-4, 10 contexts)",
+     "taylor", 10,
+     {"u3_residual": 1e-6, "u1_residual": 1e-4, "lambda0_spread": 1e-4}),
     ("11. hyperbolic limit of the elliptic sigma (<1e-4)",
      "trig_limit", None, {"max_residual": 1e-4}),
 ]
