@@ -563,16 +563,16 @@ def run_suites(keys, seed=7, samples=None) -> list:
     """run_suite over `keys`, the results in `keys` order.
 
     The suites run on min(len(keys), usable CPUs) forked worker processes,
-    handed out in `keys` order, or in this process when that is below 2.
-    Each suite seeds its own rng, so the results are those of a sequential
-    run; an exception a suite raises is raised here, the first in `keys`
-    order, and every worker is joined before this returns.
+    handed out in `keys` order, or in this process when that is below 2 or
+    the platform has no CPU affinity call.  Each suite seeds its own rng,
+    so the results are those of a sequential run; an exception a suite
+    raises is raised here, the first in `keys` order, and every worker is
+    joined before this returns.
     """
     keys = list(keys)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        cpus = os.cpu_count() or 1
+    # fork exists on Linux, which has the affinity call; elsewhere (no fork
+    # on Windows, fork unsafe under macOS system libraries) run in process
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(keys), cpus)
     if workers < 2:
         return [run_suite(key, seed, samples) for key in keys]

@@ -63,11 +63,15 @@ def test_verify_leaves_no_process_behind(cpus, capsys):
     assert multiprocessing.active_children() == []
 
 
-def test_one_usable_cpu_forks_nothing(cpus, capsys, monkeypatch):
+@pytest.mark.parametrize("affinity", ["one CPU", "no affinity call"])
+def test_forks_nothing_below_two_usable_cpus(affinity, cpus, capsys, monkeypatch):
     def no_fork():
-        raise AssertionError("forked on one usable CPU")
+        raise AssertionError(f"forked with {affinity}")
 
-    cpus(1)
+    if affinity == "one CPU":
+        cpus(1)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "fork", no_fork)
     assert cli.main(["verify", "--suite", "algebra,trig_limit",
                      "--samples", "2"]) == 0
