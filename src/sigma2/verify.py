@@ -2,8 +2,9 @@
 
 Each suite draws deterministic samples from an rng and returns its worst
 residuals.  `SUITES` gives each its record name, default size and bounds, and
-`run_suite` applies the one pass rule; the CLI `verify` command and the
-acceptance tests both call it, so there is exactly one definition of "passing".
+`run_suite` applies the one pass rule; the CLI `verify` command (through
+`run_suites`, which runs the suites in worker processes) and the acceptance
+tests both call it, so there is exactly one definition of "passing".
 """
 
 from __future__ import annotations
