@@ -7,13 +7,20 @@ is root-cluster-first (companion-matrix eigenvalues on weight-normalized
 coefficients), cross-checked against |Delta| and |Gamma| magnitudes and the
 chart round trips; disagreement raises AmbiguousClassification.
 
-`classify` and `classify_many` share one route.  The batch stacks the
-companion matrices into one eigvals call per size (bit-identical
-eigenvalues) and evaluates the Delta/Gamma monomials on the columns of the
-normalized points, where numpy's complex arithmetic moves the magnitudes by
-rounding only; a single point evaluates them over Python complex scalars.
-Everything after that (clustering, Newton polish of the multiple roots,
-every gate and the chart recovery) is the same per-point code, `_decide`.
+`classify` decides one point with Python complex scalars (`_decide`): one
+point is what the CLI and `make_degen_context` ask for, and an array pass
+costs several times a scalar one there.  `classify_many` decides a batch
+in array passes.  It stacks the companion matrices into one eigvals call
+per size (bit-identical eigenvalues) and evaluates the Delta/Gamma
+monomials on the columns of the normalized points, where numpy's complex
+arithmetic moves the magnitudes by rounding only.  A point whose ten root
+gaps all exceed the clustering radius reads as five simple roots with no
+`_clusters` call; every other point goes through `_clusters`, and the rows
+(point, partition, centers) of one partition are polished, recovered and
+round-tripped together on `_Complexes`, float arrays with CPython's
+complex formulas.  Both routes run the same chart and recovery helpers
+and the same gates (`_verdict`), so the batch gives each point classify's
+chart values and round trips bit for bit.
 
 Polynomials are stored as monomial lists so the same code path evaluates them
 over complex floats and exactly over Python ints and Fractions.  det V = 16/5
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,7 +47,7 @@ from .numerics import require_finite
 
 __all__ = [
     "G2Params", "StratumClassification", "VectorFieldData",
-    "discriminant", "gamma_vec", "upsilon", "classify", "classify_many",
+    "discriminant", "gamma_vec", "classify", "classify_many",
     "lambda_from_lambda1", "lambda_from_lambda0",
     "vmatrix", "tangency_residuals", "gradient_delta_check",
     "discriminant_resultant_oracle", "integer_point", "RANK_BY_PARTITION",
@@ -226,21 +234,29 @@ def lambda_from_lambda1(a2, gamma) -> G2Params:
     g4, g6 = _gamma_pair(gamma)
     if delta_gamma(g4, g6) == 0:
         raise DegenerateCurve("lambda_from_lambda1 needs 4*g4^3 + 27*g6^2 != 0")
-    third = _third_like(a2)
-    l4 = g4 - 5 * third * a2**2
-    l6 = g6 - 4 * third * a2 * g4 - 10 * third**3 * a2**3
-    l8 = -2 * a2 * g6 - third * a2**2 * g4 + 20 * third**3 * a2**4
-    l10 = a2**2 * g6 + 2 * third * a2**3 * g4 + 8 * third**3 * a2**5
-    return G2Params(l4, l6, l8, l10)
+    return G2Params(*_lambda1_chart(a2, g4, g6))
 
 
 def lambda_from_lambda0(a2, b2) -> G2Params:
     """Chart of curves with double points at (a2, 0) and (b2, 0)."""
-    l4 = -3 * a2**2 - 4 * a2 * b2 - 3 * b2**2
-    l6 = 2 * (a2 + b2) * (a2**2 + 3 * a2 * b2 + b2**2)
-    l8 = -a2 * b2 * (4 * a2**2 + 7 * a2 * b2 + 4 * b2**2)
-    l10 = 2 * a2**2 * b2**2 * (a2 + b2)
-    return G2Params(l4, l6, l8, l10)
+    return G2Params(*_lambda0_chart(a2, b2))
+
+
+def _lambda1_chart(a2, g4, g6):
+    """(l4, l6, l8, l10) of the Lambda1 chart, unchecked."""
+    third = _third_like(a2)
+    return (g4 - 5 * third * a2**2,
+            g6 - 4 * third * a2 * g4 - 10 * third**3 * a2**3,
+            -2 * a2 * g6 - third * a2**2 * g4 + 20 * third**3 * a2**4,
+            a2**2 * g6 + 2 * third * a2**3 * g4 + 8 * third**3 * a2**5)
+
+
+def _lambda0_chart(a2, b2):
+    """(l4, l6, l8, l10) of the Lambda0 chart."""
+    return (-3 * a2**2 - 4 * a2 * b2 - 3 * b2**2,
+            2 * (a2 + b2) * (a2**2 + 3 * a2 * b2 + b2**2),
+            -a2 * b2 * (4 * a2**2 + 7 * a2 * b2 + 4 * b2**2),
+            2 * a2**2 * b2**2 * (a2 + b2))
 
 
 def _gamma_pair(gamma):
@@ -262,16 +278,10 @@ def mu_from_gamma(a2, g4, g6):
     return mu4, mu6
 
 
-def upsilon(lam: G2Params, gamma, a2):
-    """The four defining polynomials of the double-point locus.
-
-    Zero exactly when the quintic equals (x-a2)^2 (x^3 + 2 a2 x^2 + mu4 x +
-    mu6) with mu expressed through gamma.
-    """
-    return _upsilon(lam.astuple(), gamma, a2)
-
-
 def _upsilon(vals, gamma, a2):
+    """The four defining polynomials of the double-point locus at the point
+    vals: zero exactly when the quintic equals (x-a2)^2 (x^3 + 2 a2 x^2 +
+    mu4 x + mu6) with mu expressed through gamma."""
     g4, g6 = _gamma_pair(gamma)
     mu4, mu6 = mu_from_gamma(a2, g4, g6)
     l4, l6, l8, l10 = vals
@@ -312,8 +322,9 @@ class StratumClassification:
 
 
 def _weight_scale(lam):
-    return max(float(abs(v)) ** (1.0 / w)
-               for v, w in zip(lam.astuple(), (4, 6, 8, 10)))
+    l4, l6, l8, l10 = lam.astuple()
+    return max(float(abs(l4)) ** (1.0 / 4), float(abs(l6)) ** (1.0 / 6),
+               float(abs(l8)) ** (1.0 / 8), float(abs(l10)) ** (1.0 / 10))
 
 
 def _normalized(lam, s):
@@ -325,7 +336,7 @@ def _normalized(lam, s):
 
 def _monic(ln):
     """Coefficient list (highest degree first) of the normalized quintic."""
-    return [1.0 + 0j, 0j, *(complex(v) for v in ln)]
+    return [1.0 + 0j, 0j, *map(complex, ln)]
 
 
 def _poly_derivs(p):
@@ -393,11 +404,14 @@ def _clusters(roots):
     return out
 
 
-def _polish_root(ds, m, z):
+_POLISH_STEPS = 40
+
+
+def _polish_root(ds, m, z, steps=_POLISH_STEPS):
     """Newton on p^(m-1), where an m-fold root of p is a simple root."""
     g = ds[m - 1]
     dg = ds[m]
-    for _ in range(40):
+    for _ in range(steps):
         f = _horner(g, z)
         d = _horner(dg, z)
         if d == 0:
@@ -438,68 +452,159 @@ def classify(lam: G2Params) -> StratumClassification:
 
 
 def classify_many(points):
-    """classify over a list of points in one array pass.
+    """classify over a list of points in a few array passes.
 
     One entry per point: its StratumClassification, or the Sigma2Error that
     classify raises there (any other exception propagates, as from
     classify).  The companion eigenvalues come from stacked eigvals calls
     and the Delta/Gamma magnitudes from the monomial tables evaluated on
     the columns of the normalized points, which moves those magnitudes by
-    rounding only; the rest is classify's own per-point code.
+    rounding only.  A point whose roots are all farther apart than
+    _CLUSTER_FLOOR reads as five simple roots without a _clusters call;
+    the rows of every other point, grouped by partition, are polished and
+    recovered together on _Complexes, so each gets classify's own numbers.
     """
     setups = [_setup(lam) for lam in points]
     out = [_origin(lam) if s == 0.0 else None for lam, s, _ in setups]
     live = [i for i, o in enumerate(out) if o is None]
+    if not live:
+        return out
     ps = [_monic(setups[i][2]) for i in live]
-    delta_abs, gamma_norm = _magnitudes(ps)
-    for i, p, roots, d, g in zip(live, ps, _quintic_roots(ps), delta_abs,
-                                 gamma_norm):
+    coeffs = np.array(ps)
+    delta_abs, gamma_norm = _magnitudes(coeffs[:, 2:])
+    roots = _quintic_roots(ps)
+    parts = [(_SIMPLE, []) if sep else _partition(_clusters(r))
+             for r, sep in zip(roots, _separated(roots))]
+    rows = [(k, *part) for k, part in enumerate(parts) if part[1]]
+    readings = dict(zip([k for k, _, _ in rows], _read_rows(rows, coeffs)))
+    for k, i in enumerate(live):
+        lam, s, _ = setups[i]
         try:
-            out[i] = _decide(*setups[i], p, roots, d, g)
+            out[i] = _verdict(lam, s, parts[k][0], delta_abs[k],
+                              gamma_norm[k], readings.get(k))
         except Sigma2Error as exc:
             out[i] = exc
     return out
 
 
-def _magnitudes(ps):
-    """(|Delta|, max |Gamma_i|) lists for the normalized quintics ps, from
-    one evaluation of the monomial tables on the columns of the points."""
-    pw = _powers(np.array([p[2:] for p in ps], dtype=complex).reshape(-1, 4).T)
+def _magnitudes(ln):
+    """(|Delta|, max |Gamma_i|) lists for the normalized points, the rows of
+    ln, from one evaluation of the monomial tables on its columns."""
+    pw = _powers(ln.T)
     return (np.abs(_eval_monomials(_DELTA_MONOMIALS, pw)).tolist(),
             np.abs(_gamma_from_powers(pw)).max(axis=0).tolist())
 
 
+def _separated(roots):
+    """Per list of five roots, whether every pair lies farther apart than
+    _CLUSTER_FLOOR, which is when _clusters finds five singletons (np.hypot
+    of the parts is abs of the Python complex difference, bit for bit)."""
+    r = np.array(roots)
+    i, j = np.triu_indices(5, 1)
+    gap = np.hypot(r.real[:, i] - r.real[:, j], r.imag[:, i] - r.imag[:, j])
+    return (gap > _CLUSTER_FLOOR).all(axis=1).tolist()
+
+
+_SIMPLE = (1, 1, 1, 1, 1)
+_LAMBDA1_PARTITIONS = ((2, 1, 1, 1), (3, 1, 1))
+
+
+def _partition(clusters):
+    """(multiplicities, centers) of a _clusters result: the multiplicities
+    largest first, and the centers of the multiple clusters in that order
+    (equal ones in cluster order).  Simple roots are never read, so only
+    the multiple ones are polished."""
+    clusters = sorted(clusters, key=itemgetter(1), reverse=True)  # stable
+    return tuple(m for _, m in clusters), [c for c, m in clusters if m > 1]
+
+
 def _decide(lam, s, ln, p, roots, delta_abs, gamma_norm):
     """classify's verdict from the roots of the normalized quintic p and the
-    normalized point's |Delta| and max |Gamma_i|: clustering, polishing,
-    every magnitude and round-trip gate, and chart recovery."""
-    clusters = _clusters(roots)
-    mults = tuple(sorted((m for _, m in clusters), reverse=True))
+    normalized point's |Delta| and max |Gamma_i|, one point at a time."""
+    mults, centers = _partition(_clusters(roots))
+    reading = None
+    if centers:
+        ds = _poly_derivs(p)
+        reading = _reading(mults, [complex(v) for v in ln],
+                           [_polish_root(ds, m, c) for c, m in zip(centers, mults)])
+    return _verdict(lam, s, mults, delta_abs, gamma_norm, reading)
+
+
+def _read_rows(rows, coeffs):
+    """The chart readings of rows (point, multiplicities, centers), each
+    point a row of coeffs, the coefficients of the normalized quintics: the
+    rows of one partition are polished and recovered together, by the
+    arithmetic _decide does on one of them."""
+    out = [None] * len(rows)
+    groups = {}
+    for n, (_, mults, _) in enumerate(rows):
+        groups.setdefault(mults, []).append(n)
+    for mults, ns in groups.items():
+        points = coeffs[[rows[n][0] for n in ns]]
+        ds = _poly_derivs([_Complexes.of(c) for c in points.T])
+        centers = np.array([rows[n][2] for n in ns]).T
+        zs = [_polish_many(ds, m, _Complexes.of(c))
+              for c, m in zip(centers, mults)]
+        for n, reading in zip(ns, zip(*(x.tolist() for x in
+                                        _reading(mults, ds[0][2:], zs)))):
+            out[n] = reading
+    return out
+
+
+def _reading(mults, ln, zs):
+    """The chart reading of the normalized point ln (complex entries) with
+    polished multiple roots zs, largest multiplicity first."""
+    if mults in _LAMBDA1_PARTITIONS:
+        return _lambda1_reading(ln, zs[0])
+    return _lambda0_reading(ln, zs)
+
+
+def _lambda1_reading(ln, a2):
+    """(a2, g4, g6, degenerate, round trip, upsilon): gamma recovered from
+    the double root a2, whether 4 g4^3 + 27 g6^2 vanishes, the chart round
+    trip and the largest |upsilon_i|."""
+    mu4 = ln[0] + 3 * a2**2
+    mu6 = ln[1] + 2 * a2 * mu4 - 2 * a2**3
+    g4 = mu4 - 4 * a2**2 / 3
+    g6 = mu6 - 2 * a2 * mu4 / 3 + 16 * a2**3 / 27
+    return (a2, g4, g6, delta_gamma(g4, g6) == 0,
+            _rel(_lambda1_chart(a2, g4, g6), ln),
+            _top([abs(u) for u in _upsilon(ln, (g4, g6), a2)]))
+
+
+def _lambda0_reading(ln, zs):
+    """(a2, b2, round trip): the double roots in (Re, Im) order, from the
+    two double roots, the triple and the double, or the quadruple root
+    taken twice."""
+    a2, b2 = _ordered(*(zs if len(zs) == 2 else zs * 2))
+    return a2, b2, _rel(_lambda0_chart(a2, b2), ln)
+
+
+def _verdict(lam, s, mults, delta_abs, gamma_norm, reading):
+    """classify's answer for a point with weight scale s, partition mults,
+    normalized |Delta| and max |Gamma_i| and chart reading: every magnitude
+    and round-trip gate, in order, then the unnormalized parameters."""
     if mults not in RANK_BY_PARTITION:
         raise AmbiguousClassification(f"unrecognized multiplicity pattern {mults}")
     res = {"delta_abs": delta_abs, "gamma_norm": gamma_norm}
-
-    if mults == (1, 1, 1, 1, 1):
+    if mults == _SIMPLE:
         if delta_abs < 1e-8:
             raise AmbiguousClassification(
                 f"distinct roots but |Delta|={delta_abs:.3g} is tiny")
         return StratumClassification("Lambda2", mults, 4, lam, residuals=res)
 
-    # simple roots are never read, so only the multiple ones are polished
-    ds = _poly_derivs(p)
-    centers = [(_polish_root(ds, m, c), m) for c, m in clusters if m > 1]
-
-    if mults in ((2, 1, 1, 1), (3, 1, 1)):
+    if mults in _LAMBDA1_PARTITIONS:
         if delta_abs > 1e-6 or gamma_norm < 1e-8:
             raise AmbiguousClassification(
                 f"partition {mults} but Delta/Gamma magnitudes disagree "
                 f"({delta_abs:.3g}, {gamma_norm:.3g})")
-        a2, gamma, rt = _recover_lambda1_normalized(ln, centers[0][0])
+        a2, g4, g6, degenerate, rt, ups = reading
+        if degenerate:
+            raise NotOnStratum("recovered gamma is degenerate")
         res["roundtrip"] = rt
-        res["upsilon"] = max(abs(u) for u in _upsilon(ln, gamma, a2))
+        res["upsilon"] = ups
         if rt > 1e-6:
             raise AmbiguousClassification(f"Lambda1 chart round trip residual {rt:.3g}")
-        g4, g6 = gamma
         return StratumClassification(
             "Lambda1", mults, RANK_BY_PARTITION[mults], lam,
             a2=a2 * s**2,
@@ -509,7 +614,7 @@ def _decide(lam, s, ln, p, roots, delta_abs, gamma_norm):
     if gamma_norm > 1e-6:
         raise AmbiguousClassification(
             f"partition {mults} but |Gamma|={gamma_norm:.3g} is not small")
-    a2, b2, rt = _recover_lambda0_normalized(ln, centers, mults)
+    a2, b2, rt = reading
     res["roundtrip"] = rt
     if rt > 1e-6:
         raise AmbiguousClassification(f"Lambda0 chart round trip residual {rt:.3g}")
@@ -518,41 +623,140 @@ def _decide(lam, s, ln, p, roots, delta_abs, gamma_norm):
         a2=a2 * s**2, b2=b2 * s**2, residuals=res)
 
 
-def _rel(lam_a: G2Params, ln):
-    """max |lam_a - ln| / (1 + max |ln|), ln a normalized coefficient tuple."""
-    num = max(abs(x - y) for x, y in zip(lam_a.astuple(), ln))
-    den = 1.0 + max(abs(complex(x)) for x in ln)
-    return num / den
+def _rel(vals, ln):
+    """max |vals - ln| / (1 + max |ln|), both tuples of complex entries."""
+    return (_top([abs(x - y) for x, y in zip(vals, ln)])
+            / (1.0 + _top([abs(y) for y in ln])))
 
 
-def _recover_lambda1_normalized(ln, a2):
-    l4, l6, _, _ = (complex(v) for v in ln)
-    mu4 = l4 + 3 * a2**2
-    mu6 = l6 + 2 * a2 * mu4 - 2 * a2**3
-    g4 = mu4 - 4 * a2**2 / 3
-    g6 = mu6 - 2 * a2 * mu4 / 3 + 16 * a2**3 / 27
-    if delta_gamma(g4, g6) == 0:
-        raise NotOnStratum("recovered gamma is degenerate")
-    rt = _rel(lambda_from_lambda1(a2, (g4, g6)), ln)
-    return a2, (g4, g6), rt
+def _top(xs):
+    """The largest of a list of floats, or elementwise of float arrays."""
+    return max(xs) if isinstance(xs[0], float) else np.max(xs, axis=0)
 
 
-def _recover_lambda0_normalized(ln, centers, mults):
-    by_mult = {}
-    for z, m in centers:
-        by_mult.setdefault(m, []).append(z)
-    if mults == (2, 2, 1):
-        cand = by_mult[2]
-    elif mults == (3, 2):
-        t = by_mult[3][0]
-        d = by_mult[2][0]
-        cand = [t, d]
-    else:  # (4, 1)
-        r = by_mult[4][0]
-        cand = [r, r]
-    a2, b2 = sorted(cand, key=lambda z: (z.real, z.imag))
-    rt = _rel(lambda_from_lambda0(a2, b2), ln)
-    return a2, b2, rt
+def _ordered(a, b):
+    """(a, b) in the order sorted() with the key (Re, Im) gives them."""
+    swap = (b.real < a.real) | ((b.real == a.real) & (b.imag < a.imag))
+    if isinstance(swap, bool):
+        return (b, a) if swap else (a, b)
+    return _Complexes.where(swap, b, a), _Complexes.where(swap, a, b)
+
+
+# a batched Newton step costs about as much as this many one-point steps
+_FEW_ROWS = 16
+
+
+def _polish_many(ds, m, z):
+    """_polish_root on every entry of the _Complexes z, ds holding the
+    coefficient columns of each entry's polynomial: each entry takes the
+    steps _polish_root takes there and stops where it stops.  The last few
+    entries still moving finish one at a time."""
+    g, dg = ds[m - 1], ds[m]
+    todo = np.arange(len(z.real))
+    done = 0
+    while len(todo) > _FEW_ROWS and done < _POLISH_STEPS:
+        zt = z[todo]
+        f = _horner([c[todo] for c in g], zt)
+        d = _horner([c[todo] for c in dg], zt)
+        go = ~(d == 0)
+        todo, step = todo[go], f[go] / d[go]
+        zt = zt[go] - step
+        z.real[todo], z.imag[todo] = zt.real, zt.imag
+        todo = todo[~(abs(step) < 1e-15 * (1 + abs(zt)))]
+        done += 1
+    for k in todo.tolist():
+        p = [complex(c.real[k], c.imag[k]) for c in ds[0]]
+        w = _polish_root(_poly_derivs(p), m, complex(z.real[k], z.imag[k]),
+                         _POLISH_STEPS - done)
+        z.real[k], z.imag[k] = w.real, w.imag
+    return z
+
+
+class _Complexes:
+    """Complex numbers as float64 arrays of their parts, with CPython's
+    complex arithmetic elementwise: the schoolbook product, Smith's quotient
+    with CPython's branches, integer powers by CPython's repeated squaring,
+    abs as hypot.  numpy's complex128 product, quotient and abs round
+    differently from Python's on about a third of inputs; these match it
+    bit for bit, so the chart helpers, written once, give a batch of points
+    what they give each point.  A scalar operand x counts as complex(x)."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    @classmethod
+    def of(cls, values):
+        """From complex values (copied, so the parts can be written)."""
+        a = np.asarray(values, dtype=complex)
+        return cls(a.real.copy(), a.imag.copy())
+
+    @classmethod
+    def where(cls, cond, x, y):
+        return cls(np.where(cond, x.real, y.real), np.where(cond, x.imag, y.imag))
+
+    def tolist(self):
+        a = np.empty(np.shape(self.real), dtype=complex)
+        a.real, a.imag = self.real, self.imag
+        return a.tolist()
+
+    def __getitem__(self, idx):
+        return _Complexes(self.real[idx], self.imag[idx])
+
+    def __add__(self, o):
+        o = _operand(o)
+        return _Complexes(self.real + o.real, self.imag + o.imag)
+
+    def __sub__(self, o):
+        o = _operand(o)
+        return _Complexes(self.real - o.real, self.imag - o.imag)
+
+    def __neg__(self):
+        return _Complexes(-self.real, -self.imag)
+
+    def __mul__(self, o):
+        o = _operand(o)
+        return _Complexes(self.real * o.real - self.imag * o.imag,
+                          self.real * o.imag + self.imag * o.real)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        # divide through by the part of o larger in modulus (Smith)
+        o = _operand(o)
+        big = abs(o.real) >= abs(o.imag)
+        x, y = np.where(big, o.real, o.imag), np.where(big, o.imag, o.real)
+        ratio = y / x
+        den = x + y * ratio
+        return _Complexes(
+            (np.where(big, self.real, self.imag)
+             + np.where(big, self.imag, self.real) * ratio) / den,
+            np.where(big, self.imag - self.real * ratio,
+                     self.imag * ratio - self.real) / den)
+
+    def __pow__(self, n):
+        # an int n >= 1: the product of the squarings its binary digits
+        # select, starting from 1 (CPython's c_powu)
+        r, p = 1, self
+        while n:
+            if n & 1:
+                r = p * r
+            n >>= 1
+            if n:
+                p = p * p
+        return r
+
+    def __abs__(self):
+        return np.hypot(self.real, self.imag)
+
+    def __eq__(self, o):
+        o = _operand(o)
+        return (self.real == o.real) & (self.imag == o.imag)
+
+
+def _operand(x):
+    return x if isinstance(x, _Complexes) else complex(x)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,13 @@ def _cunit(rng):
     return complex(rng.normal(), rng.normal()) / np.sqrt(2.0)
 
 
+def _cunits(rng, n):
+    """n successive _cunit draws, from one rng.normal call (the same stream)
+    and with _cunit's division, CPython's complex / float, on the parts."""
+    x, y = rng.normal(size=(n, 2)).T
+    return (st._Complexes(x, y) / np.sqrt(2.0)).tolist()
+
+
 def _cdisc(rng, r=1.0):
     """Uniform draw from the closed disk |z| <= r (bounded, unlike _cunit)."""
     return r * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
@@ -406,37 +413,32 @@ def suite_algebra(rng, samples):
 def suite_classify(rng, samples):
     """Chart -> classify -> chart round trips, samples per chart, each
     chart's points classified in one classify_many pass; rank table."""
-    mis = 0
-    worst_rt = 0.0
-    lams = [st.G2Params(_cunit(rng), _cunit(rng), _cunit(rng), _cunit(rng))
-            for _ in range(samples)]
-    for cls in st.classify_many(lams):
-        if isinstance(cls, Sigma2Error) or cls.stratum != "Lambda2":
-            mis += 1
+    z = _cunits(rng, 4 * samples)
+    lams = [st.G2Params(*z[i:i + 4]) for i in range(0, len(z), 4)]
+    mis = sum(isinstance(cls, Sigma2Error) or cls.stratum != "Lambda2"
+              for cls in st.classify_many(lams))
     drawn = []
     for _ in range(samples):
         g4, g6 = random_gamma(rng)
         drawn.append((_cunit(rng), g4, g6))
     lams = [st.lambda_from_lambda1(a2, (g4, g6)) for a2, g4, g6 in drawn]
-    for (a2, g4, g6), cls in zip(drawn, st.classify_many(lams)):
+    found = []
+    for want, cls in zip(drawn, st.classify_many(lams)):
         if isinstance(cls, Sigma2Error) or cls.stratum != "Lambda1":
             mis += 1
-            continue
-        scale = 1.0 + abs(a2) + abs(g4) + abs(g6)
-        worst_rt = max(worst_rt, abs(cls.a2 - a2) / scale,
-                       abs(cls.gamma.gamma4 - g4) / scale,
-                       abs(cls.gamma.gamma6 - g6) / scale)
-    drawn = [(_cunit(rng), _cunit(rng)) for _ in range(samples)]
+        else:
+            found.append((want, (cls.a2, cls.gamma.gamma4, cls.gamma.gamma6)))
+    worst_rt = _worst_round_trip(found)
+    z = _cunits(rng, 2 * samples)
+    drawn = list(zip(z[0::2], z[1::2]))
     lams = [st.lambda_from_lambda0(a2, b2) for a2, b2 in drawn]
-    for (a2, b2), cls in zip(drawn, st.classify_many(lams)):
+    found = []
+    for want, cls in zip(drawn, st.classify_many(lams)):
         if isinstance(cls, Sigma2Error) or cls.stratum != "Lambda0":
             mis += 1
-            continue
-        want = sorted([a2, b2], key=lambda z: (z.real, z.imag))
-        got = [cls.a2, cls.b2]
-        scale = 1.0 + abs(a2) + abs(b2)
-        worst_rt = max(worst_rt,
-                       max(abs(x - y) for x, y in zip(got, want)) / scale)
+        else:
+            found.append((want, (cls.a2, cls.b2)))
+    worst_rt = max(worst_rt, _worst_round_trip(found, pair=True))
     # the seven partitions of the rank table
     table = [
         ((-5, 0, 4, 0), (1, 1, 1, 1, 1), 4),
@@ -454,6 +456,26 @@ def suite_classify(rng, samples):
             table_ok = False
     return {"misclassified": mis, "round_trip": worst_rt,
             "rank_table_ok": table_ok}
+
+
+def _worst_round_trip(found, pair=False):
+    """The largest max_j |got_j - want_j| / (1 + sum_j |want_j|) over the
+    (want, got) rows of found, 0.0 for none; with pair, the want pair is
+    compared in (Re, Im) order, as classify orders a2 and b2.  Each row's
+    figure is the one Python's complex arithmetic gives."""
+    if not found:
+        return 0.0
+    want, got = np.array(found).transpose(1, 0, 2)
+    mod = np.hypot(want.real, want.imag)
+    scale = 1.0
+    for col in mod.T:
+        scale = scale + col
+    if pair:
+        a, b = want.T
+        swap = (b.real < a.real) | ((b.real == a.real) & (b.imag < a.imag))
+        want = np.where(swap[:, None], want[:, ::-1], want)
+    d = got - want
+    return float((np.hypot(d.real, d.imag).max(axis=1) / scale).max())
 
 
 def suite_gradient(rng, samples):

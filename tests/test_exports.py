@@ -81,3 +81,26 @@ def test_scipy_not_imported():
             "assert 'scipy' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(pkg.parent)})
+
+
+def test_every_export_is_referenced():
+    """Every name in a listed module's __all__ is used somewhere besides its
+    own definition: in the package (the re-exporting __init__ aside), the
+    tests, the benchmark or the README."""
+    import re
+    root = pathlib.Path(__file__).resolve().parent.parent
+    pkg = pathlib.Path(importlib.import_module("sigma2").__file__).parent
+    files = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
+    files += [p for d in ("tests", "bench") for p in sorted((root / d).glob("*.py"))]
+    used = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [f"{name}.{attr}" for name in MODULES
+              for attr in importlib.import_module(name).__all__ if attr not in used]
+    assert not unused

@@ -1,4 +1,5 @@
 import cmath
+import re
 import struct
 from fractions import Fraction as F
 
@@ -160,11 +161,13 @@ def _reference_classify(lam):
     centers = [(complex(_np_polish(ds, len(m), c)), len(m)) for c, m in clusters]
     if mults == (1, 1, 1, 1, 1):
         return "Lambda2", mults, None, None, None
+    ln = [complex(v) for v in ln]
     if mults in ((2, 1, 1, 1), (3, 1, 1)):
         a2n = max(centers, key=lambda cm: cm[1])[0]
-        a2, (g4, g6), _ = st._recover_lambda1_normalized(ln, a2n)
+        a2, g4, g6, _, _, _ = st._lambda1_reading(ln, a2n)
         return "Lambda1", mults, a2 * s**2, None, (g4 * s**4, g6 * s**6)
-    a2, b2, _ = st._recover_lambda0_normalized(ln, centers, mults)
+    zs = [c for c, m in sorted(centers, key=lambda cm: -cm[1]) if m > 1]
+    a2, b2, _ = st._lambda0_reading(ln, zs)
     return "Lambda0", mults, a2 * s**2, b2 * s**2, None
 
 
@@ -287,12 +290,105 @@ def test_clusters_match_greedy_reference(moves):
     assert got == want
 
 
+def test_complexes_arithmetic_is_pythons():
+    # _Complexes gives, bit for bit, what Python's complex arithmetic gives,
+    # over 16 decades, on zeros of either sign and on ties |Re| = |Im|
+    rng = np.random.default_rng(3)
+    parts = rng.normal(size=(2, 2, 3000)) * 10.0 ** rng.integers(-8, 8, (2, 2, 3000))
+    xs = [complex(a, b) for a, b in zip(*parts[0])]
+    ys = [complex(a, b) for a, b in zip(*parts[1])]
+    edge = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0]
+    xs += [complex(a, b) for a in edge for b in edge]
+    ys += [complex(a, b) for a in edge[::-1] for b in edge]
+    ys = [y if y else 2.5 - 2.5j for y in ys]
+    x, y = st._Complexes.of(xs), st._Complexes.of(ys)
+
+    def same(got, want):
+        return [_bits(z) for z in got.tolist()] == [_bits(z) for z in want]
+
+    assert same(x + y, [a + b for a, b in zip(xs, ys)])
+    assert same(x - y, [a - b for a, b in zip(xs, ys)])
+    assert same(x * y, [a * b for a, b in zip(xs, ys)])
+    assert same(x / y, [a / b for a, b in zip(xs, ys)])
+    assert same(-x, [-a for a in xs])
+    for n in range(1, 6):
+        assert same(x**n, [a**n for a in xs])
+    for c in (3, -2, 0.25, 1 / 3, 2 - 1j):
+        assert same(c * x, [c * a for a in xs]) and same(x * c, [a * c for a in xs])
+        assert same(x - c, [a - c for a in xs]) and same(x + c, [a + c for a in xs])
+        assert same(x / c, [a / c for a in xs])
+    assert abs(x).tolist() == [abs(a) for a in xs]
+    assert (x == 0).tolist() == [a == 0 for a in xs]
+
+
 def _mixed_points(rng, per_chart):
     pts = RANK_TABLE_POINTS + [_near_boundary_point(), st.G2Params(0, 0, 0, 0)]
     for _ in range(per_chart):
         pts.append(st.G2Params(*(_cunit(rng) for _ in range(4))))
         pts.append(st.lambda_from_lambda1(_cunit(rng), random_gamma(rng)))
         pts.append(st.lambda_from_lambda0(_cunit(rng), _cunit(rng)))
+    return [pts[i] for i in rng.permutation(len(pts))]
+
+
+def _closest_gap(lam):
+    """The smallest distance between two roots of lam's normalized quintic,
+    as classify computes those roots (None at the origin)."""
+    _, s, ln = st._setup(lam)
+    if not s:
+        return None
+    roots = st._quintic_roots([st._monic(ln)])[0]
+    return min(abs(x - y) for i, x in enumerate(roots) for y in roots[i + 1:])
+
+
+def _floor_points():
+    """Points whose closest root pair lies within 4 ulps of _CLUSTER_FLOOR,
+    at or below it and above it, with every one found exactly at it:
+    x (x^4 - x^2 + x/2 + l8), weight scale 1 (so normalization is exact),
+    its small root at _CLUSTER_FLOOR for one l8, which is nudged an ulp at
+    a time."""
+    l8 = -(_R**4 - _R**2 + 0.5 * _R)
+    lams = [st.G2Params(-1.0, 0.5, l8 + k * np.spacing(l8), 0.0)
+            for k in range(-1500, 1501)]
+    gaps = [min(abs(x - y) for i, x in enumerate(r) for y in r[i + 1:])
+            for r in st._quintic_roots([st._monic(st._setup(lam)[2]) for lam in lams])]
+    near = [(gap, lam) for gap, lam in zip(gaps, lams)
+            if abs(gap - _R) <= 4 * np.spacing(_R)]
+    below = [lam for gap, lam in near if gap < _R]
+    above = [lam for gap, lam in near if gap > _R]
+    assert below and above
+    return [lam for gap, lam in near if gap == _R] + below[:4] + above[:4]
+
+
+def _chain_point(pairs):
+    """A point whose normalized roots are c + _R * o over the (c, o) pairs,
+    shifted to sum to zero: roots normalize by s^2 (s the weight scale),
+    so the offsets are scaled by it until it settles."""
+    t = 1.0
+    for _ in range(5):
+        roots = np.array([c + _R * t * o for c, o in pairs])
+        lam = _from_roots(roots - roots.mean())
+        t = st._setup(lam)[1] ** 2
+    return lam
+
+
+_TURN = cmath.rect(1.0, 2.5)
+# single-linkage chains (a member farther than the radius from another
+# member of its cluster) of partitions (4, 1), (3, 1, 1) and (3, 2), and
+# steps just past the radius
+CHAIN_POINTS = [_chain_point(p) for p in (
+    [(0, 0), (0, 0.7), (0, 1.4), (0, -0.7), (0.5 + 0.5j, 0)],
+    [(0, 0), (0, 0.99 * _TURN), (0, 1.98 * _TURN), (0.5 + 0.5j, 0), (-0.6 + 0.2j, 0)],
+    [(0, 0), (0, 0.7), (0, 1.4), (-0.6 + 0.2j, 0), (-0.6 + 0.2j, 0.99j)],
+    [(0, 0), (0, 0.7), (0, 1.4), (0.5 + 0.5j, 0), (-0.6 + 0.2j, 0)],
+    [(0, 0), (0, 1.01), (0, 2.02), (0.5 + 0.5j, 0), (-0.6 + 0.2j, 0)],
+)]
+
+
+def _edge_points(rng, per_chart):
+    """_mixed_points plus the points at the cluster radius, the chains and
+    each rank-table point at two more scales, shuffled into one batch."""
+    pts = (_mixed_points(rng, per_chart) + _floor_points() + CHAIN_POINTS
+           + [lam.rescaled(t) for lam in RANK_TABLE_POINTS for t in (0.5, 3.0)])
     return [pts[i] for i in rng.permutation(len(pts))]
 
 
@@ -303,15 +399,23 @@ def _monomial_mass(monos, ln):
     return st._eval_monomials([(abs(c), p) for c, p in monos], pw)
 
 
+def _masked(exc):
+    """A refusal's message with the |Delta| and |Gamma| it quotes masked,
+    as the batch's magnitudes differ from classify's by rounding."""
+    msg = re.sub(r"(\|Delta\|=|\|Gamma\|=)\S+", r"\1#", str(exc))
+    return re.sub(r"disagree \(.*\)", "disagree (#)", msg)
+
+
 def test_classify_many_matches_classify():
     assert st.classify_many([]) == []
-    pts = _mixed_points(np.random.default_rng(19), 100)
+    pts = _edge_points(np.random.default_rng(19), 100)
     raised = 0
     for lam, got in zip(pts, st.classify_many(pts)):
         try:
             want = st.classify(lam)
         except Sigma2Error as exc:
             assert type(got) is type(exc)
+            assert _masked(got) == _masked(exc)
             raised += 1
             continue
         assert isinstance(got, st.StratumClassification)
@@ -330,6 +434,32 @@ def test_classify_many_matches_classify():
             else:
                 assert got.residuals[key] == value
     assert raised >= 1      # the near-boundary point
+    # refusals from the chains, mixed with every stratum
+    assert raised >= 5
+    assert {cls.stratum for cls in st.classify_many(pts)
+            if not isinstance(cls, Sigma2Error)} == {"Lambda2", "Lambda1", "Lambda0"}
+    assert {cls.partition for cls in map(st.classify, RANK_TABLE_POINTS)} == set(
+        st.RANK_BY_PARTITION)
+
+
+def test_classify_many_clusters_only_points_with_close_roots(monkeypatch):
+    # a point whose ten root gaps all exceed the radius reads as Lambda2
+    # without _clusters; every other point is clustered exactly once
+    pts = _edge_points(np.random.default_rng(23), 30)
+    seen = []
+    clusters = st._clusters
+
+    def counted(roots):
+        seen.append(tuple(map(_bits, roots)))
+        return clusters(roots)
+
+    monkeypatch.setattr(st, "_clusters", counted)
+    st.classify_many(pts)
+    close = [lam for lam in pts if st._setup(lam)[1] and _closest_gap(lam) <= _R]
+    want = [tuple(map(_bits, st._quintic_roots([st._monic(st._setup(lam)[2])])[0]))
+            for lam in close]
+    assert sorted(seen) == sorted(want)
+    assert 0 < len(close) < len(pts)
 
 
 def _suite_classify_reference(rng, samples):
@@ -396,14 +526,14 @@ def test_suite_classify_counts_points_that_raise(monkeypatch):
     # a planted refusal on the chart points with Re lambda4 > 0 (the rank
     # table's real points pass): each is one misclassified sample, and the
     # batch still classifies the rest
-    decide = st._decide
+    verdict = st._verdict
 
     def planted(lam, *args):
         if isinstance(lam.lambda4, complex) and lam.lambda4.real > 0:
             raise AmbiguousClassification("planted")
-        return decide(lam, *args)
+        return verdict(lam, *args)
 
-    monkeypatch.setattr(st, "_decide", planted)
+    monkeypatch.setattr(st, "_verdict", planted)
     got = suite_classify(np.random.default_rng(1), 50)
     assert got == _suite_classify_reference(np.random.default_rng(1), 50)
     assert 30 < got["misclassified"] < 120
