@@ -149,9 +149,11 @@ def _prefactor_l1(ctx, u3, u1):
 
 
 def _sigma2_raw_l1(ctx, u3, u1):
+    # the sigma_w factors come first: where they leave the double range they
+    # refuse the point before the Gaussian prefactor can overflow (a numpy
+    # warning on stderr)
     ec = ctx.ectx
     w = u1 - ctx.shift() * u3
-    pref = _prefactor_l1(ctx, u3, u1)
     if ctx.branch_point:
         # wp'(alpha) -> 0 limit of the generic bracket.  alpha is a half
         # period; besides the u3 * sigma_char(W, i) part the 0/0 limit keeps
@@ -162,13 +164,14 @@ def _sigma2_raw_l1(ctx, u3, u1):
         eta_i = ctx.zeta_alpha
         wpp2 = 6 * e_i ** 2 + 2 * ec.gamma4        # wp''(alpha) != 0 here
         lin = u3 + 2 * (e_i * w - eta_i) / wpp2
-        return (pref * np.exp(-eta_i * w) / ctx.sigma_alpha
-                * (el.sigma_w(ec, ctx.alpha + w) * lin
-                   + 2 * el.sigma_w_prime(ec, ctx.alpha + w) / wpp2))
+        bracket = (el.sigma_w(ec, ctx.alpha + w) * lin
+                   + 2 * el.sigma_w_prime(ec, ctx.alpha + w) / wpp2)
+        return (_prefactor_l1(ctx, u3, u1) * np.exp(-eta_i * w)
+                / ctx.sigma_alpha * bracket)
     za, wppa = ctx.zeta_alpha, ctx.wpp_alpha
     bracket = (el.sigma_w(ec, ctx.alpha + w) * np.exp(0.5 * wppa * u3 - za * w)
                - el.sigma_w(ec, ctx.alpha - w) * np.exp(-0.5 * wppa * u3 + za * w))
-    return pref * bracket / (wppa * ctx.sigma_alpha)
+    return _prefactor_l1(ctx, u3, u1) * bracket / (wppa * ctx.sigma_alpha)
 
 
 def _sigma2_raw_l0_direct(a2, b2, p, q, u3, u1):

@@ -305,3 +305,22 @@ def test_parser_not_built_at_import():
             "assert c.build_parser.cache_info().currsize == 0")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def test_overflowing_sigma_refuses_without_warning():
+    # far from u = 0 the Gaussian prefactor of sigma2 leaves the double range
+    # with the sigma_w factors; the refusal is the one JSON record, and numpy
+    # prints no overflow warning before it
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    p = subprocess.run([sys.executable, "-m", "sigma2.cli", "sigma", "--a2", "0.1,0.1",
+                        "--gamma", "0,0,1,0", "--u", "1e5,0,0,0"],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src})
+    assert p.returncode == 2
+    assert p.stderr == ""
+    assert json.loads(p.stdout) == {
+        "schema": "sigma2/1", "error": "NumericalFailure",
+        "message": "sigma_w: value overflows double precision"}
