@@ -13,6 +13,12 @@ when the argument is an ndarray.  The period pair is canonicalized (tau in the
 half-open fundamental domain, boundary ties decided within a fixed tolerance)
 so identical parameters always produce the identical context, and periods a
 few ulp apart or weight-rescaled curves produce the same basis.
+
+Evaluation contract on the scalar path: each point costs one theta pass.
+zeta, wp and wp' come together from one kernel call, invert_wp's Newton
+takes wp and wp' from one call per step and returns the converged step's
+values when the iterate needs no lattice shift, and the lattice constants
+that every reduction reads are computed once per context.
 """
 
 from __future__ import annotations
@@ -208,7 +214,11 @@ class EllipticContext:
 
     omega, omegaP are full periods with Im(omegaP/omega) > 0; eta, etaP the
     matching full-period zeta increments; roots = (e1, e2, e3) labelled by
-    e1 = wp(omega/2), e2 = wp((omega+omegaP)/2), e3 = wp(omegaP/2).
+    e1 = wp(omega/2), e2 = wp((omega+omegaP)/2), e3 = wp(omegaP/2), and
+    half_periods = (omega/2, (omega+omegaP)/2, omegaP/2) in the same order.
+    The lattice constants behind every argument reduction (the basis
+    determinant, the pole radius POLE_TOL * scale(), the root scale
+    max(1, |e_i|)) are computed once, by make_context.
     """
 
     params: EllipticCurveParams
@@ -220,8 +230,12 @@ class EllipticContext:
     etaP: complex
     nome: complex
     roots: tuple
+    half_periods: tuple
     _th1p0: complex
     _theta: tuple
+    _det: float
+    _pole_r: float
+    _rscale: float
 
     @property
     def gamma4(self):
@@ -230,11 +244,6 @@ class EllipticContext:
     @property
     def gamma6(self):
         return self.params.gamma6
-
-    @property
-    def half_periods(self):
-        """(omega/2, (omega+omegaP)/2, omegaP/2), matching the root order."""
-        return (self.omega / 2, (self.omega + self.omegaP) / 2, self.omegaP / 2)
 
     def scale(self):
         return max(abs(self.omega), abs(self.omegaP))
@@ -277,15 +286,18 @@ def make_context(params) -> EllipticContext:
         worst = max(worst, abs(remaining.pop(j) - e))
     if worst > 1e-8 * rscale:
         raise NumericalFailure("period iteration did not reproduce the cubic roots")
-    return EllipticContext(params=params, g2=g2, g3=g3, omega=omega,
-                           omegaP=omegaP, eta=eta, etaP=etaP, nome=q,
-                           roots=(e1, e2, e3), _th1p0=t1, _theta=table)
+    return EllipticContext(
+        params=params, g2=g2, g3=g3, omega=omega, omegaP=omegaP, eta=eta,
+        etaP=etaP, nome=q, roots=(e1, e2, e3),
+        half_periods=(w1h, (omega + omegaP) / 2, omegaP / 2),
+        _th1p0=t1, _theta=table, _det=(omega.conjugate() * omegaP).imag,
+        _pole_r=POLE_TOL * max(abs(omega), abs(omegaP)),
+        _rscale=max(1.0, max(abs(e) for e in (e1, e2, e3))))
 
 
 def _reduce(ctx: EllipticContext, u):
     """u modulo the period lattice, with the integer shifts used."""
-    om, omp = ctx.omega, ctx.omegaP
-    det = (om.conjugate() * omp).imag
+    om, omp, det = ctx.omega, ctx.omegaP, ctx._det
     x = (u.conjugate() * omp).imag / det
     y = (om.conjugate() * u).imag / det
     if isinstance(u, np.ndarray):
@@ -299,11 +311,11 @@ def on_lattice(ctx: EllipticContext, u):
     """Whether u lies within POLE_TOL times the period scale of a lattice
     point: the one test for the divisors where sigma vanishes (on the lattice)
     and zeta, wp and wp' have their poles.  Elementwise on ndarrays."""
-    return abs(_reduce(ctx, u)[0]) < POLE_TOL * ctx.scale()
+    return abs(_reduce(ctx, u)[0]) < ctx._pole_r
 
 
 def _pole_guard(ctx, u0):
-    if any_true(abs(u0) < POLE_TOL * ctx.scale()):
+    if any_true(abs(u0) < ctx._pole_r):
         raise PoleAtArgument(f"argument within {POLE_TOL} of a lattice point")
 
 
@@ -357,15 +369,17 @@ def _evaluate(ctx, u, name, kernel):
         require_finite(name, u)
         with np.errstate(over="ignore", invalid="ignore"):
             val = kernel(ctx, *_reduce(ctx, u), np)
+        isfinite = all_finite
     else:
         u = complex(u)
-        require_finite(name, u)
+        if not cmath.isfinite(u):
+            raise ValueError(f"{name}: non-finite value {u!r}")
         try:
             val = kernel(ctx, *_reduce(ctx, u), cmath)
         except OverflowError:           # cmath.exp past the double range
             val = None
-    parts = val if isinstance(val, tuple) else (val,)
-    if val is None or not all(all_finite(v) for v in parts):
+        isfinite = cmath.isfinite
+    if val is None or not all(map(isfinite, val if isinstance(val, tuple) else (val,))):
         raise NumericalFailure(f"{name}: value overflows double precision")
     return val
 
@@ -455,8 +469,14 @@ def sigma_char(ctx: EllipticContext, u, i: int) -> complex:
 
 def invert_wp(ctx: EllipticContext, x):
     """A preimage alpha with wp(alpha) = x, reduced to the fundamental cell,
-    and (zeta, wp, wp') at alpha from one kernel evaluation, there or, when
-    the symmetry gives the same bits, at -alpha.
+    and (zeta, wp, wp') at alpha, exactly as weierstrass(ctx, alpha) gives
+    them.
+
+    Evaluation contract: one theta pass per Newton step, which yields wp and
+    wp' together, and none after convergence when the converged iterate lies
+    in the fundamental cell already: its triple is returned.  Otherwise the
+    reduced point is evaluated once more, there or, when the symmetry gives
+    the same bits, at -alpha.
 
     The branch satisfies wp'(alpha) = -2*sqrt(X^3+g4*X+g6) with the principal
     square root (the branch the degenerate formulas assume).  At a cubic root
@@ -464,9 +484,8 @@ def invert_wp(ctx: EllipticContext, x):
     """
     x = complex(x)
     require_finite("invert_wp", x)
-    rscale = max(1.0, max(abs(e) for e in ctx.roots))
     for e, hp in zip(ctx.roots, ctx.half_periods):
-        if abs(x - e) <= 1e-12 * rscale:
+        if abs(x - e) <= 1e-12 * ctx._rscale:
             return hp, weierstrass(ctx, hp)
     args = [x - e for e in ctx.roots]
     # keep Carlson arguments off the negative-real cut
@@ -477,17 +496,21 @@ def invert_wp(ctx: EllipticContext, x):
     # one Newton run: -alpha and lattice shifts of alpha reduce to the same
     # cell point up to sign, so restarting from them would repeat it
     for _ in range(60):
-        f = wp(ctx, alpha) - x
+        vals = weierstrass(ctx, alpha)
+        f = vals[1] - x
         if abs(f) < 1e-13 * (1 + abs(x)):
             break
-        d = wp_prime(ctx, alpha)
+        d = vals[2]
         if abs(d) < 1e-14:
             raise NumericalFailure(f"invert_wp: Newton refinement failed for X={x!r}")
         alpha -= f / d
     else:
         raise NumericalFailure(f"invert_wp: Newton refinement failed for X={x!r}")
-    a, _, _ = _reduce(ctx, alpha)
-    vals = weierstrass(ctx, a)
+    a, m, n = _reduce(ctx, alpha)
+    # without a shift, the last Newton call reduced alpha to a itself, so its
+    # triple is the one weierstrass(ctx, a) gives
+    if m or n:
+        vals = weierstrass(ctx, a)
     if abs(vals[2] - target) <= abs(vals[2] + target):
         return a, vals
     b, m, n = _reduce(ctx, -a)

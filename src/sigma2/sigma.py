@@ -26,9 +26,9 @@ import numpy as np
 
 from . import elliptic as el
 from .elliptic import EllipticCurveParams
-from .errors import (BranchPointCase, NotOnStratum, PoleAtArgument,
-                     SingularConfiguration)
-from .numerics import any_true, complex_args, require_finite, shc
+from .errors import (BranchPointCase, NotOnStratum, NumericalFailure,
+                     PoleAtArgument, SingularConfiguration)
+from .numerics import all_finite, any_true, complex_args, require_finite, shc
 from .strata import (G2Params, StratumClassification, classify,
                      lambda_from_lambda1, lambda_from_lambda0)
 
@@ -217,11 +217,18 @@ def sigma2(ctx: DegenSigmaContext, u3, u1, normalized: bool = False):
     is exactly u3 - u1^3/3 (the closed forms on the two strata differ from that
     normalization by stratum-dependent constants).  Scalars give a complex;
     ndarrays, broadcast together, give a complex ndarray in one evaluation.
+    A value past the double range (in any entry of an ndarray) raises
+    NumericalFailure, without numpy's overflow warnings.
     """
     u3, u1 = complex_args(u3, u1)
     require_finite("sigma2", u3, u1)
-    val = _sigma2_raw(ctx, u3, u1)
-    return _result(val / ctx.norm_c if normalized else val)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = _sigma2_raw(ctx, u3, u1)
+        if normalized:
+            val = val / ctx.norm_c
+    if not all_finite(val):
+        raise NumericalFailure("sigma2: value overflows double precision")
+    return _result(val)
 
 
 def sigma2_u(ctx: DegenSigmaContext, u3, U1, normalized: bool = False):

@@ -1,7 +1,8 @@
 """Evaluation counts: one (zeta, wp, wp') kernel evaluation per point on the
-inversion path, one Newton run in invert_wp whose converged point is
-evaluated once, no sigma evaluation of potential_u's own, and the Abel
-integrals once per Bloch residual."""
+inversion path; one Newton run in invert_wp with one theta pass per step,
+whose converged values are returned without a further evaluation when the
+converged iterate needs no lattice shift; no sigma evaluation of
+potential_u's own; and the Abel integrals once per Bloch residual."""
 
 import numpy as np
 import pytest
@@ -58,12 +59,12 @@ def test_wp_and_wp_prime_once_at_u1(ctx_generic, kernel_calls, fn):
 
 
 def test_solve_inversion_evaluates_each_point_once_past_newton(ctx_generic, kernel_calls):
-    # U1 once, then per xi Newton's converged wp and the branch's values;
-    # xi2 keeps the principal branch, xi1 flips to it inside invert_wp by
-    # symmetry, with no evaluation at the flipped point
+    # U1 once, then per xi one Newton step, converged in the cell, whose
+    # values are returned; xi2 keeps the principal branch, xi1 flips to it
+    # inside invert_wp by symmetry, with no evaluation at the flipped point
     res = inv.solve_inversion(ctx_generic, 0.31 - 0.12j, 0.009 + 0.04j)
-    assert len(kernel_calls) == 5
-    assert _at(kernel_calls, ctx_generic.ectx, res.xi2) == 2
+    assert len(kernel_calls) == 3
+    assert _at(kernel_calls, ctx_generic.ectx, res.xi2) == 1
     assert _at(kernel_calls, ctx_generic.ectx, res.xi1) == 0
 
 
@@ -90,24 +91,16 @@ def test_potential_array_evaluates_sigma_only_in_the_generator(ctx_gap, monkeypa
     assert len(calls) == 2
 
 
-def test_context_lambda1_one_kernel_evaluation_at_alpha(kernel_calls, monkeypatch):
-    # past Newton's wp calls, alpha is evaluated once, inside invert_wp, and
-    # the context keeps those values instead of evaluating again
-    newton_wp = el.wp
-
-    def wp(ctx, u):
-        val = newton_wp(ctx, u)
-        kernel_calls.clear()
-        return val
-
-    monkeypatch.setattr(el, "wp", wp)
+def test_context_lambda1_one_kernel_evaluation_at_alpha(kernel_calls):
+    # alpha is evaluated once, by Newton's converged step inside invert_wp,
+    # and the context keeps those values instead of evaluating again
     ctx = sg.context_lambda1(0.2 + 0.1j, (0.4 - 0.2j, 0.5 + 0.3j))
     assert _at(kernel_calls, ctx.ectx, ctx.alpha) == 1
 
 
-def test_context_lambda1_two_kernel_evaluations_at_alpha(ctx_generic, kernel_calls):
+def test_context_lambda1_generic_one_kernel_evaluation_at_alpha(ctx_generic, kernel_calls):
     ctx = sg.context_lambda1(ctx_generic.a2, ctx_generic.gamma)
-    assert _at(kernel_calls, ctx.ectx, ctx.alpha) == 2
+    assert _at(kernel_calls, ctx.ectx, ctx.alpha) == 1
 
 
 def test_abel_integrals_one_kernel_evaluation_at_xi(ctx_generic, kernel_calls):
@@ -116,25 +109,35 @@ def test_abel_integrals_one_kernel_evaluation_at_xi(ctx_generic, kernel_calls):
     assert _at(kernel_calls, ctx_generic.ectx, xi) == 1
 
 
-def test_invert_wp_stops_evaluating_wp_at_convergence(ec_generic, public_calls):
-    # Newton alternates wp and wp'; the converged iterate's wp is the last
-    # wp call, followed only by the one evaluation that picks the branch and
-    # is returned (this point keeps the principal branch without a flip)
-    el.invert_wp(ec_generic, 0.3 + 0.1j)
-    steps = (len(public_calls) - 2) // 2
-    assert public_calls == ["wp", "wp_prime"] * steps + ["wp", "weierstrass"]
+def test_invert_wp_stops_evaluating_wp_at_convergence(ec_generic, public_calls, kernel_calls):
+    # each Newton step takes wp and wp' from one weierstrass call; the
+    # converged iterate lies in the cell, so its values are the ones returned
+    # (this point keeps the principal branch without a flip)
+    alpha, vals = el.invert_wp(ec_generic, 0.3 + 0.1j)
+    assert public_calls == ["weierstrass"]
+    assert kernel_calls == [alpha]
+    assert vals == el.weierstrass(ec_generic, alpha)
+
+
+def test_invert_wp_one_theta_pass_per_newton_step(ec_generic, public_calls, kernel_calls):
+    # Carlson's start is one step off here: two steps, two theta passes
+    alpha, vals = el.invert_wp(ec_generic, -1.0)
+    assert public_calls == ["weierstrass"] * 2
+    assert len(kernel_calls) == 2 and kernel_calls[-1] == alpha
 
 
 def test_invert_wp_makes_one_newton_run(ec_generic, monkeypatch):
     # wp held off the target: Newton takes small steps and never converges
     x = 0.3 + 0.1j
     calls = []
+    kernel = el._weierstrass
 
-    def stuck(ctx, u):
-        calls.append(u)
-        return x + 1e-6
+    def stuck(ctx, u0, m, n, xp):
+        calls.append(u0)
+        zeta, _, pp = kernel(ctx, u0, m, n, xp)
+        return zeta, x + 1e-6, pp
 
-    monkeypatch.setattr(el, "wp", stuck)
+    monkeypatch.setattr(el, "_weierstrass", stuck)
     with pytest.raises(NumericalFailure):
         el.invert_wp(ec_generic, x)
     assert len(calls) == 60

@@ -324,3 +324,23 @@ def test_overflowing_sigma_refuses_without_warning():
     assert json.loads(p.stdout) == {
         "schema": "sigma2/1", "error": "NumericalFailure",
         "message": "sigma_w: value overflows double precision"}
+
+
+def test_sigma_past_the_double_range_at_w_zero_refuses_without_warning():
+    # u1 = (3/5) wp(alpha) u3 makes W = 0, so the sigma_w factors stay
+    # finite while the prefactor and the bracket overflow: the refusal is the
+    # one JSON record, not a NaN value, and numpy prints no warning before it
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    p = subprocess.run([sys.executable, "-m", "sigma2.cli", "sigma", "--a2", "0.1,0.1",
+                        "--gamma", "0,0,1,0",
+                        "--u", "1000,0,99.99999999999946,100.00000000000021"],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src})
+    assert p.returncode == 2
+    assert p.stderr == ""
+    assert json.loads(p.stdout) == {
+        "schema": "sigma2/1", "error": "NumericalFailure",
+        "message": "sigma2: value overflows double precision"}

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sigma2 import elliptic as el
 from sigma2.errors import DegenerateCurve, NumericalFailure, PoleAtArgument
-from sigma2.numerics import cauchy_derivatives
+from sigma2.numerics import POLE_TOL, cauchy_derivatives
 
 from oracles import quadrature_path, roundoff_tie_pair
 
@@ -254,6 +255,88 @@ def test_invert_wp_flip_keeps_the_sign_of_an_exact_zero():
     alpha, vals = el.invert_wp(ctx, 5 * (-0.5182153134874277 - 7.114441609099034e-32j) / 3)
     assert vals[0].real == 0
     assert _bits(vals) == _bits(el.weierstrass(ctx, alpha))
+
+
+def _seeded_curves(rng):
+    """(gamma4, gamma6) of a generic complex curve, a real curve with three
+    real roots (rectangular lattice) and a real curve with a complex pair of
+    roots (rhombic lattice)."""
+    def from_roots(e1, e2, e3):
+        return e1 * e2 + e1 * e3 + e2 * e3, -e1 * e2 * e3
+    generic = (complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2)))
+    e1 = rng.uniform(0.4, 1.0)
+    e2 = e1 * rng.uniform(-0.4, 0.8)
+    c = complex(rng.uniform(-0.8, 0.8), rng.uniform(0.2, 1.0))
+    rhombic = [z.real for z in from_roots(-2 * c.real, c, c.conjugate())]
+    return [generic, from_roots(e1, e2, -(e1 + e2)), rhombic]
+
+
+def test_invert_wp_returns_the_kernel_at_its_point(monkeypatch):
+    # invert_wp returns its last Newton step's values when the converged
+    # iterate needs no lattice shift, evaluates the reduced point again when
+    # it does, and may then flip to -alpha; every way, the values are those
+    # of weierstrass at the returned point, bit for bit
+    reductions = []
+    reduce = el._reduce
+
+    def recorded(ctx, u):
+        out = reduce(ctx, u)
+        reductions.append((u, out))
+        return out
+
+    monkeypatch.setattr(el, "_reduce", recorded)
+    rng = np.random.default_rng(2022)
+    seen = Counter()
+    for gamma in _seeded_curves(rng):
+        ec = el.make_context(gamma)
+        for k in range(40):
+            x = complex(rng.normal(), rng.normal() * (k % 3 != 0)) * 2.0
+            reductions.clear()
+            alpha, vals = el.invert_wp(ec, x)
+            # the converged iterate is reduced twice in a row: by its Newton
+            # step and by invert_wp
+            a, m, n = next(out for (u0, _), (u, out) in zip(reductions, reductions[1:])
+                           if u == u0)
+            seen["shift" if m or n else "cell", "flip" if alpha != a else "keep"] += 1
+            assert _bits(vals) == _bits(el.weierstrass(ec, alpha))
+    assert seen["cell", "keep"] and seen["cell", "flip"], seen
+    assert seen["shift", "keep"] and seen["shift", "flip"], seen
+
+
+def test_lattice_constants_match_fresh_formulas():
+    # make_context stores the reduction determinant, the pole radius, the
+    # root scale and the half periods; each must be today's formula exactly
+    rng = np.random.default_rng(7)
+    for gamma in _seeded_curves(rng):
+        ec = el.make_context(gamma)
+        om, omp = ec.omega, ec.omegaP
+        det = (om.conjugate() * omp).imag
+        radius = POLE_TOL * ec.scale()
+        assert ec.half_periods == (om / 2, (om + omp) / 2, omp / 2)
+        assert ec._rscale == max(1.0, max(abs(e) for e in ec.roots))
+        assert (ec._det, ec._pole_r) == (det, radius)
+        lattice = np.add.outer(np.arange(-2, 3) * om, np.arange(-2, 3) * omp).ravel()
+        near = lattice + radius * rng.choice([0.5, 2.0], lattice.size) * np.exp(
+            2j * np.pi * rng.uniform(size=lattice.size))
+        u = np.concatenate([near, rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40)])
+        x = (u.conjugate() * omp).imag / det
+        y = (om.conjugate() * u).imag / det
+        m, n = np.rint(x).astype(np.int64), np.rint(y).astype(np.int64)
+        want = u - m * om - n * omp
+        got, gm, gn = el._reduce(ec, u)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(gm, m) and np.array_equal(gn, n)
+        mask = el.on_lattice(ec, u)
+        assert np.array_equal(mask, np.abs(want) < radius)
+        assert 0 < mask.sum() < u.size
+        for z in u.tolist():
+            xs = (z.conjugate() * omp).imag / det
+            ys = (om.conjugate() * z).imag / det
+            ms, ns = round(xs), round(ys)
+            w = z - ms * om - ns * omp
+            assert el._reduce(ec, z) == (w, ms, ns)
+            assert _bits([el._reduce(ec, z)[0]]) == _bits([w])
+            assert el.on_lattice(ec, z) == (abs(w) < radius)
 
 
 def test_sigma_char_basics(ec_generic):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st_h
 from sigma2 import elliptic as el
 from sigma2 import sigma as sg
 from sigma2 import strata as st
-from sigma2.errors import BranchPointCase, NotOnStratum, PoleAtArgument
+from sigma2.errors import (BranchPointCase, NotOnStratum, NumericalFailure,
+                           PoleAtArgument)
 from sigma2.numerics import cauchy_derivatives
 from sigma2.verify import p_route_derivatives
 
@@ -308,3 +310,22 @@ def test_sigma2_array_matches_scalar(ctx_generic, ctx_two_points, pts, normalize
                          for a, b in zip(u3, u1)])
         assert got.shape == u3.shape
         assert np.all(np.abs(got - want) <= tol * np.maximum(np.abs(want), 1.0))
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_sigma2_refuses_a_value_past_the_double_range(normalized):
+    # at W = 0 the sigma_w factors are finite but the Gaussian prefactor
+    # overflows; scalar and array calls refuse the point instead of giving
+    # inf or NaN, and arrays of finite values still evaluate
+    ctx = sg.context_lambda1(0.1 + 0.1j, (0, 1))
+    u3, u1 = 1000.0, ctx.shift() * 1000.0
+    assert u1 - ctx.shift() * u3 == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="sigma2: value overflows"):
+            sg.sigma2(ctx, u3, u1, normalized)
+        with pytest.raises(NumericalFailure, match="sigma2: value overflows"):
+            sg.sigma2(ctx, np.array([0.1, u3]), np.array([0.2, u1]), normalized)
+        got = sg.sigma2(ctx, np.array([0.1, 0.3]), np.array([0.2, -0.1]), normalized)
+    want = [sg.sigma2(ctx, 0.1, 0.2, normalized), sg.sigma2(ctx, 0.3, -0.1, normalized)]
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
