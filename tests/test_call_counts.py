@@ -121,7 +121,7 @@ def test_invert_wp_stops_evaluating_wp_at_convergence(ec_generic, public_calls, 
 
 def test_invert_wp_one_theta_pass_per_newton_step(ec_generic, public_calls, kernel_calls):
     # Carlson's start is one step off here: two steps, two theta passes
-    alpha, vals = el.invert_wp(ec_generic, -1.0)
+    alpha, _ = el.invert_wp(ec_generic, -1.0)
     assert public_calls == ["weierstrass"] * 2
     assert len(kernel_calls) == 2 and kernel_calls[-1] == alpha
 
