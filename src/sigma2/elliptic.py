@@ -15,10 +15,12 @@ so identical parameters always produce the identical context, and periods a
 few ulp apart or weight-rescaled curves produce the same basis.
 
 Evaluation contract on the scalar path: each point costs one theta pass.
-zeta, wp and wp' come together from one kernel call, invert_wp's Newton
-takes wp and wp' from one call per step and returns the converged step's
-values when the iterate needs no lattice shift, and the lattice constants
-that every reduction reads are computed once per context.
+zeta, wp and wp' come together from one kernel call, and the last scalar
+evaluation is kept, so wp, wp_prime, zeta_w and weierstrass called in turn on
+the same complex object share that pass.  invert_wp's Newton thus costs one
+pass per step, and the converged step's values are the ones returned when
+the iterate needs no lattice shift.  The lattice constants that every
+reduction reads are computed once per context.
 """
 
 from __future__ import annotations
@@ -216,9 +218,9 @@ class EllipticContext:
     matching full-period zeta increments; roots = (e1, e2, e3) labelled by
     e1 = wp(omega/2), e2 = wp((omega+omegaP)/2), e3 = wp(omegaP/2), and
     half_periods = (omega/2, (omega+omegaP)/2, omegaP/2) in the same order.
-    The lattice constants behind every argument reduction (the basis
-    determinant, the pole radius POLE_TOL * scale(), the root scale
-    max(1, |e_i|)) are computed once, by make_context.
+    The two lattice constants that every argument reduction reads, the basis
+    determinant and the pole radius POLE_TOL * scale(), are computed once, by
+    make_context.
     """
 
     params: EllipticCurveParams
@@ -235,7 +237,6 @@ class EllipticContext:
     _theta: tuple
     _det: float
     _pole_r: float
-    _rscale: float
 
     @property
     def gamma4(self):
@@ -291,8 +292,7 @@ def make_context(params) -> EllipticContext:
         etaP=etaP, nome=q, roots=(e1, e2, e3),
         half_periods=(w1h, (omega + omegaP) / 2, omegaP / 2),
         _th1p0=t1, _theta=table, _det=(omega.conjugate() * omegaP).imag,
-        _pole_r=POLE_TOL * max(abs(omega), abs(omegaP)),
-        _rscale=max(1.0, max(abs(e) for e in (e1, e2, e3))))
+        _pole_r=POLE_TOL * max(abs(omega), abs(omegaP)))
 
 
 def _reduce(ctx: EllipticContext, u):
@@ -355,6 +355,15 @@ def _lattice_factor(ctx, u0, m, n, xp):
     return sign * xp.exp(etal * (u0 + lam / 2)), etal
 
 
+# The last scalar evaluation, (ctx, u, kernel, value).  Evaluating the same
+# complex object again with the same context and kernel returns the stored
+# value without a theta pass: Newton's wp and wp' at one iterate, and the
+# converged iterate's (zeta, wp, wp'), share one pass this way.  The key is
+# object identity, so the value is the one recomputing would give to the bit
+# (signed zeros included), and a thread that swaps the slot only costs a miss.
+_last = (None, None, None, None)
+
+
 def _evaluate(ctx, u, name, kernel):
     """kernel(ctx, u0, m, n, xp) for u = u0 + m omega + n omegaP.
 
@@ -364,6 +373,7 @@ def _evaluate(ctx, u, name, kernel):
     double range, in any element of a tuple result, raises NumericalFailure
     rather than coming back inf or NaN.
     """
+    global _last
     if isinstance(u, np.ndarray):
         u = u.astype(complex)
         require_finite(name, u)
@@ -372,6 +382,9 @@ def _evaluate(ctx, u, name, kernel):
         isfinite = all_finite
     else:
         u = complex(u)
+        last = _last
+        if last[1] is u and last[0] is ctx and last[2] is kernel:
+            return last[3]
         if not cmath.isfinite(u):
             raise ValueError(f"{name}: non-finite value {u!r}")
         try:
@@ -381,6 +394,8 @@ def _evaluate(ctx, u, name, kernel):
         isfinite = cmath.isfinite
     if val is None or not all(map(isfinite, val if isinstance(val, tuple) else (val,))):
         raise NumericalFailure(f"{name}: value overflows double precision")
+    if isfinite is cmath.isfinite:
+        _last = (ctx, u, kernel, val)
     return val
 
 
@@ -472,11 +487,11 @@ def invert_wp(ctx: EllipticContext, x):
     and (zeta, wp, wp') at alpha, exactly as weierstrass(ctx, alpha) gives
     them.
 
-    Evaluation contract: one theta pass per Newton step, which yields wp and
-    wp' together, and none after convergence when the converged iterate lies
-    in the fundamental cell already: its triple is returned.  Otherwise the
-    reduced point is evaluated once more, there or, when the symmetry gives
-    the same bits, at -alpha.
+    Evaluation contract: one theta pass per Newton step, whose wp and wp'
+    calls share it, and none after convergence when the converged iterate
+    lies in the fundamental cell already: the weierstrass call there reuses
+    the last step's pass.  Otherwise the reduced point is evaluated once more,
+    there or, when the symmetry gives the same bits, at -alpha.
 
     The branch satisfies wp'(alpha) = -2*sqrt(X^3+g4*X+g6) with the principal
     square root (the branch the degenerate formulas assume).  At a cubic root
@@ -484,8 +499,9 @@ def invert_wp(ctx: EllipticContext, x):
     """
     x = complex(x)
     require_finite("invert_wp", x)
+    rscale = max(1.0, max(abs(e) for e in ctx.roots))
     for e, hp in zip(ctx.roots, ctx.half_periods):
-        if abs(x - e) <= 1e-12 * ctx._rscale:
+        if abs(x - e) <= 1e-12 * rscale:
             return hp, weierstrass(ctx, hp)
     args = [x - e for e in ctx.roots]
     # keep Carlson arguments off the negative-real cut
@@ -496,21 +512,19 @@ def invert_wp(ctx: EllipticContext, x):
     # one Newton run: -alpha and lattice shifts of alpha reduce to the same
     # cell point up to sign, so restarting from them would repeat it
     for _ in range(60):
-        vals = weierstrass(ctx, alpha)
-        f = vals[1] - x
+        f = wp(ctx, alpha) - x
         if abs(f) < 1e-13 * (1 + abs(x)):
             break
-        d = vals[2]
+        d = wp_prime(ctx, alpha)
         if abs(d) < 1e-14:
             raise NumericalFailure(f"invert_wp: Newton refinement failed for X={x!r}")
         alpha -= f / d
     else:
         raise NumericalFailure(f"invert_wp: Newton refinement failed for X={x!r}")
     a, m, n = _reduce(ctx, alpha)
-    # without a shift, the last Newton call reduced alpha to a itself, so its
-    # triple is the one weierstrass(ctx, a) gives
-    if m or n:
-        vals = weierstrass(ctx, a)
+    # without a shift, the kernel saw alpha reduced to a itself, so the values
+    # the last wp call left at alpha are the ones weierstrass(ctx, a) gives
+    vals = weierstrass(ctx, a if m or n else alpha)
     if abs(vals[2] - target) <= abs(vals[2] + target):
         return a, vals
     b, m, n = _reduce(ctx, -a)

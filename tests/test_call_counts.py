@@ -1,8 +1,9 @@
 """Evaluation counts: one (zeta, wp, wp') kernel evaluation per point on the
-inversion path; one Newton run in invert_wp with one theta pass per step,
-whose converged values are returned without a further evaluation when the
-converged iterate needs no lattice shift; no sigma evaluation of
-potential_u's own; and the Abel integrals once per Bloch residual."""
+inversion path; one Newton run in invert_wp with one theta pass per step
+(wp and wp' at an iterate share it), whose converged values are returned
+without a further pass when the converged iterate needs no lattice shift;
+no sigma evaluation of potential_u's own; and the Abel integrals once per
+Bloch residual."""
 
 import numpy as np
 import pytest
@@ -110,20 +111,40 @@ def test_abel_integrals_one_kernel_evaluation_at_xi(ctx_generic, kernel_calls):
 
 
 def test_invert_wp_stops_evaluating_wp_at_convergence(ec_generic, public_calls, kernel_calls):
-    # each Newton step takes wp and wp' from one weierstrass call; the
-    # converged iterate lies in the cell, so its values are the ones returned
-    # (this point keeps the principal branch without a flip)
+    # the converged iterate's wp is the last wp call, and its theta pass
+    # serves the weierstrass call that picks the branch and is returned (the
+    # iterate lies in the cell; this point keeps the principal branch)
     alpha, vals = el.invert_wp(ec_generic, 0.3 + 0.1j)
-    assert public_calls == ["weierstrass"]
+    assert public_calls == ["wp", "weierstrass"]
     assert kernel_calls == [alpha]
-    assert vals == el.weierstrass(ec_generic, alpha)
+    assert vals == el.weierstrass(ec_generic, complex(alpha.real, alpha.imag))
 
 
-def test_invert_wp_one_theta_pass_per_newton_step(ec_generic, public_calls, kernel_calls):
-    # Carlson's start is one step off here: two steps, two theta passes
-    alpha, _ = el.invert_wp(ec_generic, -1.0)
-    assert public_calls == ["weierstrass"] * 2
-    assert len(kernel_calls) == 2 and kernel_calls[-1] == alpha
+def test_invert_wp_one_theta_pass_per_newton_step(public_calls, kernel_calls):
+    # Carlson's start, moved off the cut, is one step off here: wp and wp'
+    # at each iterate share one theta pass; the converged iterate needs a
+    # lattice shift, so the reduced point takes one more
+    ec = el.make_context((1, 1))
+    public_calls.clear()
+    kernel_calls.clear()
+    alpha, _ = el.invert_wp(ec, -2.0)
+    assert public_calls == ["wp", "wp_prime", "wp", "weierstrass"]
+    assert len(kernel_calls) == 3 and kernel_calls[-1] == alpha
+
+
+def test_same_argument_object_shares_one_theta_pass(ec_generic, kernel_calls):
+    # zeta, wp, wp' and the triple at one complex object come from one pass;
+    # another kernel in between, or an equal but new object, is evaluated
+    # afresh
+    u = 0.31 - 0.12j
+    vals = el.weierstrass(ec_generic, u)
+    assert (el.zeta_w(ec_generic, u), el.wp(ec_generic, u),
+            el.wp_prime(ec_generic, u)) == vals
+    assert len(kernel_calls) == 1
+    assert el.sigma_w(ec_generic, u) != vals[0]
+    assert el.weierstrass(ec_generic, u) == vals
+    assert el.weierstrass(ec_generic, complex(u.real, u.imag)) == vals
+    assert len(kernel_calls) == 3
 
 
 def test_invert_wp_makes_one_newton_run(ec_generic, monkeypatch):

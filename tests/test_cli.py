@@ -307,40 +307,32 @@ def test_parser_not_built_at_import():
                    env={**os.environ, "PYTHONPATH": src})
 
 
-def test_overflowing_sigma_refuses_without_warning():
-    # far from u = 0 the Gaussian prefactor of sigma2 leaves the double range
-    # with the sigma_w factors; the refusal is the one JSON record, and numpy
-    # prints no overflow warning before it
+def _assert_sigma_refused(u, message):
+    """`sigma2 sigma --u u` on the Lambda1 test curve exits 2 with one JSON
+    error record and nothing on stderr (no numpy overflow warning)."""
     import os
     import subprocess
     import sys
     src = os.path.dirname(os.path.dirname(cli.__file__))
     p = subprocess.run([sys.executable, "-m", "sigma2.cli", "sigma", "--a2", "0.1,0.1",
-                        "--gamma", "0,0,1,0", "--u", "1e5,0,0,0"],
+                        "--gamma", "0,0,1,0", "--u", u],
                        capture_output=True, text=True,
                        env={**os.environ, "PYTHONPATH": src})
     assert p.returncode == 2
     assert p.stderr == ""
     assert json.loads(p.stdout) == {
-        "schema": "sigma2/1", "error": "NumericalFailure",
-        "message": "sigma_w: value overflows double precision"}
+        "schema": "sigma2/1", "error": "NumericalFailure", "message": message}
+
+
+def test_overflowing_sigma_refuses_without_warning():
+    # far from u = 0 the Gaussian prefactor of sigma2 leaves the double range
+    # with the sigma_w factors
+    _assert_sigma_refused("1e5,0,0,0", "sigma_w: value overflows double precision")
 
 
 def test_sigma_past_the_double_range_at_w_zero_refuses_without_warning():
     # u1 = (3/5) wp(alpha) u3 makes W = 0, so the sigma_w factors stay
     # finite while the prefactor and the bracket overflow: the refusal is the
-    # one JSON record, not a NaN value, and numpy prints no warning before it
-    import os
-    import subprocess
-    import sys
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    p = subprocess.run([sys.executable, "-m", "sigma2.cli", "sigma", "--a2", "0.1,0.1",
-                        "--gamma", "0,0,1,0",
-                        "--u", "1000,0,99.99999999999946,100.00000000000021"],
-                       capture_output=True, text=True,
-                       env={**os.environ, "PYTHONPATH": src})
-    assert p.returncode == 2
-    assert p.stderr == ""
-    assert json.loads(p.stdout) == {
-        "schema": "sigma2/1", "error": "NumericalFailure",
-        "message": "sigma2: value overflows double precision"}
+    # error record, not a NaN value
+    _assert_sigma_refused("1000,0,99.99999999999946,100.00000000000021",
+                          "sigma2: value overflows double precision")

@@ -298,14 +298,16 @@ def test_invert_wp_returns_the_kernel_at_its_point(monkeypatch):
             a, m, n = next(out for (u0, _), (u, out) in zip(reductions, reductions[1:])
                            if u == u0)
             seen["shift" if m or n else "cell", "flip" if alpha != a else "keep"] += 1
-            assert _bits(vals) == _bits(el.weierstrass(ec, alpha))
+            # a new object with alpha's bits, so the evaluation is made afresh
+            fresh = complex(alpha.real, alpha.imag)
+            assert _bits(vals) == _bits(el.weierstrass(ec, fresh))
     assert seen["cell", "keep"] and seen["cell", "flip"], seen
     assert seen["shift", "keep"] and seen["shift", "flip"], seen
 
 
 def test_lattice_constants_match_fresh_formulas():
-    # make_context stores the reduction determinant, the pole radius, the
-    # root scale and the half periods; each must be today's formula exactly
+    # make_context stores the reduction determinant, the pole radius and the
+    # half periods; each must be the formula it replaces, exactly
     rng = np.random.default_rng(7)
     for gamma in _seeded_curves(rng):
         ec = el.make_context(gamma)
@@ -313,7 +315,6 @@ def test_lattice_constants_match_fresh_formulas():
         det = (om.conjugate() * omp).imag
         radius = POLE_TOL * ec.scale()
         assert ec.half_periods == (om / 2, (om + omp) / 2, omp / 2)
-        assert ec._rscale == max(1.0, max(abs(e) for e in ec.roots))
         assert (ec._det, ec._pole_r) == (det, radius)
         lattice = np.add.outer(np.arange(-2, 3) * om, np.arange(-2, 3) * omp).ravel()
         near = lattice + radius * rng.choice([0.5, 2.0], lattice.size) * np.exp(
