@@ -15,9 +15,9 @@ so identical parameters always produce the identical context, and periods a
 few ulp apart or weight-rescaled curves produce the same basis.
 
 Evaluation contract on the scalar path: each point costs one theta pass.
-zeta, wp and wp' come together from one kernel call, and the last scalar
-evaluation is kept, so wp, wp_prime, zeta_w and weierstrass called in turn on
-the same complex object share that pass.  invert_wp's Newton thus costs one
+zeta, wp and wp' come together from one kernel call, and each context keeps
+its last scalar evaluation, so wp, wp_prime, zeta_w and weierstrass called in
+turn on the same complex object share that pass.  invert_wp's Newton thus costs one
 pass per step, and the converged step's values are the ones returned when
 the iterate needs no lattice shift.  The lattice constants that every
 reduction reads are computed once per context.
@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -220,7 +220,8 @@ class EllipticContext:
     half_periods = (omega/2, (omega+omegaP)/2, omegaP/2) in the same order.
     The two lattice constants that every argument reduction reads, the basis
     determinant and the pole radius POLE_TOL * scale(), are computed once, by
-    make_context.
+    make_context.  _last holds the context's last scalar evaluation (see
+    _evaluate); it takes no part in comparison, hashing or repr.
     """
 
     params: EllipticCurveParams
@@ -237,6 +238,8 @@ class EllipticContext:
     _theta: tuple
     _det: float
     _pole_r: float
+    _last: list = field(default_factory=lambda: [(None, None, None)],
+                        compare=False, repr=False)
 
     @property
     def gamma4(self):
@@ -355,15 +358,6 @@ def _lattice_factor(ctx, u0, m, n, xp):
     return sign * xp.exp(etal * (u0 + lam / 2)), etal
 
 
-# The last scalar evaluation, (ctx, u, kernel, value).  Evaluating the same
-# complex object again with the same context and kernel returns the stored
-# value without a theta pass: Newton's wp and wp' at one iterate, and the
-# converged iterate's (zeta, wp, wp'), share one pass this way.  The key is
-# object identity, so the value is the one recomputing would give to the bit
-# (signed zeros included), and a thread that swaps the slot only costs a miss.
-_last = (None, None, None, None)
-
-
 def _evaluate(ctx, u, name, kernel):
     """kernel(ctx, u0, m, n, xp) for u = u0 + m omega + n omegaP.
 
@@ -372,8 +366,15 @@ def _evaluate(ctx, u, name, kernel):
     several times faster than numpy on a single value.  A result past the
     double range, in any element of a tuple result, raises NumericalFailure
     rather than coming back inf or NaN.
+
+    A scalar evaluation that succeeds is kept in ctx._last as (u, kernel,
+    value), and evaluating the same complex object again with the same kernel
+    returns that value without a theta pass: Newton's wp and wp' at one
+    iterate, and the converged iterate's (zeta, wp, wp'), share one pass this
+    way.  The key is object identity, so the value is the one recomputing
+    gives, to the bit (signed zeros included); the slot holds one immutable
+    tuple, read once, so threads sharing a context can only cost a miss.
     """
-    global _last
     if isinstance(u, np.ndarray):
         u = u.astype(complex)
         require_finite(name, u)
@@ -382,9 +383,9 @@ def _evaluate(ctx, u, name, kernel):
         isfinite = all_finite
     else:
         u = complex(u)
-        last = _last
-        if last[1] is u and last[0] is ctx and last[2] is kernel:
-            return last[3]
+        last = ctx._last[0]
+        if last[0] is u and last[1] is kernel:
+            return last[2]
         if not cmath.isfinite(u):
             raise ValueError(f"{name}: non-finite value {u!r}")
         try:
@@ -395,7 +396,7 @@ def _evaluate(ctx, u, name, kernel):
     if val is None or not all(map(isfinite, val if isinstance(val, tuple) else (val,))):
         raise NumericalFailure(f"{name}: value overflows double precision")
     if isfinite is cmath.isfinite:
-        _last = (ctx, u, kernel, val)
+        ctx._last[0] = (u, kernel, val)
     return val
 
 

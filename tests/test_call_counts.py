@@ -134,17 +134,25 @@ def test_invert_wp_one_theta_pass_per_newton_step(public_calls, kernel_calls):
 
 def test_same_argument_object_shares_one_theta_pass(ec_generic, kernel_calls):
     # zeta, wp, wp' and the triple at one complex object come from one pass;
-    # another kernel in between, or an equal but new object, is evaluated
-    # afresh
+    # another kernel in between, another context, or an equal but new object
+    # is evaluated afresh
     u = 0.31 - 0.12j
     vals = el.weierstrass(ec_generic, u)
     assert (el.zeta_w(ec_generic, u), el.wp(ec_generic, u),
             el.wp_prime(ec_generic, u)) == vals
     assert len(kernel_calls) == 1
-    assert el.sigma_w(ec_generic, u) != vals[0]
+    assert el.sigma_w(ec_generic, u) == el.sigma_w(ec_generic, complex(u.real, u.imag))
     assert el.weierstrass(ec_generic, u) == vals
+    assert el.wp(el.make_context((1, 1)), u) != vals[1]
     assert el.weierstrass(ec_generic, complex(u.real, u.imag)) == vals
-    assert len(kernel_calls) == 3
+    assert len(kernel_calls) == 4
+
+
+def test_a_refused_evaluation_is_not_kept(ec_generic):
+    u = complex(1e5, 0)
+    for _ in range(2):
+        with pytest.raises(NumericalFailure):
+            el.sigma_w(ec_generic, u)
 
 
 def test_invert_wp_makes_one_newton_run(ec_generic, monkeypatch):

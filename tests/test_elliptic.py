@@ -305,6 +305,44 @@ def test_invert_wp_returns_the_kernel_at_its_point(monkeypatch):
     assert seen["shift", "keep"] and seen["shift", "flip"], seen
 
 
+def test_threads_sharing_a_context_get_their_own_values(ec_generic, monkeypatch):
+    # each thread evaluates its own points on one context, with a short
+    # switch interval and a kernel cheap enough that the kept evaluation is
+    # replaced every few microseconds; it must never hand a thread another
+    # point's values
+    import sys
+    import threading
+
+    def kernel(ctx, u0, m, n, xp):
+        return u0, u0 + m, u0 + n
+
+    monkeypatch.setattr(el, "_weierstrass", kernel)
+    rng = np.random.default_rng(5)
+    rows = [[complex(*rng.uniform(-1, 1, 2)) for _ in range(1000)] for _ in range(4)]
+    bad = []
+
+    def work(row):
+        for u in row:
+            want = kernel(ec_generic, *el._reduce(ec_generic, u), None)
+            got = (el.zeta_w(ec_generic, u), el.wp(ec_generic, u),
+                   el.wp_prime(ec_generic, u))
+            if got != want or el.weierstrass(ec_generic, u) != want:
+                bad.append(u)
+
+    threads = [threading.Thread(target=work, args=(row,)) for row in rows]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+
+
 def test_lattice_constants_match_fresh_formulas():
     # make_context stores the reduction determinant, the pole radius and the
     # half periods; each must be the formula it replaces, exactly
