@@ -46,13 +46,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import elliptic as el
 from . import sigma as sg
 from .errors import NotOnStratum
 from .numerics import cauchy_derivatives
 
-__all__ = ["HeatResidualReport", "q_residuals", "l2_action_residuals",
-           "l0_action_residuals"]
+__all__ = ["HeatResidualReport", "q_residuals"]
 
 @dataclass
 class HeatResidualReport:
@@ -150,53 +148,3 @@ def q_residuals(ctx: sg.DegenSigmaContext, u3, U1) -> HeatResidualReport:
         residuals={"Q0": r0, "Q2": r2, "Q4": r4, "Q6": r6},
         scales={"Q0": s0, "Q2": s2, "Q4": s4, "Q6": s6})
 
-
-def _alpha_values(ectx: el.EllipticContext, alpha):
-    """[sigma, zeta, wp, wp'] at alpha and their d/d g4, d/d g6 gradients at
-    fixed alpha; each ring node rebuilds its context once for all four."""
-    def at(ec):
-        return [el.sigma_w(ec, alpha), *el.weierstrass(ec, alpha)]
-
-    g4, g6 = ectx.gamma4, ectx.gamma6
-    d4 = _moduli_derivative(lambda t: at(el.make_context((t, g6))), g4)
-    d6 = _moduli_derivative(lambda t: at(el.make_context((g4, t))), g6)
-    return at(ectx), d4, d6
-
-
-def _defects(action, targets):
-    """|action - target| / max(1, |target|, |action|) per named function."""
-    return {name: abs(a - t) / max(1.0, abs(t), abs(a))
-            for a, (name, t) in zip(action, targets.items())}
-
-
-def l2_action_residuals(ectx: el.EllipticContext, alpha) -> dict:
-    """Residuals of the L2-action identities on sigma, zeta, wp, wp' at alpha.
-
-    L2 = 6 g6 d_g4 - (4/3) g4^2 d_g6 acts at fixed alpha; the right-hand
-    sides are the closed forms the solution construction relies on.
-    """
-    alpha = complex(alpha)
-    g4, g6 = ectx.gamma4, ectx.gamma6
-    (sig, zet, p, pp), d4, d6 = _alpha_values(ectx, alpha)
-    targets = {
-        "sigma": sig * (-g4 * alpha ** 2 / 6.0 + zet ** 2 / 2.0 - p / 2.0),
-        "zeta": -g4 * alpha / 3.0 - zet * p - pp / 2.0,
-        "wp": (4.0 / 3.0) * g4 + 2 * p ** 2 + zet * pp,
-        "wp_prime": zet * (6 * p ** 2 + 2 * g4) + 3 * p * pp,
-    }
-    return _defects(6 * g6 * d4 - (4.0 / 3.0) * g4 ** 2 * d6, targets)
-
-
-def l0_action_residuals(ectx: el.EllipticContext, alpha) -> dict:
-    """Euler-homogeneity residuals: L0 F = (weight F) + alpha-transport term."""
-    alpha = complex(alpha)
-    g4, g6 = ectx.gamma4, ectx.gamma6
-    (sig, zet, p, pp), d4, d6 = _alpha_values(ectx, alpha)
-    wpp2 = 6 * p ** 2 + 2 * g4
-    targets = {
-        "sigma": -sig + alpha * zet * sig,
-        "zeta": zet - alpha * p,
-        "wp": 2 * p + alpha * pp,
-        "wp_prime": 3 * pp + alpha * wpp2,
-    }
-    return _defects(4 * g4 * d4 + 6 * g6 * d6, targets)

@@ -14,8 +14,7 @@ the forward map has the closed form
         = exp(-2 zeta(a) U1 + wp'(a) U3),
 
 and the inverse is rational in S (see sigma.s_function): X1 + X2 = S^2 - wp(U1)
-with matching products and Y-values.  The same machinery solves the two-site
-Bethe-type equation for sigma quotients.
+with matching products and Y-values.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from .errors import (BranchPointCase, NotBranchPoint, NotOnStratum,
 
 __all__ = [
     "InversionResult", "solve_inversion", "forward_integrals",
-    "branch_point_inversion", "solve_bethe", "bethe_residual",
-    "solve_inversion_rational", "rational_pair_product",
+    "branch_point_inversion", "solve_inversion_rational",
+    "rational_pair_product",
 ]
 
 
@@ -141,38 +140,6 @@ def branch_point_inversion(ctx: sg.DegenSigmaContext, U1) -> InversionResult:
     return InversionResult(e1=x1 + x2, e2=x1 * x2, X1=complex(x1), X2=complex(x2),
                            Y1=y1, Y2=complex(y2), xi1=wi, xi2=U1 + wi,
                            residuals={"curve_membership": memb})
-
-
-# ---------------------------------------------------------------------------
-# Bethe-type equation
-
-def bethe_residual(ec: el.EllipticContext, alpha, beta, kappa, xi) -> float:
-    """Relative defect of exp(kappa) = sigma(x-a)sigma(x+b)/(sigma(x+a)sigma(x-2a+b))."""
-    num = el.sigma_w(ec, xi - alpha) * el.sigma_w(ec, xi + beta)
-    den = el.sigma_w(ec, xi + alpha) * el.sigma_w(ec, xi - 2 * alpha + beta)
-    if den == 0:
-        raise SingularConfiguration("bethe_residual hit a sigma zero")
-    lhs = np.exp(kappa)
-    return abs(lhs - num / den) / abs(lhs)
-
-
-def solve_bethe(ctx: sg.DegenSigmaContext, alpha, beta, kappa):
-    """The two kappa-dependent roots of the sigma-quotient equation.
-
-    alpha must be the context's Abel preimage (the equation's shift parameter
-    and the marked point of the inversion problem coincide); beta and kappa
-    map to (U1, U3) = (alpha - beta, (kappa + 2 zeta(a) U1)/wp'(a)).  The
-    kappa-independent extra root (wp(alpha-beta), -wp'(alpha-beta)) of the
-    rationalized form is never returned.
-    """
-    _require_generic_l1(ctx)
-    alpha, beta, kappa = complex(alpha), complex(beta), complex(kappa)
-    if abs(alpha - ctx.alpha) > 1e-8 * (1.0 + abs(ctx.alpha)):
-        raise ValueError("alpha must match the context's Abel preimage")
-    u1 = alpha - beta
-    u3 = (kappa + 2.0 * ctx.zeta_alpha * u1) / ctx.wpp_alpha
-    res = solve_inversion(ctx, u1, u3)
-    return res.xi1, res.xi2
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .numerics import any_true, cauchy_derivatives, complex_args
 __all__ = [
     "PotentialSample", "baker_psi", "eigen_residual", "potential_u",
     "kdv_residual", "real_family", "real_rectangle_periods", "quasi_momenta",
-    "bloch_residual", "wronskian",
+    "bloch_residual",
 ]
 
 
@@ -69,13 +69,6 @@ def eigen_residual(ctx: sg.DegenSigmaContext, B1, U3, U1) -> float:
     energy = el.wp(ctx.ectx, B1)
     terms = [psi2, -pot * psi0, -energy * psi0]
     return abs(sum(terms)) / max(abs(t) for t in terms)
-
-
-def wronskian(ctx: sg.DegenSigmaContext, B1, U3, U1) -> complex:
-    """psi_+ psi_-' - psi_- psi_+' for the pair (B1, -B1)."""
-    pp, dp = _u1_ring(ctx, lambda t: baker_psi(ctx, B1, U3, t), U1, 1)
-    pm, dm = _u1_ring(ctx, lambda t: baker_psi(ctx, -B1, U3, t), U1, 1)
-    return complex(pp * dm - pm * dp)
 
 
 def potential_u(ctx: sg.DegenSigmaContext, U3, U1):

@@ -218,14 +218,6 @@ def test_ambiguous_exit_code(capsys):
     assert json.loads(out)["error"] == "AmbiguousClassification"
 
 
-def test_env_seed_override(capsys, monkeypatch):
-    monkeypatch.setenv("SIGMA2_SEED", "11")
-    code, out = run(capsys, "verify", "--suite", "trig_limit")
-    assert code == 0
-    payload = out[out.index("{"):]
-    assert json.loads(payload)["seed"] == 11
-
-
 def test_verify_rejects_nonpositive_samples(capsys):
     for n in ("0", "-3"):
         code = cli.main(["verify", "--suite", "heat", "--samples", n])
@@ -234,12 +226,27 @@ def test_verify_rejects_nonpositive_samples(capsys):
         assert err.startswith("usage error: --samples")
 
 
-@pytest.mark.parametrize("name,value", [("SIGMA2_SEED", "x7"), ("SIGMA2_SEED", "-1")])
-def test_bad_environment_override_is_usage_error(capsys, monkeypatch, name, value):
-    monkeypatch.setenv(name, value)
-    code = cli.main(["verify", "--suite", "trig_limit"])
+@pytest.mark.parametrize("value", ["x7", "-1"])
+def test_bad_seed_is_usage_error(capsys, value):
+    code = cli.main(["verify", "--suite", "trig_limit", "--seed", value])
     assert code == 1
     assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_repeated_suite_runs_once(capsys, monkeypatch):
+    calls = []
+
+    def in_process(keys, seed, samples=None):
+        calls.extend(keys)
+        return [cli.vf.run_suite(key, seed, samples) for key in keys]
+
+    monkeypatch.setattr(cli.vf, "run_suites", in_process)
+    code, out = run(capsys, "verify", "--suite", "trig_limit,trig_limit",
+                    "--seed", "1")
+    assert code == 0
+    assert calls == ["trig_limit"]
+    lines = out[:out.index("{")].splitlines()
+    assert len(lines) == 1 and lines[0].startswith("[PASS] trigonometric_limit")
 
 
 @pytest.mark.parametrize("argv", [

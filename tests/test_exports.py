@@ -104,3 +104,26 @@ def test_every_export_is_referenced():
     unused = [f"{name}.{attr}" for name in MODULES
               for attr in importlib.import_module(name).__all__ if attr not in used]
     assert not unused
+
+
+def test_every_definition_has_a_program_caller():
+    """Every top-level def and class of the package is named by a program:
+    by another place in the package (a re-export in __init__ does not
+    count), by the benchmark, or as a word of the README or pyproject.toml
+    (the console script).  Tests do not count, so code that only tests call
+    lives in the tests."""
+    import re
+    root = pathlib.Path(__file__).resolve().parent.parent
+    pkg = pathlib.Path(importlib.import_module("sigma2").__file__).parent
+    modules = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
+    used = set()
+    for path in modules + sorted((root / "bench").glob("*.py")):
+        used |= _identifiers(path)
+    for doc in ("README.md", "pyproject.toml"):
+        used |= set(re.findall(r"\w+", (root / doc).read_text()))
+    orphans = [f"{path.stem}.{node.name}" for path in modules
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name not in used]
+    assert not orphans, orphans
