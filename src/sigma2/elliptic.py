@@ -183,14 +183,14 @@ def _lattice_from_roots(roots):
 
 
 def _theta_table(q):
-    """Truncated theta1 q-series as rows (m, c, c m, -c m^2, -c m^3).
+    """Truncated theta1 q-series as rows (c, c m, -c m^2, -c m^3), last term
+    first; term n has m = 2n + 1 and c = 2 (-1)^n q^((n + 1/2)^2) (DLMF 20.2.1).
 
-    theta1 and its first three v-derivatives are the row sums of
-    c_k * (sin, cos, sin, cos)(m v) for k = 1..4.  Inside the reduced cell
-    |Im v| <= pi Im(tau)/2, where term n is at most |q|^(n^2) (2n+1)^3 times
-    the leading one, derivatives included; the series stops once that falls
-    below 1e-18.  A reduced basis has |q| <= exp(-pi sqrt(3)/2) ~ 0.066,
-    which needs 5 terms.
+    theta1 and its first three v-derivatives are the sums of column k times
+    (sin, cos, sin, cos)(m v).  Inside the reduced cell |Im v| <= pi Im(tau)/2,
+    where term n is at most |q|^(n^2) (2n+1)^3 times the leading one,
+    derivatives included; the series stops once that falls below 1e-18.  A
+    reduced basis has |q| <= exp(-pi sqrt(3)/2) ~ 0.066, which needs 5 terms.
     """
     aq = abs(q)
     rows = []
@@ -199,8 +199,8 @@ def _theta_table(q):
         if n and aq ** (n * n) * m ** 3 < 1e-18:
             break
         c = complex(2 * (-1) ** n * q ** ((n + 0.5) ** 2))
-        rows.append((m, c, c * m, -c * m * m, -c * m ** 3))
-    return tuple(rows)
+        rows.append((c, c * m, -c * m * m, -c * m ** 3))
+    return tuple(reversed(rows))
 
 
 def _theta_consts(q, terms):
@@ -272,8 +272,8 @@ def make_context(params) -> EllipticContext:
     tau = omegaP / omega
     q = cmath.exp(1j * math.pi * tau)
     table = _theta_table(q)
-    t1 = sum(row[2] for row in table)
-    t3 = sum(row[4] for row in table)
+    t1 = sum(row[1] for row in reversed(table))
+    t3 = sum(row[3] for row in reversed(table))
     eta1h = -math.pi ** 2 * t3 / (12 * w1h * t1)
     eta = 2 * eta1h
     etaP = 2 * (eta1h * (omegaP / 2) - 1j * math.pi / 2) / w1h
@@ -323,29 +323,29 @@ def _pole_guard(ctx, u0):
 
 
 def _theta(ctx, u0, xp, derivs=True):
-    """theta1 at v = pi u0 / omega, or theta1 and its first three v-derivatives."""
+    """theta1 at v = pi u0 / omega, or it and its first three v-derivatives,
+    from one sine per point (and one cosine with derivatives), for a complex
+    scalar (xp = cmath) and an ndarray (xp = numpy) alike.  With
+    k2 = 2 cos 2v = 2 - 4 sin^2 v, f = sin and cos obey f((m + 2) v) =
+    k2 f(m v) - f((m - 2) v), so Clenshaw's x_n = a_n + k2 x_(n+1) - x_(n+2),
+    y = x_(n+1), sums column a to sin v (x_0 + x_1) or cos v (x_0 - x_1).
+    """
     v = np.pi * u0 / ctx.omega
-    if xp is np:
-        tab = np.array(ctx._theta)
-        mv = np.multiply.outer(v, tab[:, 0].real)
-        s = np.sin(mv)
-        if not derivs:
-            return (s * tab[:, 1]).sum(axis=-1)
-        c = np.cos(mv)
-        return tuple((f * tab[:, k]).sum(axis=-1) for k, f in enumerate((s, c, s, c), 1))
+    s = xp.sin(v)
+    k2 = 2 - 4 * s * s
+    (x0, x1, x2, x3), rest = ctx._theta[0], ctx._theta[1:]
+    y0 = y1 = y2 = y3 = 0
     if not derivs:
-        t = 0j
-        for m, c0, _, _, _ in ctx._theta:
-            t += c0 * cmath.sin(m * v)
-        return t
-    t = t1 = t2 = t3 = 0j
-    for m, c0, c1, c2, c3 in ctx._theta:
-        s, c = cmath.sin(m * v), cmath.cos(m * v)
-        t += c0 * s
-        t1 += c1 * c
-        t2 += c2 * s
-        t3 += c3 * c
-    return t, t1, t2, t3
+        for a0, _, _, _ in rest:
+            x0, y0 = a0 + k2 * x0 - y0, x0
+        return s * (x0 + y0)
+    for a0, a1, a2, a3 in rest:
+        x0, y0 = a0 + k2 * x0 - y0, x0
+        x1, y1 = a1 + k2 * x1 - y1, x1
+        x2, y2 = a2 + k2 * x2 - y2, x2
+        x3, y3 = a3 + k2 * x3 - y3, x3
+    c = xp.cos(v)
+    return s * (x0 + y0), c * (x1 - y1), s * (x2 + y2), c * (x3 - y3)
 
 
 def _lattice_factor(ctx, u0, m, n, xp):
@@ -505,9 +505,9 @@ def invert_wp(ctx: EllipticContext, x):
         if abs(x - e) <= 1e-12 * rscale:
             return hp, weierstrass(ctx, hp)
     args = [x - e for e in ctx.roots]
-    # keep Carlson arguments off the negative-real cut
+    # an argument on the negative-real cut is taken on its upper side (+0.0j)
     args = [a if abs(a.imag) > 1e-14 * abs(a) or a.real > 0
-            else a + 1e-13j * max(abs(a), 1.0) for a in args]
+            else complex(a.real, 0.0) for a in args]
     alpha = _carlson_rf(*args)
     target = -2 * cmath.sqrt(x ** 3 + ctx.gamma4 * x + ctx.gamma6)
     # one Newton run: -alpha and lattice shifts of alpha reduce to the same

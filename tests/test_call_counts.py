@@ -120,10 +120,12 @@ def test_invert_wp_stops_evaluating_wp_at_convergence(ec_generic, public_calls, 
     assert vals == el.weierstrass(ec_generic, complex(alpha.real, alpha.imag))
 
 
-def test_invert_wp_one_theta_pass_per_newton_step(public_calls, kernel_calls):
-    # Carlson's start, moved off the cut, is one step off here: wp and wp'
-    # at each iterate share one theta pass; the converged iterate needs a
-    # lattice shift, so the reduced point takes one more
+def test_invert_wp_one_theta_pass_per_newton_step(public_calls, kernel_calls, monkeypatch):
+    # Carlson's start, moved 1e-9 off the preimage, is one step off here: wp
+    # and wp' at each iterate share one theta pass; the converged iterate
+    # needs a lattice shift, so the reduced point takes one more
+    carlson_rf = el._carlson_rf
+    monkeypatch.setattr(el, "_carlson_rf", lambda *args: carlson_rf(*args) + 1e-9)
     ec = el.make_context((1, 1))
     public_calls.clear()
     kernel_calls.clear()

@@ -247,14 +247,45 @@ def test_invert_wp_flip_is_the_kernel_at_the_negated_point(gamma, rng, monkeypat
 
 
 def test_invert_wp_flip_keeps_the_sign_of_an_exact_zero():
-    # a near-real curve of the benchmark's curve sweep: the flipped alpha lies
-    # on the imaginary axis, where the kernel gives zeta an exact +0.0 real
-    # part that negating its value at -alpha would turn into -0.0
-    ctx = el.make_context((0.04148510969843194 + 1.2289375295824185e-31j,
-                           -0.2111788087326075 - 1.1007761973279046e-31j))
-    alpha, vals = el.invert_wp(ctx, 5 * (-0.5182153134874277 - 7.114441609099034e-32j) / 3)
+    # the square lattice: the flipped alpha lies on the imaginary axis, where
+    # the kernel gives zeta an exact +0.0 real part that negating its value
+    # at -alpha would turn into -0.0
+    ctx = el.make_context((-1, 0))
+    alpha, vals = el.invert_wp(ctx, -2.0)
+    zeta, p, pp = el.weierstrass(ctx, -alpha)
+    assert _bits(vals) != _bits((-zeta, p, -pp))
     assert vals[0].real == 0
     assert _bits(vals) == _bits(el.weierstrass(ctx, alpha))
+
+
+def test_invert_wp_on_the_cut_is_exact():
+    # targets whose Carlson arguments lie on the negative-real cut (below e3
+    # and between the roots of real curves) are inverted to a few ulp: alpha
+    # is not moved off the cut, so wp(alpha) keeps no imaginary part
+    for gamma in [(-0.6197928127351504, 0.034997528884858686), (-1.2, 0.1), (-1, 0),
+                  (-1, 0.3)]:
+        ctx = el.make_context(gamma)
+        e3, e2, e1 = sorted(r.real for r in ctx.roots)
+        for x in [e3 - 1.0, e3 - 0.1, (e3 + e2) / 2, e2 + 0.25 * (e1 - e2),
+                  (e2 + e1) / 2, e2 + 0.9 * (e1 - e2)]:
+            _, (_, p, _) = el.invert_wp(ctx, x)
+            assert abs(p - x) <= 8 * 2.0 ** -52 * (1 + abs(x))
+
+
+def test_invert_wp_matches_the_mpmath_preimage():
+    # the held-out V2 potential's alpha: x - e1 < 0 lies on the cut, and the
+    # preimage is Carlson's R_F at 30 digits, up to sign and the lattice
+    g4, g6 = -0.6197928127351504, 0.034997528884858686
+    ctx = el.make_context((g4, g6))
+    x = 5.0 * 0.1777926351387632 / 3.0
+    alpha, (_, p, _) = el.invert_wp(ctx, x)
+    with mpmath.workdps(30):
+        roots = mpmath.polyroots([1, 0, g4, g6], maxsteps=100, extraprec=60)
+        ref = complex(mpmath.elliprf(*(mpmath.mpc(x - e, 0) for e in roots)))
+    dist = min(abs(s * alpha - ref - m * ctx.omega - n * ctx.omegaP)
+               for s in (1, -1) for m in (-1, 0, 1) for n in (-1, 0, 1))
+    assert dist <= 4 * 2.0 ** -52 * abs(ref)
+    assert abs(p.imag) <= 2.0 ** -52 * abs(x)
 
 
 def _seeded_curves(rng):

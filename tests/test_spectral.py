@@ -222,6 +222,16 @@ def test_real_family_boundedness_recorded(ctx_gap):
     assert np.isfinite(np.max(np.abs(s.values.real)))
 
 
+def test_held_out_v2_grid_is_real():
+    # the benchmark's held-out V2 grid (seed 4242): V reaches 1.9e9 next to a
+    # pole, so alpha must sit on the real period's line for the samples to
+    # stay real within the spectral suite's 1e-8, taken relative to 1 + max|V|
+    ctx = sg.context_lambda1(0.1777926351387632,
+                             (-0.6197928127351504, 0.034997528884858686))
+    s = sp.real_family(ctx, "V2", 0.1832275151227546, np.linspace(0.02, 0.98, 512))
+    assert np.max(np.abs(s.values.imag)) <= 1e-8 * (1 + np.max(np.abs(s.values)))
+
+
 def test_real_family_rejects_complex_alpha(ctx_generic):
     with pytest.raises((NotRealAlpha, NotRealLattice)):
         sp.real_family(ctx_generic, "V1", 0.25, np.linspace(0.1, 0.9, 5))
