@@ -51,13 +51,13 @@ def cauchy_derivatives(f, z0, nmax, radius, nodes):
 
 
 def shc(c, z):
-    """sinh(c z)/c, even in c and finite at c = 0; elementwise on arrays."""
+    """sinh(c z)/c, even in c and finite at c = 0; elementwise, c and z broadcast."""
     w = c * z
     series = z * (1.0 + w * w / 6.0 + w ** 4 / 120.0)
     if not isinstance(w, np.ndarray):
         return series if abs(w) < 1e-4 else np.sinh(w) / c
     big = abs(w) >= 1e-4
-    series[big] = np.sinh(w[big]) / c
+    series[big] = np.sinh(w[big]) / np.broadcast_to(c, w.shape)[big]
     return series
 
 

@@ -28,7 +28,8 @@ from . import elliptic as el
 from .elliptic import EllipticCurveParams
 from .errors import (BranchPointCase, NotOnStratum, NumericalFailure,
                      PoleAtArgument, SingularConfiguration)
-from .numerics import all_finite, any_true, complex_args, require_finite, shc
+from .numerics import (all_finite, any_true, cauchy_derivatives, complex_args,
+                       require_finite, shc)
 from .strata import (G2Params, StratumClassification, classify,
                      lambda_from_lambda1, lambda_from_lambda0)
 
@@ -63,8 +64,6 @@ class DegenSigmaContext:
     sigma_alpha: complex | None = None
     branch_point: bool = False
     branch_index: int | None = None
-    sqrt_2a3b: complex | None = None
-    sqrt_3a2b: complex | None = None
 
     @property
     def gamma(self):
@@ -120,9 +119,7 @@ def context_lambda0(a2, b2) -> DegenSigmaContext:
     a2, b2 = complex(a2), complex(b2)
     require_finite("context_lambda0", a2, b2)
     return DegenSigmaContext(
-        kind="lambda0", lam=lambda_from_lambda0(a2, b2), a2=a2, b2=b2,
-        sqrt_2a3b=complex(np.sqrt(2 * a2 + 3 * b2)),
-        sqrt_3a2b=complex(np.sqrt(3 * a2 + 2 * b2)))
+        kind="lambda0", lam=lambda_from_lambda0(a2, b2), a2=a2, b2=b2)
 
 
 def make_degen_context(cls) -> DegenSigmaContext:
@@ -174,7 +171,8 @@ def _sigma2_raw_l1(ctx, u3, u1):
     return _prefactor_l1(ctx, u3, u1) * bracket / (wppa * ctx.sigma_alpha)
 
 
-def _sigma2_raw_l0_direct(a2, b2, p, q, u3, u1):
+def _sigma2_raw_l0_direct(a2, b2, u3, u1):
+    p, q = np.sqrt(2 * a2 + 3 * b2), np.sqrt(3 * a2 + 2 * b2)
     pref = np.exp(0.5 * (3 * a2 * b2 * (a2 + b2) * u3 ** 2
                          + 2 * a2 * b2 * u1 * u3 - (a2 + b2) * u1 ** 2))
     v = u1 - a2 * u3
@@ -188,15 +186,13 @@ def _sigma2_raw_l0(ctx, u3, u1):
     gap = abs(a2 - b2)
     scale = 1.0 + abs(a2) + abs(b2)
     if gap >= 1e-5 * scale:
-        return _sigma2_raw_l0_direct(a2, b2, ctx.sqrt_2a3b, ctx.sqrt_3a2b, u3, u1)
-    # a2 ~ b2 is a removable 0/0: ring-average in the analytic variable b2
-    h = 1e-2 * scale
-    acc = 0.0j
-    for k in range(4):
-        b = b2 + h * 1j ** k
-        acc += _sigma2_raw_l0_direct(a2, b, np.sqrt(2 * a2 + 3 * b),
-                                     np.sqrt(3 * a2 + 2 * b), u3, u1)
-    return acc / 4.0
+        return _sigma2_raw_l0_direct(a2, b2, u3, u1)
+    # a2 ~ b2 is a removable 0/0: the ring mean in the analytic variable b2,
+    # all nodes in one evaluation on a leading axis
+    return cauchy_derivatives(
+        lambda t: _sigma2_raw_l0_direct(a2, t.reshape(t.shape + (1,) * np.ndim(u3)),
+                                        u3, u1),
+        b2, 0, 1e-2 * scale, 4)[0]
 
 
 def _sigma2_raw(ctx, u3, u1):

@@ -75,7 +75,7 @@ def potential_u(ctx: sg.DegenSigmaContext, U3, U1):
     """U(U1) = 2 S^2 - 2 wp(U1) - 2 wp(alpha).
 
     The wp poles at lattice U1 cancel against S^2, so those points are
-    evaluated by a small ring average; true poles (the sigma2 divisor, where
+    evaluated by a 16-node ring mean; true poles (the sigma2 divisor, where
     P = 1) still raise SingularConfiguration.  ndarrays, broadcast together,
     are evaluated in one pass, the ring-averaged points picked by a mask.
     """
@@ -89,7 +89,9 @@ def potential_u(ctx: sg.DegenSigmaContext, U3, U1):
         return 2.0 * s * s - 2.0 * pu - 2.0 * ctx.wp_alpha
 
     def ring(u3, u1):
-        return sum(direct(u3, u1 + h * 1j ** k) for k in range(4)) / 4.0
+        return cauchy_derivatives(
+            lambda t: direct(u3, u1 + t.reshape(t.shape + (1,) * np.ndim(u1))),
+            0.0, 0, h, 16)[0]
 
     # where direct() raises PoleAtArgument: a lattice point of wp(U1), or
     # U1 = +-alpha, where sigma(alpha -+ U1) = 0 in the generator P

@@ -2,8 +2,9 @@
 inversion path; one Newton run in invert_wp with one theta pass per step
 (wp and wp' at an iterate share it), whose converged values are returned
 without a further pass when the converged iterate needs no lattice shift;
-no sigma evaluation of potential_u's own; and the Abel integrals once per
-Bloch residual."""
+no sigma evaluation of potential_u's own; one closed-form evaluation for
+all nodes of a removable-point ring; and the Abel integrals once per Bloch
+residual."""
 
 import numpy as np
 import pytest
@@ -90,6 +91,38 @@ def test_potential_array_evaluates_sigma_only_in_the_generator(ctx_gap, monkeypa
     monkeypatch.setattr(el, "sigma_w", counted)
     sp.potential_u(ctx_gap, 0.1j, om * np.linspace(0.1, 0.9, 9))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("u3, u1", [
+    (0.1 + 0.05j, -0.2 + 0.1j),
+    (np.linspace(-0.5, 0.5, 7), np.linspace(0.4, -0.3, 7)),
+], ids=["scalar", "array"])
+def test_near_diagonal_sigma2_evaluates_the_closed_form_once(monkeypatch, u3, u1):
+    # a2 ~ b2: every node of the ring in b2 goes through one array call
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return direct(*args)
+
+    direct = sg._sigma2_raw_l0_direct
+    monkeypatch.setattr(sg, "_sigma2_raw_l0_direct", counted)
+    sg.sigma2(sg.context_lambda0(0.3 + 0.2j, 0.3000001 + 0.2j), u3, u1)
+    assert len(calls) == 1
+
+
+def test_on_pole_potential_evaluates_s_once(ctx_generic, monkeypatch):
+    # U1 = alpha: the 16 ring nodes go through one _s_point call
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return s_point(*args)
+
+    s_point = sg._s_point
+    monkeypatch.setattr(sg, "_s_point", counted)
+    sp.potential_u(ctx_generic, 0.05 + 0.02j, ctx_generic.alpha)
+    assert len(calls) == 1
 
 
 def test_context_lambda1_one_kernel_evaluation_at_alpha(kernel_calls):

@@ -20,7 +20,6 @@ def test_context_from_classification():
     assert abs(ctx.a2) < 1e-10 and abs(ctx.wp_alpha) < 1e-9
     ctx0 = sg.make_degen_context(st.G2Params(-3, 2, 0, 0))
     assert ctx0.kind == "lambda0"
-    assert abs(ctx0.sqrt_2a3b ** 2 - (2 * ctx0.a2 + 3 * ctx0.b2)) < 1e-12
     with pytest.raises(NotOnStratum):
         sg.make_degen_context(st.G2Params(-5, 0, 4, 0))
 
@@ -80,6 +79,19 @@ def test_lambda0_equal_double_points_removable():
     # compare with a nearby split pair
     ctx_eps = sg.context_lambda0(0.5, 0.5 + 1e-7)
     assert abs(val - sg.sigma2(ctx_eps, 0.1, 0.2)) < 1e-5 * (1 + abs(val))
+
+
+def test_near_diagonal_ring_is_the_mean_of_its_nodes():
+    # the one array call over the ring in b2 against the closed form node by
+    # node; each node divides by |a2 - b| ~ h, which scales rounding by ~1/h
+    ctx = _NEAR_L0_CTX
+    h = 1e-2 * (1 + abs(ctx.a2) + abs(ctx.b2))
+    u3, u1 = np.array([0.1, -0.4 + 0.3j, 0.9j]), np.array([0.2, 0.5, -0.7 - 0.1j])
+    want = np.array([sum(sg._sigma2_raw_l0_direct(ctx.a2, ctx.b2 + h * 1j ** k, a, b)
+                         for k in range(4)) / 4 for a, b in zip(u3, u1)])
+    scalar = np.array([sg.sigma2(ctx, a, b) for a, b in zip(u3, u1)])
+    for got in (sg.sigma2(ctx, u3, u1), scalar):
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
 
 
 def test_entirety_grid(ctx_generic, ctx_two_points):

@@ -8,7 +8,7 @@ from sigma2 import sigma as sg
 from sigma2 import spectral as sp
 from sigma2.errors import (NotRealAlpha, NotRealLattice, PoleAtArgument,
                            SingularConfiguration)
-from sigma2.numerics import POLE_TOL
+from sigma2.numerics import POLE_TOL, cauchy_derivatives
 
 
 def test_eigen_equation(ctx_generic, rng):
@@ -84,7 +84,7 @@ def test_potential_regular_on_wp_pole(ctx_generic):
     want = np.array([sp.potential_u(ctx_generic, 0.05 + 0.02j, z) for z in u1])
     err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
     assert np.all(err[~ring] < 1e-14)
-    # the ring sums four values ~1/h^2 (h = 1e-3 scale) to an O(1) one
+    # the ring sums sixteen values ~1/h^2 (h = 1e-3 scale) to an O(1) one
     assert np.all(err[ring] < 1e-9)
 
 
@@ -97,6 +97,21 @@ def test_potential_removable_at_minus_alpha(ctx_generic):
     array = sp.potential_u(ctx_generic, u3, np.array([0.17 + 0.09j, u1]))[1]
     for val in (scalar, array):
         assert abs(val - near) < 1e-6 * (1 + abs(near))
+
+
+@pytest.mark.parametrize("centre", ["alpha", "-alpha", "0"])
+def test_potential_ring_matches_a_wide_ring_at_every_translate(ctx_generic, centre):
+    # 5e-9 off each removable point and its lattice translates, against a
+    # 64-node order-0 ring of radius 1e-2, relative to max(|ref|, 1): the
+    # 4-node ring read 1.3e-5 at alpha + omega + omegaP and 6.3e-8 at 0
+    ctx, u3 = ctx_generic, 0.05 + 0.02j
+    ec = ctx.ectx
+    c = {"alpha": ctx.alpha, "-alpha": -ctx.alpha, "0": 0j}[centre]
+    bound = 1e-9 if centre == "0" else 1e-12
+    for lam in (0, ec.omega, ec.omegaP, ec.omega + ec.omegaP):
+        u1 = c + lam + 5e-9
+        ref = cauchy_derivatives(lambda t: sp.potential_u(ctx, u3, t), u1, 0, 1e-2, 64)[0]
+        assert abs(sp.potential_u(ctx, u3, u1) - ref) < bound * max(abs(ref), 1.0)
 
 
 def test_potential_array_refuses_sigma2_divisor(ctx_generic):
