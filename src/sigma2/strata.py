@@ -42,7 +42,7 @@ import numpy as np
 
 from .elliptic import EllipticCurveParams, delta_gamma, make_context, invert_wp
 from .errors import (AmbiguousClassification, DegenerateCurve, NotOnStratum,
-                     Sigma2Error)
+                     NumericalFailure, Sigma2Error)
 from .numerics import require_finite
 
 __all__ = [
@@ -234,12 +234,22 @@ def lambda_from_lambda1(a2, gamma) -> G2Params:
     g4, g6 = _gamma_pair(gamma)
     if delta_gamma(g4, g6) == 0:
         raise DegenerateCurve("lambda_from_lambda1 needs 4*g4^3 + 27*g6^2 != 0")
-    return G2Params(*_lambda1_chart(a2, g4, g6))
+    return _chart_point(_lambda1_chart, a2, g4, g6)
 
 
 def lambda_from_lambda0(a2, b2) -> G2Params:
     """Chart of curves with double points at (a2, 0) and (b2, 0)."""
-    return G2Params(*_lambda0_chart(a2, b2))
+    return _chart_point(_lambda0_chart, a2, b2)
+
+
+def _chart_point(chart, *args):
+    """G2Params(*chart(*args)), or NumericalFailure where a chart value
+    leaves the double range (a power overflows or a product is inf)."""
+    try:
+        return G2Params(*chart(*args))
+    except (OverflowError, ValueError):
+        raise NumericalFailure(f"{chart.__name__[1:]}: a value leaves the "
+                               "double range") from None
 
 
 def _lambda1_chart(a2, g4, g6):
@@ -331,7 +341,11 @@ def _normalized(lam, s):
     """The quotients l_w / s^w, a plain tuple: the weight scale s bounds
     each by 1 in modulus, so they need no finite check of their own."""
     l4, l6, l8, l10 = lam.astuple()
-    return l4 / s**4, l6 / s**6, l8 / s**8, l10 / s**10
+    try:
+        return l4 / s**4, l6 / s**6, l8 / s**8, l10 / s**10
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalFailure(f"weight scale {s:.3g}: a power up to s^10 leaves "
+                               "the double range") from None
 
 
 def _monic(ln):
@@ -464,8 +478,14 @@ def classify_many(points):
     the rows of every other point, grouped by partition, are polished and
     recovered together on _Complexes, so each gets classify's own numbers.
     """
-    setups = [_setup(lam) for lam in points]
-    out = [_origin(lam) if s == 0.0 else None for lam, s, _ in setups]
+    setups = []
+    for lam in points:
+        try:
+            setups.append(_setup(lam))
+        except Sigma2Error as exc:      # a weight scale past the double range
+            setups.append((exc, None, None))
+    out = [lam if s is None else _origin(lam) if s == 0.0 else None
+           for lam, s, _ in setups]
     live = [i for i, o in enumerate(out) if o is None]
     if not live:
         return out

@@ -202,8 +202,10 @@ def test_verify_record_lists_every_bound(capsys):
     spectral = rec["suites"]["spectral"]
     assert spectral["thresholds"] == {"eigen": 1e-6, "kdv": 1e-5,
                                       "reality_max_imag": 1e-8, "bloch": 1e-6,
-                                      "m2_m3_gap": 1e-12}
+                                      "m2_m3_gap": 1e-12, "unsampled": 0}
+    assert spectral["refused"] == spectral["unsampled"] == 0
     assert "m2_m3_gap=0 (<1e-12)" in out[:out.index("{")]
+    assert "refused=0, unsampled=0 (=0)" in out[:out.index("{")]
 
 
 def test_ambiguous_exit_code(capsys):
@@ -343,3 +345,26 @@ def test_sigma_past_the_double_range_at_w_zero_refuses_without_warning():
     # error record, not a NaN value
     _assert_sigma_refused("1000,0,99.99999999999946,100.00000000000021",
                           "sigma2: value overflows double precision")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--lambda", "1e300,0,0,0"],
+    ["classify", "--lambda", "1e-300,1e-300,0,0"],
+    ["sigma", "--a2", "1e100", "--gamma", "1,1", "--u", "0.1,0.1"],
+], ids=["classify-huge", "classify-tiny", "sigma-huge-a2"])
+def test_double_range_ends_in_one_record(argv):
+    # a weight-scale power or a chart value past the double range is a
+    # NumericalFailure record (exit 2), not a traceback; exit 0 is accepted
+    # for when such points classify
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    p = subprocess.run([sys.executable, "-m", "sigma2.cli", *argv],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src})
+    assert p.returncode in (0, 2)
+    assert p.stderr == ""
+    rec = json.loads(p.stdout)
+    assert rec["schema"] == "sigma2/1"
+    assert p.returncode == 0 or rec["error"] == "NumericalFailure"

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st_h
 
 from sigma2 import strata as st
-from sigma2.errors import AmbiguousClassification, DegenerateCurve, Sigma2Error
+from sigma2.errors import (AmbiguousClassification, DegenerateCurve,
+                           NumericalFailure, Sigma2Error)
 from sigma2.verify import (_cunit, _ring_gradient, random_gamma, run_suite,
                            suite_algebra, suite_classify)
 
@@ -537,6 +538,30 @@ def test_suite_classify_counts_points_that_raise(monkeypatch):
     got = suite_classify(np.random.default_rng(1), 50)
     assert got == _suite_classify_reference(np.random.default_rng(1), 50)
     assert 30 < got["misclassified"] < 120
+
+
+@pytest.mark.parametrize("lam", [(1e300, 0, 0, 0), (1e-300, 1e-300, 0, 0)],
+                         ids=["huge", "tiny"])
+def test_weight_scale_past_the_double_range_is_a_numerical_failure(lam):
+    # s^4 .. s^10 of the weight scale overflow or underflow (ROADMAP item 9):
+    # classify raises NumericalFailure, and classify_many returns it for
+    # that point and classifies the rest of the batch as before
+    with pytest.raises(NumericalFailure, match="^weight scale "):
+        st.classify(st.G2Params(*lam))
+    batch = [st.G2Params(0, 1, 0, 0), st.G2Params(*lam), st.G2Params(-5, 0, 4, 0)]
+    got = st.classify_many(batch)
+    assert isinstance(got[1], NumericalFailure)
+    assert [got[0], got[2]] == st.classify_many([batch[0], batch[2]])
+
+
+@pytest.mark.parametrize("chart,args", [
+    (st.lambda_from_lambda1, (1e100, (1.0, 1.0))),      # a2**4 overflows
+    (st.lambda_from_lambda0, (1e200, 1.0)),             # a2**2 overflows
+    (st.lambda_from_lambda0, (1e100, 1e100)),           # a product reads inf
+], ids=["lambda1-power", "lambda0-power", "lambda0-product"])
+def test_chart_value_past_the_double_range_is_a_numerical_failure(chart, args):
+    with pytest.raises(NumericalFailure, match="_chart: a value leaves the double range"):
+        chart(*args)
 
 
 # --- vector fields ----------------------------------------------------------
