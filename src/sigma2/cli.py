@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -79,8 +80,8 @@ def emit(record, out=None):
     text = json.dumps({"schema": SCHEMA, **record}, indent=2, sort_keys=True,
                       default=_json_default)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        # a text-mode file's newline translation, as open(out, "w") gave
+        _write_file(out, (text + "\n").replace("\n", os.linesep))
     else:
         print(text)
 
@@ -243,8 +244,26 @@ def _reprs(a):
 def _write_csv(path, header, columns):
     """Header, then one CRLF-terminated line per row of the equal-length
     string columns, in one write (the bytes csv.writer gives for float reprs)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
+    _write_file(path, "\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
+
+
+def _write_file(path, text):
+    """Write the ASCII text to path, creating it with the mode open(path, "w")
+    gives.  An existing regular file is overwritten in place, then cut to the
+    text's length: its blocks are reused, not freed and allocated again as a
+    truncation to zero first does.  A pipe or FIFO is only written, since it
+    cannot be truncated."""
+    data = memoryview(text.encode("ascii"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        done = 0
+        while done < len(data):     # a pipe may take fewer bytes per call
+            done += os.write(fd, data[done:])
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > done:
+            os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 @functools.cache

@@ -258,8 +258,12 @@ def make_context(params) -> EllipticContext:
     if not isinstance(params, EllipticCurveParams):
         params = EllipticCurveParams(*params)
     g4, g6 = complex(params.gamma4), complex(params.gamma6)
-    dlt = delta_gamma(g4, g6)
-    scale = abs(g4) ** 3 + abs(g6) ** 2
+    try:
+        dlt = delta_gamma(g4, g6)
+        scale = abs(g4) ** 3 + abs(g6) ** 2
+    except OverflowError:
+        raise NumericalFailure("make_context: 4*g4^3 + 27*g6^2 overflows "
+                               "double precision") from None
     if scale == 0 or abs(dlt) <= 1e-12 * scale:
         raise DegenerateCurve(f"4*g4^3 + 27*g6^2 = {dlt!r} is (relatively) zero")
     g2, g3 = -4 * g4, -4 * g6

@@ -107,9 +107,23 @@ def _csv_writer_bytes(path, header, *columns):
         return fh.read()
 
 
+# what the target of a write holds beforehand: nothing, a file longer than
+# any output written here, or a file shorter than each
+PRIOR_STATES = ("absent", "longer", "shorter")
+
+
+def _set_prior_state(path, prior):
+    if prior == "longer":
+        path.write_bytes(b"9" * 300_000)
+    elif prior == "shorter":
+        path.write_bytes(b"x,y\r\n")
+
+
+@pytest.mark.parametrize("prior", PRIOR_STATES)
 @pytest.mark.parametrize("grid", ["-0.5,0.5,12", "-0,1,3", "-1,-0,3"])
-def test_sigma_grid_csv_bytes_match_csv_writer(tmp_path, capsys, grid):
+def test_sigma_grid_csv_bytes_match_csv_writer(tmp_path, capsys, grid, prior):
     out_csv = tmp_path / "z.csv"
+    _set_prior_state(out_csv, prior)
     code, _ = run(capsys, "sigma", "--a2", "0.2,0.1",
                   "--gamma", "0.4,-0.2,0.5,0.3",
                   f"--grid={grid}", "--out", str(out_csv))
@@ -130,8 +144,11 @@ def test_sigma_grid_csv_bytes_match_csv_writer(tmp_path, capsys, grid):
         assert got.splitlines()[-1] == b"-0.0,-0.0,-0.0,-0.0"
 
 
-def test_potential_csv_bytes_match_csv_writer(tmp_path, capsys):
+@pytest.mark.parametrize("prior", PRIOR_STATES)
+def test_potential_csv_bytes_match_csv_writer(tmp_path, capsys, prior):
     out_csv = tmp_path / "v.csv"
+    _set_prior_state(out_csv, prior)
+    _set_prior_state(tmp_path / "v.json", prior)
     code, _ = run(capsys, "potential", "--a2", "0.34", "--gamma=-1.2,0.1",
                   "--family", "V2", "--phi", "0.25",
                   "--grid", "0.02,0.98,64", "--out", str(out_csv))
@@ -143,6 +160,27 @@ def test_potential_csv_bytes_match_csv_writer(tmp_path, capsys):
     got = out_csv.read_bytes()
     assert got == want
     assert got.count(b"\r\n") == 65 and b"\n" not in got.replace(b"\r\n", b"")
+    # the sidecar is the record as json.dumps gives it, with one newline and
+    # nothing of the file it replaced
+    side = (tmp_path / "v.json").read_bytes()
+    rec = json.loads(side)
+    assert side == (json.dumps(rec, indent=2, sort_keys=True) + "\n").encode()
+    assert rec["rows"] == 64 and rec["csv"] == str(out_csv)
+
+
+@pytest.mark.parametrize("prior", PRIOR_STATES)
+@pytest.mark.parametrize("argv", [
+    ["classify", "--lambda", "0,1,0,0"],
+    ["periods", "--a2", "0.2,0.1", "--gamma", "0.4,-0.2,0.5,0.3"],
+], ids=["classify", "periods"])
+def test_out_record_bytes_match_stdout(tmp_path, capsys, argv, prior):
+    # an --out record holds the bytes the command prints without --out
+    _, want = run(capsys, *argv)
+    out = tmp_path / "rec.json"
+    _set_prior_state(out, prior)
+    code, printed = run(capsys, *argv, "--out", str(out))
+    assert code == 0 and printed == ""
+    assert out.read_bytes() == want.encode()
 
 
 def test_potential_default_output(tmp_path, capsys, monkeypatch):
@@ -351,7 +389,8 @@ def test_sigma_past_the_double_range_at_w_zero_refuses_without_warning():
     ["classify", "--lambda", "1e300,0,0,0"],
     ["classify", "--lambda", "1e-300,1e-300,0,0"],
     ["sigma", "--a2", "1e100", "--gamma", "1,1", "--u", "0.1,0.1"],
-], ids=["classify-huge", "classify-tiny", "sigma-huge-a2"])
+    ["sigma", "--a2", "1e60", "--gamma", "1,1e250", "--u", "0.1,0.1"],
+], ids=["classify-huge", "classify-tiny", "sigma-huge-a2", "sigma-huge-gamma6"])
 def test_double_range_ends_in_one_record(argv):
     # a weight-scale power or a chart value past the double range is a
     # NumericalFailure record (exit 2), not a traceback; exit 0 is accepted
@@ -368,3 +407,51 @@ def test_double_range_ends_in_one_record(argv):
     rec = json.loads(p.stdout)
     assert rec["schema"] == "sigma2/1"
     assert p.returncode == 0 or rec["error"] == "NumericalFailure"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--lambda", "0,1,0,0"],
+    ["sigma", "--a2", "0.2,0.1", "--gamma", "0.4,-0.2,0.5,0.3", "--grid=-0.5,0.5,3"],
+], ids=["classify", "sigma-grid"])
+@pytest.mark.parametrize("target", ["pipe", "fifo"])
+def test_out_to_a_stream_is_written_not_truncated(tmp_path, argv, target):
+    # `--out /dev/stdout` with stdout a pipe or a FIFO: a stream cannot be
+    # truncated, so the output is only written; the bytes are the file's
+    # bytes followed by what the command prints
+    import os
+    import subprocess
+    import sys
+    import threading
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    cmd = [sys.executable, "-m", "sigma2.cli", *argv]
+    env = {**os.environ, "PYTHONPATH": src}
+    ref = tmp_path / "ref.out"
+    fresh = subprocess.run([*cmd, "--out", str(ref)], capture_output=True,
+                           env=env, timeout=60)
+    assert fresh.returncode == 0
+    want = ref.read_bytes() + fresh.stdout.replace(
+        json.dumps(str(ref)).encode(), b'"/dev/stdout"')
+    cmd += ["--out", "/dev/stdout"]
+    if target == "pipe":
+        p = subprocess.run(cmd, capture_output=True, env=env, timeout=60)
+        code, got = p.returncode, p.stdout
+    else:
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        chunks = []
+
+        def read():
+            with open(fifo, "rb") as fh:
+                chunks.append(fh.read())
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        with open(fifo, "wb") as fh:    # waits for the reader to open its end
+            p = subprocess.run(cmd, stdout=fh, stderr=subprocess.PIPE, env=env,
+                               timeout=60)
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        code, got = p.returncode, chunks[0]
+    assert p.stderr == b""
+    assert code == 0
+    assert got == want
