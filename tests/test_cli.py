@@ -119,15 +119,8 @@ def _set_prior_state(path, prior):
         path.write_bytes(b"x,y\r\n")
 
 
-@pytest.mark.parametrize("prior", PRIOR_STATES)
 @pytest.mark.parametrize("grid", ["-0.5,0.5,12", "-0,1,3", "-1,-0,3"])
-def test_sigma_grid_csv_bytes_match_csv_writer(tmp_path, capsys, grid, prior):
-    out_csv = tmp_path / "z.csv"
-    _set_prior_state(out_csv, prior)
-    code, _ = run(capsys, "sigma", "--a2", "0.2,0.1",
-                  "--gamma", "0.4,-0.2,0.5,0.3",
-                  f"--grid={grid}", "--out", str(out_csv))
-    assert code == 0
+def test_sigma_grid_csv_bytes_match_csv_writer(tmp_path, capsys, grid):
     lo, hi, n = cli._parse_grid(grid)
     g = np.linspace(lo, hi, n)
     u3, u1 = (a.ravel() for a in np.meshgrid(g, g, indexing="ij"))
@@ -135,8 +128,15 @@ def test_sigma_grid_csv_bytes_match_csv_writer(tmp_path, capsys, grid, prior):
     val = sg.sigma2(ctx, u3, u1)
     want = _csv_writer_bytes(tmp_path / "ref.csv", ("u3", "u1", "re", "im"),
                              u3, u1, val.real, val.imag)
-    got = out_csv.read_bytes()
-    assert got == want
+    for prior in PRIOR_STATES:
+        out_csv = tmp_path / f"z-{prior}.csv"
+        _set_prior_state(out_csv, prior)
+        code, _ = run(capsys, "sigma", "--a2", "0.2,0.1",
+                      "--gamma", "0.4,-0.2,0.5,0.3",
+                      f"--grid={grid}", "--out", str(out_csv))
+        assert code == 0
+        got = out_csv.read_bytes()
+        assert got == want, prior
     assert got.count(b"\r\n") == n * n + 1 and b"\n" not in got.replace(b"\r\n", b"")
     if grid == "-1,-0,3":
         # linspace ends on hi exactly, so -0.0 reaches both coordinate columns
@@ -144,28 +144,27 @@ def test_sigma_grid_csv_bytes_match_csv_writer(tmp_path, capsys, grid, prior):
         assert got.splitlines()[-1] == b"-0.0,-0.0,-0.0,-0.0"
 
 
-@pytest.mark.parametrize("prior", PRIOR_STATES)
-def test_potential_csv_bytes_match_csv_writer(tmp_path, capsys, prior):
-    out_csv = tmp_path / "v.csv"
-    _set_prior_state(out_csv, prior)
-    _set_prior_state(tmp_path / "v.json", prior)
-    code, _ = run(capsys, "potential", "--a2", "0.34", "--gamma=-1.2,0.1",
-                  "--family", "V2", "--phi", "0.25",
-                  "--grid", "0.02,0.98,64", "--out", str(out_csv))
-    assert code == 0
+def test_potential_csv_bytes_match_csv_writer(tmp_path, capsys):
     ctx = sg.context_lambda1(0.34 + 0j, (-1.2 + 0j, 0.1 + 0j))
     sample = sp.real_family(ctx, "V2", 0.25, np.linspace(0.02, 0.98, 64))
     want = _csv_writer_bytes(tmp_path / "ref.csv", ("x", "re", "im"), sample.grid,
                              sample.values.real, sample.values.imag)
-    got = out_csv.read_bytes()
-    assert got == want
-    assert got.count(b"\r\n") == 65 and b"\n" not in got.replace(b"\r\n", b"")
-    # the sidecar is the record as json.dumps gives it, with one newline and
-    # nothing of the file it replaced
-    side = (tmp_path / "v.json").read_bytes()
-    rec = json.loads(side)
-    assert side == (json.dumps(rec, indent=2, sort_keys=True) + "\n").encode()
-    assert rec["rows"] == 64 and rec["csv"] == str(out_csv)
+    assert want.count(b"\r\n") == 65 and b"\n" not in want.replace(b"\r\n", b"")
+    for prior in PRIOR_STATES:
+        out_csv, out_json = tmp_path / f"v-{prior}.csv", tmp_path / f"v-{prior}.json"
+        _set_prior_state(out_csv, prior)
+        _set_prior_state(out_json, prior)
+        code, _ = run(capsys, "potential", "--a2", "0.34", "--gamma=-1.2,0.1",
+                      "--family", "V2", "--phi", "0.25",
+                      "--grid", "0.02,0.98,64", "--out", str(out_csv))
+        assert code == 0
+        assert out_csv.read_bytes() == want, prior
+        # the sidecar is the record as json.dumps gives it, with one newline
+        # and nothing of the file it replaced
+        side = out_json.read_bytes()
+        rec = json.loads(side)
+        assert side == (json.dumps(rec, indent=2, sort_keys=True) + "\n").encode()
+        assert rec["rows"] == 64 and rec["csv"] == str(out_csv)
 
 
 @pytest.mark.parametrize("prior", PRIOR_STATES)
