@@ -251,17 +251,22 @@ def _write_file(path, text):
     """Write the ASCII text to path, creating it with the mode open(path, "w")
     gives.  An existing regular file is overwritten in place, then cut to the
     text's length: its blocks are reused, not freed and allocated again as a
-    truncation to zero first does.  A pipe or FIFO is only written, since it
-    cannot be truncated."""
+    truncation to zero first does.  A write that raises also cuts the file
+    to the bytes written, so an interrupted rewrite ends short, as it did
+    under a truncation first, instead of leaving the old file's tail behind
+    the new head.  A pipe or FIFO is only written, since it cannot be
+    truncated."""
     data = memoryview(text.encode("ascii"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
         done = 0
-        while done < len(data):     # a pipe may take fewer bytes per call
-            done += os.write(fd, data[done:])
-        st = os.fstat(fd)
-        if stat.S_ISREG(st.st_mode) and st.st_size > done:
-            os.ftruncate(fd, done)
+        try:
+            while done < len(data):     # a pipe may take fewer bytes per call
+                done += os.write(fd, data[done:])
+        finally:
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode) and st.st_size > done:
+                os.ftruncate(fd, done)
     finally:
         os.close(fd)
 

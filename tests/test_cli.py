@@ -182,6 +182,30 @@ def test_out_record_bytes_match_stdout(tmp_path, capsys, argv, prior):
     assert out.read_bytes() == want.encode()
 
 
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
+                                   KeyboardInterrupt()], ids=["oserror", "interrupt"])
+@pytest.mark.parametrize("first", [0, 7], ids=["at-once", "after-a-write"])
+def test_interrupted_rewrite_ends_short(tmp_path, monkeypatch, error, first):
+    # a write that raises cuts the file to the bytes written: what is left is
+    # a short file, never the new head followed by the old file's tail
+    out = tmp_path / "z.csv"
+    out.write_bytes(b"u3,u1,re,im\r\n" + b"0.1,0.2,0.3,0.4\r\n" * 50)
+    real_write, calls = cli.os.write, []
+
+    def write(fd, data):
+        calls.append(len(data))
+        if len(calls) == 1 and first:
+            return real_write(fd, data[:first])
+        raise error
+
+    monkeypatch.setattr(cli.os, "write", write)
+    text = "u3,u1,re,im\r\n-0.5,-0.5,1.0,0.0\r\n"
+    with pytest.raises(type(error)):
+        cli._write_file(str(out), text)
+    monkeypatch.undo()
+    assert out.read_bytes() == text[:first].encode()
+
+
 def test_potential_default_output(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out = run(capsys, "potential", "--a2", "0.34", "--gamma=-1.2,0.1",
