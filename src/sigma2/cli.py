@@ -81,7 +81,7 @@ def emit(record, out=None):
                       default=_json_default)
     if out:
         # a text-mode file's newline translation, as open(out, "w") gave
-        _write_file(out, (text + "\n").replace("\n", os.linesep))
+        _write_out(out, (text + "\n").replace("\n", os.linesep))
     else:
         print(text)
 
@@ -244,7 +244,24 @@ def _reprs(a):
 def _write_csv(path, header, columns):
     """Header, then one CRLF-terminated line per row of the equal-length
     string columns, in one write (the bytes csv.writer gives for float reprs)."""
-    _write_file(path, "\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
+    _write_out(path, "\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
+
+
+def _check_out_dir(path):
+    """Refuse an --out path whose directory does not exist, before any work."""
+    folder = os.path.dirname(path)
+    if folder and not os.path.isdir(folder):
+        raise UsageError(f"--out {path}: no directory {folder}")
+
+
+def _write_out(path, text):
+    """_write_file, with a path that cannot be written a usage error."""
+    try:
+        _write_file(path, text)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise UsageError(f"--out {path}: {exc.strerror or exc}") from None
 
 
 def _write_file(path, text):
@@ -332,6 +349,8 @@ def _dispatch(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out:
+            _check_out_dir(args.out)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

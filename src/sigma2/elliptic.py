@@ -353,8 +353,10 @@ def _theta(ctx, u0, xp, derivs=True):
 
 
 def _lattice_factor(ctx, u0, m, n, xp):
-    """sigma(u0 + l) / sigma(u0) and eta_l for the shift l = m omega + n omegaP."""
-    if xp is cmath and not (m or n):
+    """sigma(u0 + l) / sigma(u0) and eta_l for the shift l = m omega + n omegaP;
+    1.0 and 0.0 when no point is shifted."""
+    shifted = m.any() or n.any() if xp is np else m or n
+    if not shifted:
         return 1.0, 0.0
     lam = m * ctx.omega + n * ctx.omegaP
     etal = m * ctx.eta + n * ctx.etaP
@@ -380,7 +382,7 @@ def _evaluate(ctx, u, name, kernel):
     tuple, read once, so threads sharing a context can only cost a miss.
     """
     if isinstance(u, np.ndarray):
-        u = u.astype(complex)
+        u = np.asarray(u, dtype=complex)
         require_finite(name, u)
         with np.errstate(over="ignore", invalid="ignore"):
             val = kernel(ctx, *_reduce(ctx, u), np)
@@ -541,17 +543,37 @@ def invert_wp(ctx: EllipticContext, x):
     return b, (-zeta, p, -pp)
 
 
-def sigma_ratio_log(ctx: EllipticContext, alpha, xi) -> complex:
+def _sigma_quotient(ctx, lo, hi, step, t):
+    """sigma(lo - t step) / sigma(hi + t step) at the nodes t, both from one
+    sigma_w call; a column of steps gives one row of quotients per step."""
+    ts = t * step
+    s = sigma_w(ctx, np.concatenate([lo - ts, hi + ts]))
+    return s[:len(ts)] / s[len(ts):]
+
+
+def sigma_ratio_log(ctx: EllipticContext, alpha, xi):
     """log(sigma(alpha-xi)/sigma(alpha+xi)), branch continuous from xi=0.
 
     The branch matters wherever this log feeds an exponent that is compared
     against quadrature (Abel integrals, Bloch factors); the value at xi=0 is 0.
+    A complex for a scalar xi; for an ndarray xi, the ndarray of the scalar
+    calls' values, every path's quotients of one step count from one sigma_w
+    call.
     """
+    if isinstance(xi, np.ndarray):
+        xi = np.asarray(xi, dtype=complex)
+        out = np.zeros(xi.shape, dtype=complex)
+        live = xi != 0
+        if live.any():
+            col = xi[live][:, None]
+            out[live] = continuous_log(
+                lambda t, idx: _sigma_quotient(ctx, alpha, alpha, col[idx], t),
+                len(col))
+        return out
     xi = complex(xi)
     if xi == 0:
         return 0.0j
-    return continuous_log(
-        lambda t: sigma_w(ctx, alpha - t * xi) / sigma_w(ctx, alpha + t * xi))
+    return continuous_log(lambda t: _sigma_quotient(ctx, alpha, alpha, xi, t))
 
 
 def sigma_trig_limit(a, u) -> complex:

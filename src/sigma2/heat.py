@@ -35,8 +35,9 @@ evaluated, as there is no nondegenerate sigma here.
 Derivatives are trapezoidal Cauchy integrals (numerics.cauchy_derivatives):
 the u-derivatives come from one sigma2 evaluation on a product ring in
 (u3, U1), the moduli derivatives from 4-node rings that rebuild the
-evaluation context at each node, so the implicit dependence of alpha on the
-moduli is differentiated along.  Residuals are normalized by the largest
+degenerate context at each node (the elliptic context too on the gamma
+rings; the a2 ring keeps the curve), so the implicit dependence of alpha on
+the moduli is differentiated along.  Residuals are normalized by the largest
 single term in each operator's expansion.
 """
 
@@ -64,8 +65,7 @@ class HeatResidualReport:
 
 
 def _moduli_derivative(func, t):
-    """d func/dt by a 4-node ring of radius 1e-3 (1 + |t|), one call per node
-    (each node rebuilds an evaluation context)."""
+    """d func/dt by a 4-node ring of radius 1e-3 (1 + |t|), one call per node."""
     return cauchy_derivatives(lambda ts: [func(x) for x in ts.tolist()],
                               t, 1, 1e-3 * (1.0 + abs(t)), 4)[1]
 
@@ -99,7 +99,9 @@ def q_residuals(ctx: sg.DegenSigmaContext, u3, U1) -> HeatResidualReport:
     def z_moduli(a, c4, c6):
         return sg.sigma2_u(sg.context_lambda1(a, (c4, c6)), u3, U1)
 
-    za2 = _moduli_derivative(lambda t: z_moduli(t, g4, g6), a2)
+    # the a2 ring keeps the curve, so its nodes share the context's ectx
+    za2 = _moduli_derivative(
+        lambda t: sg.sigma2_u(sg._lambda1_on_curve(ctx.ectx, t), u3, U1), a2)
     zg4 = _moduli_derivative(lambda t: z_moduli(a2, t, g6), g4)
     zg6 = _moduli_derivative(lambda t: z_moduli(a2, g4, t), g6)
     l0z = 4 * g4 * zg4 + 6 * g6 * zg6

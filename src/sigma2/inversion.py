@@ -64,10 +64,8 @@ def forward_integrals(ctx: sg.DegenSigmaContext, xi1, xi2):
     """
     _require_generic_l1(ctx)
     xi1, xi2 = complex(xi1), complex(xi2)
-    ec = ctx.ectx
     u1 = xi1 + xi2
-    log1 = el.sigma_ratio_log(ec, ctx.alpha, xi1)
-    log2 = el.sigma_ratio_log(ec, ctx.alpha, xi2)
+    log1, log2 = el.sigma_ratio_log(ctx.ectx, ctx.alpha, np.array([xi1, xi2]))
     u3 = (2.0 * ctx.zeta_alpha * u1 + log1 + log2) / ctx.wpp_alpha
     return complex(u1), complex(u3)
 

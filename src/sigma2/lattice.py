@@ -113,8 +113,7 @@ def period_increment(ctx: sg.DegenSigmaContext, xi, m: int, n: int):
     ec = ctx.ectx
     per = m * ec.omega + n * ec.omegaP
     dlog = continuous_log(
-        lambda t: (el.sigma_w(ec, ctx.alpha - xi - t * per)
-                   / el.sigma_w(ec, ctx.alpha + xi + t * per)))
+        lambda t: el._sigma_quotient(ec, ctx.alpha - xi, ctx.alpha + xi, per, t))
     # the elliptic parts are exact: zeta picks up m*eta + n*eta' and wp' is
     # periodic; forming the raw differences instead would amplify roundoff
     # by wp'' when xi sits near a pole

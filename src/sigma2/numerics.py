@@ -61,22 +61,37 @@ def shc(c, z):
     return series
 
 
-def continuous_log(g):
+def continuous_log(g, rows=None):
     """Continued log increment log g(1) - log g(0) along t in [0, 1].
 
     ``g``, nonvanishing on the segment, is called on the ndarray of nodes.
     Step count doubles from 16 until every increment turns by less than pi/2,
     which pins the branch (at most 4096 steps); the winding is part of the
     answer, no principal-value reduction is applied.
+
+    With ``rows`` (a count), g(t, idx) returns a 2-D array, the values of
+    function idx[j] in row j, and the result is the ndarray of the rows'
+    increments.  Each row stops at the step count its own 1-D call would
+    stop at, with the same value, and only the rows still open are
+    evaluated again.
     """
+    single = rows is None
+    if single:      # one function is one row: one loop serves both
+        f, rows = g, 1
+        g = lambda t, idx: np.asarray(f(t))[None]
+    out = np.zeros(rows, dtype=complex)
+    todo = np.arange(rows)
     steps = 16
     while steps <= 4096:
-        vals = np.asarray(g(np.linspace(0.0, 1.0, steps + 1)), dtype=complex)
+        vals = np.asarray(g(np.linspace(0.0, 1.0, steps + 1), todo), dtype=complex)
         if not vals.all():
             raise NumericalFailure("continuous_log hit a zero of the function")
-        ratios = vals[1:] / vals[:-1]
-        if np.all(np.abs(np.angle(ratios)) < 1.5):
-            return np.sum(np.log(ratios))
+        ratios = vals[:, 1:] / vals[:, :-1]
+        done = np.all(np.abs(np.angle(ratios)) < 1.5, axis=1)
+        out[todo[done]] = np.sum(np.log(ratios[done]), axis=1)
+        todo = todo[~done]
+        if not todo.size:
+            return out[0] if single else out
         steps *= 2
     raise NumericalFailure("continuous_log could not resolve the branch")
 

@@ -93,7 +93,13 @@ def context_lambda1(a2, gamma) -> DegenSigmaContext:
         gamma = EllipticCurveParams(*gamma)
     a2 = complex(a2)
     require_finite("context_lambda1", a2)
-    ectx = el.make_context(gamma)
+    return _lambda1_on_curve(el.make_context(gamma), a2)
+
+
+def _lambda1_on_curve(ectx, a2) -> DegenSigmaContext:
+    """context_lambda1(a2, ectx.params) on the curve's context ectx, built
+    already: a ring in a2 at fixed gamma shares one."""
+    gamma = ectx.params
     lam = lambda_from_lambda1(a2, gamma)
     alpha, (za, wpa, wppa) = el.invert_wp(ectx, 5.0 * a2 / 3.0)
     g4, g6 = gamma.gamma4, gamma.gamma6

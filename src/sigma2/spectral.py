@@ -20,7 +20,7 @@ from . import elliptic as el
 from . import lattice as lt
 from . import sigma as sg
 from .errors import NotRealAlpha, NotRealLattice, SingularConfiguration
-from .numerics import any_true, cauchy_derivatives, complex_args
+from .numerics import _ring, any_true, cauchy_derivatives, complex_args
 
 __all__ = [
     "PotentialSample", "baker_psi", "eigen_residual", "potential_u",
@@ -111,9 +111,13 @@ def kdv_residual(ctx: sg.DegenSigmaContext, U3, U1) -> float:
     _require_generic(ctx)
     ws = ctx.weight_scale()
     U3, U1 = complex(U3), complex(U1)
-    u0, du1, _, du111 = _u1_ring(ctx, lambda t: potential_u(ctx, U3, t), U1, 3)
-    du3 = cauchy_derivatives(lambda t: potential_u(ctx, t, U1), U3, 1,
-                             5e-3 / ws ** 3, 16)[1]
+    r1, r3 = 5e-3 / ws, 5e-3 / ws ** 3
+    # the nodes of both 16-node rings, in U1 and in U3, in one potential_u call
+    unit = _ring(16, 3)[0]
+    vals = potential_u(ctx, np.concatenate([np.full(16, U3), U3 + r3 * unit]),
+                       np.concatenate([U1 + r1 * unit, np.full(16, U1)]))
+    u0, du1, _, du111 = cauchy_derivatives(lambda _: vals[:16], U1, 3, r1, 16)
+    du3 = cauchy_derivatives(lambda _: vals[16:], U3, 1, r3, 16)[1]
     terms = [4.0 * du3, -du111, 6.0 * u0 * du1]
     return abs(sum(terms)) / max(abs(t) for t in terms)
 
@@ -241,17 +245,27 @@ def bloch_residual(ctx: sg.DegenSigmaContext, xi0, u, k: int,
     from sigma quotients and exponents separately; the residual is
     |exp(log ratio - M_k . T_k) - 1|, insensitive to the 2 pi i log branch.
     """
+    return _bloch_residuals(ctx, xi0, u, (k,), lattice)[0]
+
+
+def _bloch_residuals(ctx, xi0, u, ks, lattice):
+    """[bloch_residual(ctx, xi0, u, k, lattice) for k in ks], with the Abel
+    integrals at xi0, the momenta and sigma2 at u and at I - u, which do not
+    depend on k, evaluated once."""
     _require_generic(ctx)
     vals = lt.abel_integrals(ctx, xi0)
     momenta = _momenta(vals, lattice)
-    tk, _ = lattice.column(k)
     u = np.asarray(u, dtype=complex)
     num0 = sg.sigma2(ctx, vals.I1 - u[0], vals.I2 - u[1])
-    num1 = sg.sigma2(ctx, vals.I1 - u[0] - tk[0], vals.I2 - u[1] - tk[1])
     den0 = sg.sigma2(ctx, u[0], u[1])
-    den1 = sg.sigma2(ctx, u[0] + tk[0], u[1] + tk[1])
-    if 0 in (num0, num1, den0, den1):
-        raise SingularConfiguration("Bloch sample hit the sigma2 divisor")
-    log_ratio = (np.log(num1 / num0) - np.log(den1 / den0)
-                 + tk[0] * vals.I4 + tk[1] * vals.I3)
-    return abs(np.exp(log_ratio - momenta[k - 1] @ tk) - 1.0)
+    out = []
+    for k in ks:
+        tk, _ = lattice.column(k)
+        num1 = sg.sigma2(ctx, vals.I1 - u[0] - tk[0], vals.I2 - u[1] - tk[1])
+        den1 = sg.sigma2(ctx, u[0] + tk[0], u[1] + tk[1])
+        if 0 in (num0, num1, den0, den1):
+            raise SingularConfiguration("Bloch sample hit the sigma2 divisor")
+        log_ratio = (np.log(num1 / num0) - np.log(den1 / den0)
+                     + tk[0] * vals.I4 + tk[1] * vals.I3)
+        out.append(abs(np.exp(log_ratio - momenta[k - 1] @ tk) - 1.0))
+    return out

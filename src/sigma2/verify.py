@@ -354,7 +354,7 @@ def suite_spectral(rng, samples):
         L = lt.period_matrices(ctx)
         m1, m2, m3 = sp.quasi_momenta(ctx, xi0, L)
         return ((float(np.max(np.abs(m2 - m3))),),
-                [sp.bloch_residual(ctx, xi0, u, k, L) for k in (1, 2, 3)])
+                sp._bloch_residuals(ctx, xi0, u, (1, 2, 3), L))
 
     counts = {"refused": 0, "unsampled": 0}
     spec = _sample(counts, samples, iter(lambda: (

@@ -220,3 +220,65 @@ def test_bloch_residual_evaluates_abel_integrals_once(ctx_generic, monkeypatch):
     res = sp.bloch_residual(ctx_generic, 0.27 + 0.13j, (0.05 + 0.02j, 0.1 - 0.03j), 2, L)
     assert res < 1e-6
     assert len(calls) == 1
+
+
+@pytest.fixture()
+def sigma_calls(monkeypatch):
+    """Argument shapes of every public sigma_w call, in order."""
+    shapes = []
+
+    def counted(ctx, u, _fn=el.sigma_w):
+        shapes.append(np.shape(u))
+        return _fn(ctx, u)
+
+    monkeypatch.setattr(el, "sigma_w", counted)
+    return shapes
+
+
+def test_forward_integrals_one_sigma_call_at_16_steps(ctx_generic, sigma_calls):
+    # sigma(alpha -+ t xi) for xi1 and xi2 together, each path resolved at 16 steps
+    inv.forward_integrals(ctx_generic, 0.3 + 0.1j, -0.25 + 0.2j)
+    assert sigma_calls == [(4, 17)]
+
+
+def test_period_increment_one_sigma_call_per_pass(ctx_generic, sigma_calls):
+    lt.period_increment(ctx_generic, 0.21 + 0.04j, 1, 0)
+    assert sigma_calls == [(34,)]
+
+
+def test_q_residuals_builds_eight_elliptic_contexts(ctx_generic, monkeypatch):
+    # the 4-node rings in gamma4 and gamma6 build one each; the a2 ring
+    # keeps the curve, and with it the context's ectx
+    from sigma2 import heat
+    built = []
+
+    def counted(params, _fn=el.make_context):
+        built.append(params)
+        return _fn(params)
+
+    monkeypatch.setattr(el, "make_context", counted)
+    heat.q_residuals(ctx_generic, 0.1 + 0.05j, -0.2 + 0.1j)
+    assert len(built) == 8
+
+
+def test_bloch_row_evaluates_abel_integrals_once(ctx_generic, monkeypatch):
+    # the verify row's three residuals share the Abel integrals, the momenta
+    # and sigma2 at u and at I - u, and equal bloch_residual's to the bit
+    L = lt.period_matrices(ctx_generic)
+    xi0, u = 0.27 + 0.13j, (0.05 + 0.02j, 0.1 - 0.03j)
+    want = [sp.bloch_residual(ctx_generic, xi0, u, k, L) for k in (1, 2, 3)]
+    calls, sigma2 = [], []
+
+    def counted(ctx, xi):
+        calls.append(xi)
+        return abel(ctx, xi)
+
+    def counted_sigma2(ctx, u3, u1, _fn=sg.sigma2):
+        sigma2.append((u3, u1))
+        return _fn(ctx, u3, u1)
+
+    abel = lt.abel_integrals
+    monkeypatch.setattr(lt, "abel_integrals", counted)
+    monkeypatch.setattr(sg, "sigma2", counted_sigma2)
+    assert sp._bloch_residuals(ctx_generic, xi0, u, (1, 2, 3), L) == want
+    assert len(calls) == 1 and len(sigma2) == 2 + 2 * 3

@@ -478,3 +478,45 @@ def test_out_to_a_stream_is_written_not_truncated(tmp_path, argv, target):
     assert p.stderr == b""
     assert code == 0
     assert got == want
+
+
+OUT_COMMANDS = [
+    (["classify", "--lambda", "0,1,0,0"], "x.json", "strata", "classify"),
+    (["sigma", "--a2", "0.2,0.1", "--gamma", "0.4,-0.2,0.5,0.3", "--grid=-0.5,0.5,3"],
+     "z.csv", "sigma", "sigma2"),
+    (["potential", "--a2", "0.54", "--gamma=-1.2,0.1"], "p.csv", "spectral",
+     "real_family"),
+    (["verify"], "v.json", "verify", "run_suites"),
+]
+
+
+@pytest.mark.parametrize("argv,name,module,work", OUT_COMMANDS,
+                         ids=[a[0] for a, *_ in OUT_COMMANDS])
+def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                     argv, name, module, work):
+    # refused before the grid, the family or the suites are evaluated: one
+    # usage-error line, nothing printed and no file made
+    import importlib
+    calls = []
+    monkeypatch.setattr(importlib.import_module(f"sigma2.{module}"), work,
+                        lambda *a, **k: calls.append(a))
+    target = tmp_path / "missing" / name
+    code = cli.main([*argv, "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and calls == []
+    assert err == f"usage error: --out {target}: no directory {target.parent}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--lambda", "0,1,0,0"],
+    ["sigma", "--a2", "0.2,0.1", "--gamma", "0.4,-0.2,0.5,0.3", "--grid=-0.5,0.5,3"],
+], ids=["classify", "sigma-grid"])
+def test_out_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, argv):
+    # the directory exists but the path is a directory: the OSError of the
+    # write is the usage error
+    code = cli.main([*argv, "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: --out {tmp_path}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import warnings
@@ -635,3 +636,57 @@ def test_cubic_roots_against_mpmath(kind):
     rng = np.random.default_rng(_CURVE_KINDS.index(kind))
     worst = max(_cubic_error(g4, g6) for g4, g6 in _random_curves(rng, kind, 100))
     assert worst <= 4e-15
+
+
+def test_sigma_ratio_log_array_is_the_scalar_calls(ctx_generic, monkeypatch):
+    # an ndarray of xi gives the scalar calls' values to the bit, a xi of 0
+    # gives 0; each step count's quotients come from one sigma_w call, and
+    # a path resolved at fewer steps is not evaluated again
+    ec, alpha = ctx_generic.ectx, ctx_generic.alpha
+    xi = np.array([0.3 + 0.1j, 0.0, 1.4 * ec.omega + 0.3 * ec.omegaP, -0.2 + 0.25j,
+                   2.2 * ec.omegaP + 0.4 * ec.omega])
+    want = [el.sigma_ratio_log(ec, alpha, x) for x in xi.tolist()]
+    assert all(isinstance(w, complex) for w in want)
+    sizes = []
+
+    def counted(ctx, u, _fn=el.sigma_w):
+        sizes.append(u.shape)
+        return _fn(ctx, u)
+
+    monkeypatch.setattr(el, "sigma_w", counted)
+    got = el.sigma_ratio_log(ec, alpha, xi)
+    assert got.shape == xi.shape and got[1] == 0
+    assert got.tobytes() == np.array(want).tobytes()
+    # xi[2] needs 64 steps and xi[4] 32
+    assert sizes == [(8, 17), (4, 33), (2, 65)]
+
+
+def _shift_factor(ctx, u0, m, n, xp):
+    """elliptic._lattice_factor as it was before its array branch skipped an
+    unshifted array: the shift arithmetic runs on every entry."""
+    if xp is cmath and not (m or n):
+        return 1.0, 0.0
+    lam = m * ctx.omega + n * ctx.omegaP
+    etal = m * ctx.eta + n * ctx.etaP
+    sign = 1 - 2 * ((m + n + m * n) % 2)
+    return sign * xp.exp(etal * (u0 + lam / 2)), etal
+
+
+@pytest.mark.parametrize("gamma", [(1.0, 0.0), (-1.0, 0.0), (-1.2, 0.1),
+                                   (0.4 - 0.2j, 0.5 + 0.3j)],
+                         ids=["square", "real-rectangular", "gap", "generic"])
+@pytest.mark.parametrize("fn", [el.sigma_w, el.sigma_w_prime],
+                         ids=["sigma_w", "sigma_w_prime"])
+def test_unshifted_array_skips_the_shift_to_the_bit(monkeypatch, gamma, fn):
+    # on real lattices and real or imaginary arguments the values have exact
+    # zero parts, so a lost signed zero would show
+    ec = el.make_context(gamma)
+    s = np.linspace(-0.45, 0.45, 11)
+    zeros = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    for u in (s * ec.omega, s * ec.omegaP, s + 0j, 1j * s, np.array(zeros)):
+        assert not el._reduce(ec, u)[1].any() and not el._reduce(ec, u)[2].any()
+        got = fn(ec, u)
+        with monkeypatch.context() as mp:
+            mp.setattr(el, "_lattice_factor", _shift_factor)
+            want = fn(ec, u)
+        assert got.tobytes() == want.tobytes()

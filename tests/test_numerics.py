@@ -81,6 +81,32 @@ def test_continuous_log_tracks_winding():
         assert abs(got - 2j * np.pi * n) < 1e-12
 
 
+def test_continuous_log_rows_are_the_1d_calls():
+    # rows winding n times resolve at 16 (n = 1, -2, 0.3), 32 (n = 5) and
+    # 64 (n = 11) steps, each with its 1-D value to the bit; only the rows
+    # still open are evaluated again
+    ns = np.array([1.0, 5.0, -2.0, 11.0, 0.3])
+    seen = []
+
+    def f(n, t):
+        return np.exp(2j * np.pi * n * t) * (1 + 0.1 * t)
+
+    def rows(t, idx):
+        seen.append((len(t) - 1, idx.tolist()))
+        return f(ns[idx, None], t)
+
+    got = continuous_log(rows, len(ns))
+    want = np.array([continuous_log(lambda t: f(n, t)) for n in ns])
+    assert got.tobytes() == want.tobytes()
+    assert seen == [(16, [0, 1, 2, 3, 4]), (32, [1, 3]), (64, [3])]
+    assert np.allclose(got, 2j * np.pi * ns + np.log(1.1), rtol=0, atol=1e-12)
+
+
+def test_continuous_log_rows_refuse_a_zero():
+    with pytest.raises(NumericalFailure, match="zero"):
+        continuous_log(lambda t, idx: np.stack([t + 1.0, t - 0.5])[idx], 2)
+
+
 def test_cluster_points():
     pts = [0.0, 1e-10, 1.0, 1.0 + 2e-10j, 2.5]
     clusters = cluster_points(pts, 1e-8)
