@@ -255,7 +255,7 @@ def _check_out_dir(path):
 
 
 def _write_out(path, text):
-    """_write_file, with a path that cannot be written a usage error."""
+    """_write_file; a path that cannot be written is a usage error."""
     try:
         _write_file(path, text)
     except BrokenPipeError:
