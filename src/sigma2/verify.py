@@ -189,9 +189,9 @@ def p_route_derivatives(ctx, U3, U1):
 # suites
 
 def suite_heat(rng, samples):
-    """Q0, Q2, Q4, Q6 annihilate sigma2 (normalized residuals)."""
+    """q0, q2, q4, q6 annihilate sigma2 (normalized residuals)."""
     worst = 0.0
-    per_op = {k: 0.0 for k in ("Q0", "Q2", "Q4", "Q6")}
+    per_op = {k: 0.0 for k in ("q0", "q2", "q4", "q6")}
     for _ in range(samples):
         ctx = random_lambda1_context(rng)
         u3, U1 = _cdisc(rng, 0.5), _cdisc(rng, 0.5)

@@ -7,7 +7,9 @@ fewer samples than asked fails on its `unsampled` detail, and the context
 samplers raise at the cap, so a refusing function makes a suite fail in
 seconds instead of looping forever or passing on rows that saw nothing.
 The planted-defect tests change one constant of the code a suite certifies
-by a factor of 1 + 1e-6 and check that the suite fails at seed 7.
+by a factor of 1 + 1e-6 (1 + 1e-3 for heat, whose 1e-5 bound on a
+normalized residual does not see 1e-5) and check that the suite fails at
+seed 7.
 """
 
 import time
@@ -147,14 +149,25 @@ def _plant_s_route(monkeypatch):
     monkeypatch.setattr(sg, "_s_route", planted)
 
 
+def _plant_prefactor(monkeypatch):
+    """The 0.12 of the Lambda1 prefactor, times 1 + 1e-3."""
+    prefactor = sg._prefactor_l1
+
+    def planted(ctx, u3, u1):
+        wpa = ctx.wp_alpha
+        return prefactor(ctx, u3, u1) * np.exp(-0.6 * 0.12 * 1e-3 * wpa ** 3 * u3 ** 2)
+    monkeypatch.setattr(sg, "_prefactor_l1", planted)
+
+
 @pytest.mark.parametrize("plant,key,caught_by", [
     (_plant_shift, "periodicity", "quasi_periodicity"),
     (_plant_shift, "spectral", "bloch"),
     (_plant_shift, "two_route", "symmetric_functions"),
     (_plant_s_route, "inversion", "round_trip"),
     (_plant_s_route, "two_route", "lambda_reconstruction"),
+    (_plant_prefactor, "heat", "max_residual"),
 ], ids=["shift-periodicity", "shift-spectral", "shift-two_route",
-        "s_route-inversion", "s_route-two_route"])
+        "s_route-inversion", "s_route-two_route", "prefactor-heat"])
 def test_planted_defect_is_caught(monkeypatch, plant, key, caught_by):
     plant(monkeypatch)
     result = vf.run_suite(key, 7)

@@ -1,15 +1,19 @@
+import numpy as np
 import pytest
 
+import oracles
 from sigma2 import elliptic as el
 from sigma2 import heat
 from sigma2 import sigma as sg
+from sigma2 import verify as vf
 from sigma2.errors import NotOnStratum
+from test_gate import _plant_prefactor
 
 
 def test_annihilation_generic(ctx_generic):
     rep = heat.q_residuals(ctx_generic, 0.11 - 0.04j, 0.09 + 0.06j)
     assert rep.max_residual < 1e-5
-    assert set(rep.residuals) == {"Q0", "Q2", "Q4", "Q6"}
+    assert set(rep.residuals) == {"q0", "q2", "q4", "q6"}
     assert all(s > 0 for s in rep.scales.values())
 
 
@@ -32,15 +36,37 @@ def test_residuals_refused_off_lambda1(ctx_two_points):
 
 def test_residuals_invariant_under_constant_rescale(ctx_generic, monkeypatch):
     base = heat.q_residuals(ctx_generic, 0.07, 0.12)
-    original = sg.sigma2_u
+    original = sg.sigma2
+    calls = []
 
-    def scaled(ctx, u3, U1, normalized=False):
-        return 7.0 * original(ctx, u3, U1, normalized)
+    def scaled(ctx, u3, u1, normalized=False):
+        calls.append(ctx)
+        return 7.0 * original(ctx, u3, u1, normalized)
 
-    monkeypatch.setattr(heat.sg, "sigma2_u", scaled)
+    monkeypatch.setattr(heat.sg, "sigma2", scaled)
     rescaled = heat.q_residuals(ctx_generic, 0.07, 0.12)
+    assert calls
     for k in base.residuals:
         assert abs(base.residuals[k] - rescaled.residuals[k]) < 1e-7
+
+
+def test_operators_match_the_restricted_oracle(monkeypatch):
+    # on a non-solution every operator has a value to compare: q0..q6 in
+    # the paper's combinations equal its hand-restricted Q0..Q6
+    _plant_prefactor(monkeypatch)
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        ctx = vf.random_lambda1_context(rng)
+        u3, U1 = vf._cdisc(rng, 0.5), vf._cdisc(rng, 0.5)
+        q0, q2, q4, q6 = (sum(op) for op in heat._q_terms(ctx, u3, U1)[0])
+        a2 = ctx.a2
+        ours = {"Q0": q0, "Q2": q2 + 4 * a2 * q0 / 3,
+                "Q4": -(q4 + 2 * a2 * q2 + 3 * a2 ** 2 * q0),
+                "Q6": -2 * (q6 + a2 * q4 + a2 ** 2 * q2 + a2 ** 3 * q0)}
+        oracle = oracles.restricted_q(ctx, u3, U1)
+        assert max(abs(v) / s for v, s in oracle.values()) > 1e-8
+        for name, (value, scale) in oracle.items():
+            assert abs(ours[name] - value) <= 1e-10 * scale, name
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +152,8 @@ def test_l0_euler_identities(ec_generic):
 
 
 # ---------------------------------------------------------------------------
-# symbolic cross-derivation: the restricted operators are exactly the stated
-# combinations of the unrestricted ones pushed onto the stratum chart
+# symbolic cross-derivation: the paper's restricted operators are exactly the
+# stated combinations of heat's unrestricted ones pushed onto the stratum chart
 
 def test_operator_restriction_symbolic():
     spp = pytest.importorskip("sympy")
@@ -141,6 +167,9 @@ def test_operator_restriction_symbolic():
     l10 = a2 ** 2 * g6 + R(2, 3) * a2 ** 3 * g4 + R(8, 27) * a2 ** 5
 
     F = Z(u3, u1 - a2 * u3, a2, g4, g6)
+    jet = [[F, spp.diff(F, u1), spp.diff(F, u1, 2)],
+           [spp.diff(F, u3), spp.diff(F, u3, u1)],
+           [spp.diff(F, u3, 2)]]
 
     def l0t(e):
         return (2 * a2 * spp.diff(e, a2) + 4 * g4 * spp.diff(e, g4)
@@ -159,17 +188,9 @@ def test_operator_restriction_symbolic():
     def l6t(e):
         return -a2 ** 3 * l0t(e) - a2 ** 2 * l2t(e) - a2 * l4t(e)
 
-    q0 = -u1 * spp.diff(F, u1) - 3 * u3 * spp.diff(F, u3) + 3 * F + l0t(F)
-    q2 = (-R(1, 2) * spp.diff(F, u1, 2) + R(4, 5) * l4 * u3 * spp.diff(F, u1)
-          - u1 * spp.diff(F, u3) + R(3, 10) * l4 * u1 ** 2 * F
-          - R(1, 10) * (15 * l8 - 4 * l4 ** 2) * u3 ** 2 * F + l2t(F))
-    q4 = (-spp.diff(F, u1, u3) + R(6, 5) * l6 * u3 * spp.diff(F, u1)
-          - l4 * u3 * spp.diff(F, u3) + R(1, 5) * l6 * u1 ** 2 * F
-          - l8 * u1 * u3 * F - R(1, 10) * (30 * l10 - 6 * l6 * l4) * u3 ** 2 * F
-          + l4 * F + l4t(F))
-    q6 = (-R(1, 2) * spp.diff(F, u3, 2) + R(3, 5) * l8 * u3 * spp.diff(F, u1)
-          + R(1, 10) * l8 * u1 ** 2 * F - 2 * l10 * u1 * u3 * F
-          + R(3, 10) * l8 * l4 * u3 ** 2 * F + R(1, 2) * l6 * F + l6t(F))
+    # the u-parts are heat's own term table, read by sympy
+    q0, q2, q4, q6 = (spp.Add(*terms) + field(F) for terms, field in zip(
+        heat._u_terms(l4, l6, l8, l10, u3, u1, jet), (l0t, l2t, l4t, l6t)))
 
     G = Z(u3, U1, a2, g4, g6)
     L0 = 4 * g4 * spp.diff(G, g4) + 6 * g6 * spp.diff(G, g6)
