@@ -75,8 +75,11 @@ class DegenSigmaContext:
         return 1.0 + 0j if self.kind == "lambda1" else 0.25 + 0j
 
     def weight_scale(self):
-        """The length unit of a Lambda1 context under Sato weights:
-        max(|a2|^(1/2), |gamma4|^(1/4), |gamma6|^(1/6)), floored at 1e-6."""
+        """The length unit under Sato weights, floored at 1e-6:
+        max(|a2|^(1/2), |gamma4|^(1/4), |gamma6|^(1/6)) on Lambda1,
+        max(|a2|^(1/2), |b2|^(1/2)) on Lambda0."""
+        if self.kind == "lambda0":
+            return max(abs(self.a2) ** 0.5, abs(self.b2) ** 0.5, 1e-6)
         g4, g6 = self.gamma.gamma4, self.gamma.gamma6
         return max(abs(self.a2) ** 0.5, abs(g4) ** 0.25, abs(g6) ** (1.0 / 6.0), 1e-6)
 

@@ -13,14 +13,14 @@ costs several times a scalar one there.  `classify_many` decides a batch
 in array passes.  It stacks the companion matrices into one eigvals call
 per size (bit-identical eigenvalues) and evaluates the Delta/Gamma
 monomials on the columns of the normalized points, where numpy's complex
-arithmetic moves the magnitudes by rounding only.  A point whose ten root
-gaps all exceed the clustering radius reads as five simple roots with no
-`_clusters` call; every other point goes through `_clusters`, and the rows
-(point, partition, centers) of one partition are polished, recovered and
-round-tripped together on `_Complexes`, float arrays with CPython's
-complex formulas.  Both routes run the same chart and recovery helpers
-and the same gates (`_verdict`), so the batch gives each point classify's
-chart values and round trips bit for bit.
+arithmetic moves the magnitudes by rounding only.  Its ten root gaps per
+point give the partition where the close roots form disjoint pairs; only a
+point with three or more roots in one cluster goes through `_clusters`.
+The rows (point, partition, centers) of one partition are polished,
+recovered and round-tripped together on `_Complexes`, float arrays with
+CPython's complex formulas.  Both routes run the same chart and recovery
+helpers and the same gates (`_verdict`), so the batch gives each point
+classify's chart values and round trips bit for bit.
 
 Polynomials are stored as monomial lists so the same code path evaluates them
 over complex floats and exactly over Python ints and Fractions.  det V = 16/5
@@ -473,9 +473,9 @@ def classify_many(points):
     classify).  The companion eigenvalues come from stacked eigvals calls
     and the Delta/Gamma magnitudes from the monomial tables evaluated on
     the columns of the normalized points, which moves those magnitudes by
-    rounding only.  A point whose roots are all farther apart than
-    _CLUSTER_FLOOR reads as five simple roots without a _clusters call;
-    the rows of every other point, grouped by partition, are polished and
+    rounding only.  Partitions and centers come from the root distances,
+    and from _clusters only where three or more roots cluster; the rows of
+    every point with multiple roots, grouped by partition, are polished and
     recovered together on _Complexes, so each gets classify's own numbers.
     """
     setups = []
@@ -493,8 +493,8 @@ def classify_many(points):
     coeffs = np.array(ps)
     delta_abs, gamma_norm = _magnitudes(coeffs[:, 2:])
     roots = _quintic_roots(ps)
-    parts = [(_SIMPLE, []) if sep else _partition(_clusters(r))
-             for r, sep in zip(roots, _separated(roots))]
+    parts = [part or _partition(_clusters(r))
+             for r, part in zip(roots, _pair_partitions(roots))]
     rows = [(k, *part) for k, part in enumerate(parts) if part[1]]
     readings = dict(zip([k for k, _, _ in rows], _read_rows(rows, coeffs)))
     for k, i in enumerate(live):
@@ -515,17 +515,28 @@ def _magnitudes(ln):
             np.abs(_gamma_from_powers(pw)).max(axis=0).tolist())
 
 
-def _separated(roots):
-    """Per list of five roots, whether every pair lies farther apart than
-    _CLUSTER_FLOOR, which is when _clusters finds five singletons (np.hypot
-    of the parts is abs of the Python complex difference, bit for bit)."""
-    r = np.array(roots)
-    i, j = np.triu_indices(5, 1)
-    gap = np.hypot(r.real[:, i] - r.real[:, j], r.imag[:, i] - r.imag[:, j])
-    return (gap > _CLUSTER_FLOOR).all(axis=1).tolist()
-
-
 _SIMPLE = (1, 1, 1, 1, 1)
+_PAIR_I, _PAIR_J = np.triu_indices(5, 1)
+_PAIRS_AT = np.eye(5, dtype=int)[_PAIR_I] + np.eye(5, dtype=int)[_PAIR_J]  # pair, root
+_PAIR_PARTITIONS = (_SIMPLE, (2, 1, 1, 1), (2, 2, 1))
+
+
+def _pair_partitions(roots):
+    """Per list of five roots, _partition(_clusters(roots)) where the pairs
+    within _CLUSTER_FLOOR (np.hypot is Python's abs, bit for bit) are
+    disjoint, each center ((0 + z_i) + z_j) / 2 as _clusters sums, in order
+    of i; None where a cluster holds three or more roots."""
+    r = np.array(roots)
+    z = _Complexes(r.real, r.imag)
+    close = abs(z[:, _PAIR_I] - z[:, _PAIR_J]) <= _CLUSTER_FLOOR
+    paired = (close @ _PAIRS_AT).max(axis=1) <= 1
+    point, pair = np.nonzero(close & paired[:, None])
+    centers = ((z[point, _PAIR_I[pair]] + 0) + z[point, _PAIR_J[pair]]) / 2
+    centers = iter(centers.tolist())
+    return [(_PAIR_PARTITIONS[n], [next(centers) for _ in range(n)]) if ok else None
+            for ok, n in zip(paired.tolist(), close.sum(axis=1).tolist())]
+
+
 _LAMBDA1_PARTITIONS = ((2, 1, 1, 1), (3, 1, 1))
 
 

@@ -61,8 +61,19 @@ def _fmt(v):
 # ---------------------------------------------------------------------------
 # sampling helpers
 
+def _uniform(lo, hi, d):
+    """rng.uniform(lo, hi) from the double d of rng.random(), by numpy's own
+    formula: each sampler attempt takes its doubles in one rng.random call."""
+    return lo + (hi - lo) * d
+
+
+def _disc(r, d, t):
+    """The point of the disk |z| <= r at the uniform doubles d, t."""
+    return r * np.sqrt(d) * np.exp(2j * np.pi * t)
+
+
 def _cunit(rng):
-    return complex(rng.normal(), rng.normal()) / np.sqrt(2.0)
+    return complex(*rng.normal(size=2).tolist()) / np.sqrt(2.0)
 
 
 def _cunits(rng, n):
@@ -74,7 +85,7 @@ def _cunits(rng, n):
 
 def _cdisc(rng, r=1.0):
     """Uniform draw from the closed disk |z| <= r (bounded, unlike _cunit)."""
-    return r * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+    return _disc(r, *rng.random(2).tolist())
 
 
 # A sampler takes at most this many draws per sample it is asked for; at
@@ -118,9 +129,12 @@ def random_gamma(rng, rmax=1.0):
     def accept(g4, g6):
         dl = el.delta_gamma(g4, g6)
         return (g4, g6) if abs(dl) >= 0.05 * (abs(g4) ** 3 + abs(g6) ** 2) else None
-    return _one("random_gamma", lambda: (_cdisc(rng, rmax) * rng.uniform(0.3, 1.0),
-                                         _cdisc(rng, rmax) * rng.uniform(0.3, 1.0)),
-                accept)
+
+    def draw():
+        d = rng.random(6).tolist()
+        return tuple(_disc(rmax, d[k], d[k + 1]) * _uniform(0.3, 1.0, d[k + 2])
+                     for k in (0, 3))
+    return _one("random_gamma", draw, accept)
 
 
 def _alpha_gap(ctx, xi):
@@ -136,8 +150,12 @@ def random_lambda1_context(rng):
         ctx = sg.context_lambda1(a2, (g4, g6))
         thin = ctx.branch_point or abs(ctx.wpp_alpha) < 0.25 * scale ** 0.5
         return None if thin else ctx
-    return _one("random_lambda1_context",
-                lambda: (*random_gamma(rng), _cdisc(rng) * rng.uniform(0.2, 1.0)), accept)
+
+    def draw():
+        gamma = random_gamma(rng)
+        d, t, v = rng.random(3).tolist()
+        return (*gamma, _disc(1.0, d, t) * _uniform(0.2, 1.0, v))
+    return _one("random_lambda1_context", draw, accept)
 
 
 def _worst(values, row):
@@ -232,10 +250,8 @@ def suite_inversion(rng, samples):
     trips = []
     for _ in range(3):
         ctx = random_lambda1_context(rng)
-        ec = ctx.ectx
-        trips += _sample(counts, max(1, samples // 3), iter(lambda: tuple(
-            rng.uniform(-0.35, 0.35) * ec.omega + rng.uniform(-0.35, 0.35) * ec.omegaP
-            for _ in range(2)), None), functools.partial(_round_trip, ctx))
+        trips += _sample(counts, max(1, samples // 3), _lattice_pairs(rng, ctx.ectx),
+                         functools.partial(_round_trip, ctx))
     drawn = [(_cdisc(rng) + 1.0, _cdisc(rng, 0.5), _cdisc(rng, 0.3)) for _ in range(50)]
     kept = [(alpha, u1, u3) for alpha, u1, u3 in drawn
             if not (abs(u1) < 0.1 or abs(alpha) < 0.5
@@ -243,6 +259,13 @@ def suite_inversion(rng, samples):
     rational = _sample(counts, len(kept), kept, _rational_residuals)
     return {"round_trip": _worst(trips, 0), "rational_limit": _worst(rational, 0),
             **counts}
+
+
+def _lattice_pairs(rng, ec):
+    """Endless draws (xi1, xi2) of t omega + t' omega', t, t' in [-0.35, 0.35]."""
+    while True:
+        t = [_uniform(-0.35, 0.35, d) for d in rng.random(4).tolist()]
+        yield t[0] * ec.omega + t[1] * ec.omegaP, t[2] * ec.omega + t[3] * ec.omegaP
 
 
 def _round_trip(ctx, xi1, xi2):
@@ -340,7 +363,9 @@ def suite_legendre(rng, samples):
 
 
 def suite_spectral(rng, samples):
-    """Eigen-equation, KdV, real potential families, Bloch multipliers."""
+    """Eigen-equation, KdV, real potential families, Bloch multipliers.
+    m2_m3_gap is 0.0 by construction (quasi_momenta returns M2 = M3), so that
+    row cannot fail; a refused Bloch sample shows in unsampled."""
     def eigen_kdv(ctx, b1, u3, u1):
         # near the sigma2 divisor the potential has poles close to the
         # differentiation ring, which then, not the identity, becomes the
@@ -546,6 +571,7 @@ SUITES = {
     "inversion": Suite("inversion_round_trip", suite_inversion, 100, {
         "round_trip": 1e-8, "rational_limit": 1e-10, "unsampled": 0}),
     "heat": Suite("heat_annihilation", suite_heat, 20, {"max_residual": 1e-5}),
+    # m2_m3_gap reads 0.0 by construction; a refusal shows in unsampled
     "spectral": Suite("spectral", suite_spectral, 20, {
         "eigen": 1e-6, "kdv": 1e-5, "reality_max_imag": 1e-8, "bloch": 1e-6,
         "m2_m3_gap": 1e-12, "unsampled": 0}),

@@ -3,13 +3,16 @@
 The package evaluates every integral it needs in closed form; adaptive
 quadrature along explicit paths is the independent route those closed forms
 are checked with.  The paper's hand-restricted heat operators Q0..Q6 are the
-independent route for heat's q0..q6.
+independent route for heat's q0..q6.  The scalar-call samplers are the
+reference streams of verify's block-drawing ones.
 """
 
 import numpy as np
 
+from sigma2 import elliptic as el
 from sigma2 import heat
 from sigma2 import sigma as sg
+from sigma2 import verify as vf
 from sigma2.errors import NumericalFailure
 from sigma2.numerics import cauchy_derivatives
 
@@ -179,3 +182,38 @@ def restricted_q(ctx, u3, U1):
     }
     return {name: (complex(sum(ts)), max(abs(t) for t in ts))
             for name, ts in terms.items()}
+
+
+# verify's samplers as one rng call per double: each attempt's draws, in
+# order, as scalar rng.uniform and rng.normal calls
+
+def cunit_scalar(rng):
+    return complex(rng.normal(), rng.normal()) / np.sqrt(2.0)
+
+
+def cdisc_scalar(rng, r=1.0):
+    return r * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+
+
+def random_gamma_scalar(rng, rmax=1.0):
+    def accept(g4, g6):
+        dl = el.delta_gamma(g4, g6)
+        return (g4, g6) if abs(dl) >= 0.05 * (abs(g4) ** 3 + abs(g6) ** 2) else None
+    return vf._one("random_gamma",
+                   lambda: (cdisc_scalar(rng, rmax) * rng.uniform(0.3, 1.0),
+                            cdisc_scalar(rng, rmax) * rng.uniform(0.3, 1.0)), accept)
+
+
+def random_lambda1_context_scalar(rng):
+    def accept(g4, g6, a2):
+        scale = (abs(g4) ** 1.5 + abs(g6) + abs(a2) ** 3) + 1e-12
+        ctx = sg.context_lambda1(a2, (g4, g6))
+        thin = ctx.branch_point or abs(ctx.wpp_alpha) < 0.25 * scale ** 0.5
+        return None if thin else ctx
+    return vf._one("random_lambda1_context", lambda: (
+        *random_gamma_scalar(rng), cdisc_scalar(rng) * rng.uniform(0.2, 1.0)), accept)
+
+
+def lattice_pair_scalar(rng, ec):
+    return tuple(rng.uniform(-0.35, 0.35) * ec.omega
+                 + rng.uniform(-0.35, 0.35) * ec.omegaP for _ in range(2))

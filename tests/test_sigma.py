@@ -32,6 +32,21 @@ def test_context_invariants(ctx_generic):
     assert abs((ctx.wpp_alpha / 2) ** 2 - d2) < 1e-10 * (1 + abs(d2))
 
 
+def test_weight_scale_on_both_strata(ctx_generic):
+    # Lambda1: max(|a2|^(1/2), |g4|^(1/4), |g6|^(1/6)); Lambda0: the larger
+    # |a2|^(1/2), |b2|^(1/2); both floored at 1e-6
+    a2, g4, g6 = ctx_generic.a2, ctx_generic.gamma.gamma4, ctx_generic.gamma.gamma6
+    assert ctx_generic.weight_scale() == max(abs(a2) ** 0.5, abs(g4) ** 0.25,
+                                             abs(g6) ** (1.0 / 6.0))
+    ctx0 = sg.context_lambda0(0.3 + 0.1j, -0.2 + 0.4j)
+    assert ctx0.weight_scale() == abs(-0.2 + 0.4j) ** 0.5
+    assert sg.context_lambda0(0.0, 0.0).weight_scale() == 1e-6
+    # Sato weight 1: a2, b2 -> t^2 a2, t^2 b2 scales it by t
+    t = 2.0
+    ctx_t = sg.context_lambda0(t**2 * (0.3 + 0.1j), t**2 * (-0.2 + 0.4j))
+    assert ctx_t.weight_scale() == pytest.approx(t * ctx0.weight_scale(), rel=1e-15)
+
+
 def test_taylor_leading_parts(ctx_generic):
     t = 1e-4
     lam6 = ctx_generic.lam.lambda6

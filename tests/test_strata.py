@@ -407,33 +407,39 @@ def _masked(exc):
     return re.sub(r"disagree \(.*\)", "disagree (#)", msg)
 
 
+def _as_classify(lam, got):
+    """Assert that got, classify_many's entry for lam, is what classify
+    gives there: the same refusal, or the same stratum, partition, rank,
+    point and chart values bit for bit (by repr, which keeps every bit and
+    the signs of zeros) and the same round trips; numpy's complex arithmetic
+    rounds differently from Python's, so the batched magnitudes may move by
+    a few eps times the mass.  True when classify raises."""
+    try:
+        want = st.classify(lam)
+    except Sigma2Error as exc:
+        assert type(got) is type(exc)
+        assert _masked(got) == _masked(exc)
+        return True
+    assert isinstance(got, st.StratumClassification)
+    for key in ("stratum", "partition", "rank", "lam", "a2", "b2", "gamma"):
+        assert repr(getattr(got, key)) == repr(getattr(want, key))
+    assert got.residuals.keys() == want.residuals.keys()
+    ln = st._setup(lam)[2]
+    mass = {} if ln is None else {
+        "delta_abs": _monomial_mass(st._DELTA_MONOMIALS, ln),
+        "gamma_norm": max(_monomial_mass(m, ln) for m in st._GAMMA_MONOMIALS)}
+    for key, value in want.residuals.items():
+        if key in mass:
+            assert abs(got.residuals[key] - value) <= 16 * _EPS * mass[key]
+        else:
+            assert got.residuals[key] == value
+    return False
+
+
 def test_classify_many_matches_classify():
     assert st.classify_many([]) == []
     pts = _edge_points(np.random.default_rng(19), 100)
-    raised = 0
-    for lam, got in zip(pts, st.classify_many(pts)):
-        try:
-            want = st.classify(lam)
-        except Sigma2Error as exc:
-            assert type(got) is type(exc)
-            assert _masked(got) == _masked(exc)
-            raised += 1
-            continue
-        assert isinstance(got, st.StratumClassification)
-        for key in ("stratum", "partition", "rank", "lam", "a2", "b2", "gamma"):
-            assert getattr(got, key) == getattr(want, key)
-        assert got.residuals.keys() == want.residuals.keys()
-        # numpy's complex arithmetic rounds differently from Python's, so the
-        # batched magnitudes move by rounding: a few eps times the mass
-        ln = st._setup(lam)[2]
-        mass = {} if ln is None else {
-            "delta_abs": _monomial_mass(st._DELTA_MONOMIALS, ln),
-            "gamma_norm": max(_monomial_mass(m, ln) for m in st._GAMMA_MONOMIALS)}
-        for key, value in want.residuals.items():
-            if key in mass:
-                assert abs(got.residuals[key] - value) <= 16 * _EPS * mass[key]
-            else:
-                assert got.residuals[key] == value
+    raised = sum(_as_classify(lam, got) for lam, got in zip(pts, st.classify_many(pts)))
     assert raised >= 1      # the near-boundary point
     # refusals from the chains, mixed with every stratum
     assert raised >= 5
@@ -443,9 +449,25 @@ def test_classify_many_matches_classify():
         st.RANK_BY_PARTITION)
 
 
+def _roots(lam):
+    """The roots of lam's normalized quintic, as classify computes them."""
+    return st._quintic_roots([st._monic(st._setup(lam)[2])])[0]
+
+
+def _in_triple(lam):
+    """Whether the greedy reference puts three or more roots of lam's
+    normalized quintic in one cluster (False at the origin)."""
+    return bool(st._setup(lam)[1]) and max(
+        len(m) for _, m in cluster_points(_roots(lam), _R)) >= 3
+
+
 def test_classify_many_clusters_only_points_with_close_roots(monkeypatch):
-    # a point whose ten root gaps all exceed the radius reads as Lambda2
-    # without _clusters; every other point is clustered exactly once
+    # only a point with a cluster of three or more roots is clustered, once;
+    # a point whose close root pairs are disjoint reads its partition and
+    # centers from the batch's root distances.  The rank table's (3, 1, 1),
+    # (3, 2) and (4, 1) points at three scales and the single-linkage chains
+    # (r1 ~ r2 ~ r3 with |r1 - r3| past the radius) take the clustering path;
+    # the origin, the one (5,) point, is decided before it
     pts = _edge_points(np.random.default_rng(23), 30)
     seen = []
     clusters = st._clusters
@@ -455,12 +477,25 @@ def test_classify_many_clusters_only_points_with_close_roots(monkeypatch):
         return clusters(roots)
 
     monkeypatch.setattr(st, "_clusters", counted)
-    st.classify_many(pts)
-    close = [lam for lam in pts if st._setup(lam)[1] and _closest_gap(lam) <= _R]
-    want = [tuple(map(_bits, st._quintic_roots([st._monic(st._setup(lam)[2])])[0]))
-            for lam in close]
-    assert sorted(seen) == sorted(want)
-    assert 0 < len(close) < len(pts)
+    got = st.classify_many(pts)
+    triple = [lam for lam in pts if _in_triple(lam)]
+    assert sorted(seen) == sorted(tuple(map(_bits, _roots(lam))) for lam in triple)
+    monkeypatch.undo()
+    multiple = [lam.rescaled(t)
+                for lam, part in zip(RANK_TABLE_POINTS, RANK_TABLE_PARTITIONS)
+                if part in {(3, 1, 1), (3, 2), (4, 1)} for t in (0.5, 1.0, 3.0)]
+    assert len(multiple) == 9 and all(lam in triple for lam in multiple)
+    # the chains, each a cluster with two members farther apart than _R
+    for lam in CHAIN_POINTS[:4]:
+        assert lam in triple
+        assert any(len(m) >= 3 and max(abs(x - y) for x in m for y in m) > _R
+                   for _, m in cluster_points(_roots(lam), _R))
+    pairs = [lam for lam in pts if st._setup(lam)[1] and not _in_triple(lam)
+             and _closest_gap(lam) <= _R]
+    assert len(pairs) > 20
+    for lam, cls in zip(pts, got):
+        if lam in triple or not st._setup(lam)[1]:
+            _as_classify(lam, cls)
 
 
 def _suite_classify_reference(rng, samples):
