@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from operator import itemgetter
 
 import numpy as np
@@ -516,8 +517,11 @@ def _magnitudes(ln):
 
 
 _SIMPLE = (1, 1, 1, 1, 1)
-_PAIR_I, _PAIR_J = np.triu_indices(5, 1)
-_PAIRS_AT = np.eye(5, dtype=int)[_PAIR_I] + np.eye(5, dtype=int)[_PAIR_J]  # pair, root
+# built without a ufunc call: the first one costs ~0.25 MB of RSS, and the
+# verify parent process, which imports this module, runs none
+_PAIRS = list(combinations(range(5), 2))        # (i, j), i < j, in order of i
+_PAIR_I, _PAIR_J = np.array(_PAIRS).T
+_PAIRS_AT = np.array([[int(k in p) for k in range(5)] for p in _PAIRS])  # pair, root
 _PAIR_PARTITIONS = (_SIMPLE, (2, 1, 1, 1), (2, 2, 1))
 
 

@@ -331,13 +331,17 @@ def _mixed_points(rng, per_chart):
     return [pts[i] for i in rng.permutation(len(pts))]
 
 
+def _roots(lam):
+    """The roots of lam's normalized quintic, as classify computes them."""
+    return st._quintic_roots([st._monic(st._setup(lam)[2])])[0]
+
+
 def _closest_gap(lam):
     """The smallest distance between two roots of lam's normalized quintic,
     as classify computes those roots (None at the origin)."""
-    _, s, ln = st._setup(lam)
-    if not s:
+    if not st._setup(lam)[1]:
         return None
-    roots = st._quintic_roots([st._monic(ln)])[0]
+    roots = _roots(lam)
     return min(abs(x - y) for i, x in enumerate(roots) for y in roots[i + 1:])
 
 
@@ -447,11 +451,6 @@ def test_classify_many_matches_classify():
             if not isinstance(cls, Sigma2Error)} == {"Lambda2", "Lambda1", "Lambda0"}
     assert {cls.partition for cls in map(st.classify, RANK_TABLE_POINTS)} == set(
         st.RANK_BY_PARTITION)
-
-
-def _roots(lam):
-    """The roots of lam's normalized quintic, as classify computes them."""
-    return st._quintic_roots([st._monic(st._setup(lam)[2])])[0]
 
 
 def _in_triple(lam):
