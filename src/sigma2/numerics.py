@@ -51,14 +51,23 @@ def cauchy_derivatives(f, z0, nmax, radius, nodes):
 
 
 def shc(c, z):
-    """sinh(c z)/c, even in c and finite at c = 0; elementwise, c and z broadcast."""
+    """sinh(c z)/c, even in c and finite at c = 0; elementwise, c and z broadcast.
+
+    With w = c z, an element with |w| >= 1e-4 is sinh(w)/c; any other (c = 0
+    among them, and a NaN w) is the series z (1 + w^2/6 + w^4/120).  Each
+    element is computed by its own branch only, and nothing is divided by
+    the c of a series element, so c = 0 raises no warning.
+    """
     w = c * z
-    series = z * (1.0 + w * w / 6.0 + w ** 4 / 120.0)
     if not isinstance(w, np.ndarray):
-        return series if abs(w) < 1e-4 else np.sinh(w) / c
+        return z * (1.0 + w * w / 6.0 + w ** 4 / 120.0) if abs(w) < 1e-4 else np.sinh(w) / c
     big = abs(w) >= 1e-4
-    series[big] = np.sinh(w[big]) / np.broadcast_to(c, w.shape)[big]
-    return series
+    out = np.sinh(w)
+    np.divide(out, c, out=out, where=big)
+    small = ~big
+    ws = w[small]
+    out[small] = np.broadcast_to(z, w.shape)[small] * (1.0 + ws * ws / 6.0 + ws ** 4 / 120.0)
+    return out
 
 
 def continuous_log(g, rows=None):

@@ -4,7 +4,8 @@ The package evaluates every integral it needs in closed form; adaptive
 quadrature along explicit paths is the independent route those closed forms
 are checked with.  The paper's hand-restricted heat operators Q0..Q6 are the
 independent route for heat's q0..q6.  The scalar-call samplers are the
-reference streams of verify's block-drawing ones.
+reference streams of verify's block-drawing ones, and `shc_both_branches`
+is the bit-level reference of `numerics.shc`.
 """
 
 import numpy as np
@@ -77,6 +78,19 @@ def roundoff_tie_pair(a, b):
         b = -b
     b -= round((b / a).real) * a
     return a, b
+
+
+def shc_both_branches(c, z):
+    """sinh(c z)/c as numerics.shc computed it before it took each element
+    by one branch: the series on every element, then sinh(w)/c written over
+    those with |w| >= 1e-4."""
+    w = c * z
+    series = z * (1.0 + w * w / 6.0 + w ** 4 / 120.0)
+    if not isinstance(w, np.ndarray):
+        return series if abs(w) < 1e-4 else np.sinh(w) / c
+    big = abs(w) >= 1e-4
+    series[big] = np.sinh(w[big]) / np.broadcast_to(c, w.shape)[big]
+    return series
 
 
 def cluster_points(points, radius):

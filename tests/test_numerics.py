@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sigma2.errors import NumericalFailure
-from sigma2.numerics import cauchy_derivatives, continuous_log, require_finite
+from sigma2.numerics import cauchy_derivatives, continuous_log, require_finite, shc
 
-from oracles import cluster_points, quadrature_path
+from oracles import cluster_points, quadrature_path, shc_both_branches
 
 
 def test_require_finite():
@@ -114,3 +116,54 @@ def test_cluster_points():
     assert sizes == [1, 2, 2]
     centers = [c for c, _ in clusters]
     assert centers == sorted(centers, key=lambda z: (z.real, z.imag))
+
+
+def _bits(x):
+    """type, dtype, shape and float64 bytes: equal only for the same value
+    to the bit, signed zeros and NaN payloads included."""
+    a = np.asarray(x)
+    return type(x), a.dtype, a.shape, a.reshape(-1).view(np.float64).tobytes()
+
+
+# |c z| from 1e-9 to ~30 with exact 1e-4 and 0 among them, so both branches
+# and the switch are covered; a NaN goes the series way, as it always did
+_MAGS = np.concatenate([np.logspace(-9, 1.5, 61), [1e-4, 0.0, np.nan]])
+_Z = _MAGS * np.exp(1j * np.linspace(0.0, 6.0, _MAGS.size))
+
+
+@pytest.mark.parametrize("c,z", [
+    (1.0, _Z),
+    (0.7 - 1.3j, _Z),
+    (np.complex128(2.0 + 0.5j), _Z.real),
+    (0.0, _Z),
+    (0j, _Z.real),
+    (np.array([0.0, 1e-3, 1.0, 1.0 + 2.0j])[:, None], _Z),
+    (np.array([[0.0], [1e-6j], [0.3 - 0.1j], [5.0]]), _Z[::-1]),
+    (np.sqrt(np.array([0.6 - 0.6, 1.5, -2.0 + 1j, 0.4j]))[:, None],
+     np.array([0.3 - 0.5j, 1e-5, -2e-4j, 0.0])),
+    (_Z[::7], _Z[::7] * 1j),
+], ids=["real-c", "complex-c", "real-z", "c0", "c0-real-z", "c4x1", "c4x1-zeros",
+        "ring", "paired"])
+def test_shc_arrays_are_the_two_branch_formula_to_the_bit(c, z):
+    assert _bits(shc(c, z)) == _bits(shc_both_branches(c, z))
+
+
+@pytest.mark.parametrize("c,z", [
+    (1.0, 0.5), (1.0, 1e-4), (1.0, 9.99e-5), (0.7 - 1.3j, 2e-5 + 1e-5j),
+    (0.7 - 1.3j, 3.0 - 1.0j), (0.0, 0.25), (0j, 1.0 + 1j),
+    (np.complex128(0.2j), np.complex128(1e-3)), (np.sqrt(-0.3 + 0j), 1.7),
+    (1e-3, 0.09),
+])
+def test_shc_scalars_are_the_two_branch_formula_to_the_bit(c, z):
+    assert _bits(shc(c, z)) == _bits(shc_both_branches(c, z))
+
+
+def test_shc_at_c_zero_is_z_without_a_warning():
+    z = np.array([0.3 - 0.5j, -1.0, 2e-5j, 0.0, 40.0 + 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (0, 0.0, 0j, np.zeros((3, 1))):
+            got = shc(c, z)
+            assert np.array_equal(got, np.broadcast_to(z, got.shape))
+        assert shc(0.0, complex(z[0])) == z[0]
+

@@ -356,3 +356,18 @@ def test_sigma2_refuses_a_value_past_the_double_range(normalized):
         got = sg.sigma2(ctx, np.array([0.1, 0.3]), np.array([0.2, -0.1]), normalized)
     want = [sg.sigma2(ctx, 0.1, 0.2, normalized), sg.sigma2(ctx, 0.3, -0.1, normalized)]
     assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("a2,b2", [(0.3, -0.2), (-0.2, 0.3)], ids=["p0", "q0"])
+def test_lambda0_grid_with_a_zero_root_is_finite_without_warning(a2, b2):
+    # 2 a2 + 3 b2 = 0 or 3 a2 + 2 b2 = 0: one of sinh(p v)/p, sinh(q w)/q is
+    # taken at c = 0 on the whole grid, which is its series, not a division
+    ctx = sg.context_lambda0(a2, b2)
+    g = np.linspace(-0.5, 0.5, 50)
+    u3, u1 = (x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sg.sigma2(ctx, u3, u1)
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got + got[::-1])) <= 1e-10 * np.max(np.abs(got))
+    assert abs(got[7] - sg.sigma2(ctx, u3[7], u1[7])) <= 1e-14 * abs(got[7])
