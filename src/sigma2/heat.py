@@ -43,7 +43,7 @@ import numpy as np
 from . import sigma as sg
 from . import strata as st
 from .errors import NotOnStratum
-from .numerics import cauchy_derivatives
+from .numerics import cauchy_derivatives, peak
 
 __all__ = ["HeatResidualReport", "q_residuals"]
 
@@ -55,7 +55,7 @@ class HeatResidualReport:
 
     @property
     def max_residual(self):
-        return max(self.residuals.values())
+        return peak(self.residuals.values())
 
 
 def _moduli_derivative(func, t):

@@ -22,7 +22,7 @@ import numpy as np
 from . import elliptic as el
 from . import sigma as sg
 from .errors import SingularConfiguration
-from .numerics import continuous_log
+from .numerics import continuous_log, peak
 from .strata import G2Params, discriminant
 
 __all__ = [
@@ -244,7 +244,7 @@ def reconstruct_lambda(ctx: sg.DegenSigmaContext, U1, U3) -> dict:
     g4 = (fu - fa) / (4.0 * dpu)
     g6 = -(a * fu - pu * fa) / (4.0 * dpu)
     ref = ctx.lam.astuple()
-    err = max(abs(x - y) for x, y in zip(lam.astuple(), ref))
+    err = peak(abs(x - y) for x, y in zip(lam.astuple(), ref))
     err /= 1.0 + max(abs(complex(x)) for x in ref)
     return {"lam": lam, "gamma4": complex(g4), "gamma6": complex(g6),
             "lambda_residual": err,

@@ -105,6 +105,19 @@ def continuous_log(g, rows=None):
     raise NumericalFailure("continuous_log could not resolve the branch")
 
 
+def peak(values):
+    """max(values), the first of equal values, except that a NaN among them
+    is the result: max keeps whichever of two values that do not compare
+    came first, so a NaN residual would read as the values around it."""
+    top = None
+    for v in values:
+        if v != v:
+            return v
+        if top is None or v > top:
+            top = v
+    return top
+
+
 def all_finite(v):
     """True when the scalar or every entry of the ndarray v is finite."""
     if isinstance(v, np.ndarray):

@@ -44,7 +44,7 @@ import numpy as np
 from .elliptic import EllipticCurveParams, delta_gamma, make_context, invert_wp
 from .errors import (AmbiguousClassification, DegenerateCurve, NotOnStratum,
                      NumericalFailure, Sigma2Error)
-from .numerics import require_finite
+from .numerics import peak, require_finite
 
 __all__ = [
     "G2Params", "StratumClassification", "VectorFieldData",
@@ -897,5 +897,5 @@ def gradient_delta_check(a2, gamma):
     pref = delta_gamma(g4, g6) * wpp ** 6 / 16.0
     closed = [pref * a2**3, pref * a2**2, pref * a2, pref]
     scale = max(1.0, max(abs(g) for g in grad), max(abs(g) for g in closed))
-    resid = max(abs(a - b) for a, b in zip(grad, closed)) / scale
+    resid = peak(abs(a - b) for a, b in zip(grad, closed)) / scale
     return {"gradient": grad, "closed_form": closed, "residual": resid}

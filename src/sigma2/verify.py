@@ -27,7 +27,7 @@ from . import sigma as sg
 from . import spectral as sp
 from . import strata as st
 from .errors import NumericalFailure, Sigma2Error
-from .numerics import cauchy_derivatives
+from .numerics import cauchy_derivatives, peak
 
 __all__ = ["SuiteResult", "Suite", "run_suite", "run_suites", "SUITES",
            "p_route_derivatives", "random_lambda1_context"]
@@ -160,8 +160,9 @@ def random_lambda1_context(rng):
 
 def _worst(values, row):
     """The largest residual of one row over the values _sample gave (each a
-    tuple of per-row residual tuples), taken in draw order; 0.0 for none."""
-    return max([0.0, *(r for v in values for r in v[row])])
+    tuple of per-row residual tuples), taken in draw order; 0.0 for none,
+    NaN if any is NaN."""
+    return peak([0.0, *(r for v in values for r in v[row])])
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +216,8 @@ def suite_heat(rng, samples):
         u3, U1 = _cdisc(rng, 0.5), _cdisc(rng, 0.5)
         rep = heat.q_residuals(ctx, u3, U1)
         for k, v in rep.residuals.items():
-            per_op[k] = max(per_op[k], v)
-        worst = max(worst, rep.max_residual)
+            per_op[k] = peak((per_op[k], v))
+        worst = peak((worst, rep.max_residual))
     return {"max_residual": worst, **per_op}
 
 
@@ -228,8 +229,8 @@ def suite_taylor(rng, samples):
         g4, g6 = random_gamma(rng, rmax=0.02)
         a2 = _cdisc(rng, 0.02)
         ctx = sg.context_lambda1(a2, (g4, g6))
-        worst3 = max(worst3, abs(sg.sigma2(ctx, u, 0.0) / u - 1.0))
-        worst1 = max(worst1, abs(sg.sigma2(ctx, 0.0, u) / (-u ** 3 / 3) - 1.0))
+        worst3 = peak((worst3, abs(sg.sigma2(ctx, u, 0.0) / u - 1.0)))
+        worst1 = peak((worst1, abs(sg.sigma2(ctx, 0.0, u) / (-u ** 3 / 3) - 1.0)))
     # two-double-point constant: recorded, context independence asserted
     consts = []
     for _ in range(4):
@@ -237,7 +238,7 @@ def suite_taylor(rng, samples):
         b2 = _cdisc(rng, 0.05)
         ctx0 = sg.context_lambda0(a2, b2)
         consts.append(sg.sigma2(ctx0, u, 0.0) / u)
-    spread = max(abs(c - consts[0]) for c in consts)
+    spread = peak(abs(c - consts[0]) for c in consts)
     return {"u3_residual": worst3, "u1_residual": worst1,
             "lambda0_constant": complex(np.mean(consts)),
             "lambda0_spread": spread}
@@ -284,7 +285,7 @@ def _round_trip(ctx, xi1, xi2):
     want = sorted([el.wp(ec, xi1), el.wp(ec, xi2)], key=lambda z: (z.real, z.imag))
     got = sorted([res.X1, res.X2], key=lambda z: (z.real, z.imag))
     scale = 1.0 + max(abs(w) for w in want)
-    return (max(abs(a - b) for a, b in zip(got, want)) / scale,),
+    return (peak(abs(a - b) for a, b in zip(got, want)) / scale,),
 
 
 def _rational_residuals(alpha, u1, u3):
@@ -349,7 +350,7 @@ def suite_legendre(rng, samples):
     for _ in range(samples):
         ctx = random_lambda1_context(rng)
         L = lt.period_matrices(ctx)
-        worst_leg = max(worst_leg, L.legendre_residual)
+        worst_leg = peak((worst_leg, L.legendre_residual))
         t1 = np.concatenate([L.T[:, 0], L.H[:, 0]])
         incs = _sample(counts, 5, iter(lambda: (_cdisc(rng, 0.25) + 0.05,), None),
                        lambda xi: lt.period_increment(ctx, xi, 1, 0))
@@ -358,7 +359,7 @@ def suite_legendre(rng, samples):
         for a in incs[1:]:
             diff = a - incs[0]
             m = round((diff[0] / t1[0]).real)
-            worst_inc = max(worst_inc, float(np.max(np.abs(diff - m * t1))))
+            worst_inc = peak((worst_inc, float(np.max(np.abs(diff - m * t1)))))
     return {"legendre": worst_leg, "increment_spread": worst_inc, **counts}
 
 
@@ -400,7 +401,7 @@ def suite_spectral(rng, samples):
             ctx = sg.context_lambda1(0.6 * wpa, (g4, g6))
             for fam in ("V1", "V2"):
                 s = sp.real_family(ctx, fam, 0.25, grid)
-                worst_im = max(worst_im, s.max_imag)
+                worst_im = peak((worst_im, s.max_imag))
     return {"eigen": _worst(spec, 0), "kdv": _worst(spec, 1),
             "reality_max_imag": worst_im, "bloch": _worst(blochs, 1),
             "m2_m3_gap": _worst(blochs, 0), **counts}
@@ -468,7 +469,7 @@ def suite_classify(rng, samples):
             mis += 1
         else:
             found.append((want, (cls.a2, cls.b2)))
-    worst_rt = max(worst_rt, _worst_round_trip(found, pair=True))
+    worst_rt = peak((worst_rt, _worst_round_trip(found, pair=True)))
     # the seven partitions of the rank table
     table = [
         ((-5, 0, 4, 0), (1, 1, 1, 1, 1), 4),
@@ -515,16 +516,15 @@ def suite_gradient(rng, samples):
         chk = st.gradient_delta_check(a2, gamma)
         ring = _ring_gradient(st.lambda_from_lambda1(a2, gamma))
         scale = max(1.0, max(abs(g) for g in chk["gradient"]))
-        return (chk["residual"],), (max(abs(a - b) for a, b in
-                                        zip(ring, chk["closed_form"])) / scale,)
+        return (chk["residual"],), (peak(abs(a - b) for a, b in
+                                         zip(ring, chk["closed_form"])) / scale,)
 
     counts = {"refused": 0, "unsampled": 0}
     vals = _sample(counts, samples, iter(lambda: (random_gamma(rng), _cunit(rng)), None),
                    residuals)
     # wp'(alpha) = 0 sample: both sides vanish
     chk0 = st.gradient_delta_check(0.0, (1.0, 0.0))
-    van = max(max(abs(g) for g in chk0["gradient"]),
-              max(abs(g) for g in chk0["closed_form"]))
+    van = peak(abs(g) for g in chk0["gradient"] + chk0["closed_form"])
     return {"closed_vs_symbolic": _worst(vals, 0), "closed_vs_fd": _worst(vals, 1),
             "branch_point_value": van, **counts}
 
@@ -552,7 +552,7 @@ def suite_trig_limit(rng, samples):
             u = _cunit(rng) * 0.6
             got = el.sigma_w(ec, u)
             want = el.sigma_trig_limit(a, u)
-            worst = max(worst, abs(got - want) / (1.0 + abs(want)))
+            worst = peak((worst, abs(got - want) / (1.0 + abs(want))))
     return {"max_residual": worst}
 
 

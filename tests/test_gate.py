@@ -9,7 +9,9 @@ seconds instead of looping forever or passing on rows that saw nothing.
 The planted-defect tests change one constant of the code a suite certifies
 by a factor of 1 + 1e-6 (1 + 1e-3 for heat, whose 1e-5 bound on a
 normalized residual does not see 1e-5) and check that the suite fails at
-seed 7.
+seed 7.  A residual that comes out NaN fails its row too: NaN compares
+false with everything, so a row that took max() of its residuals would
+read the values around it.
 """
 
 import time
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from sigma2 import elliptic as el
+from sigma2 import heat
 from sigma2 import inversion as inv
 from sigma2 import lattice as lt
 from sigma2 import sigma as sg
@@ -173,3 +176,35 @@ def test_planted_defect_is_caught(monkeypatch, plant, key, caught_by):
     result = vf.run_suite(key, 7)
     assert not result.passed
     assert not result.details[caught_by] < vf.SUITES[key].bounds[caught_by]
+
+
+# --- NaN residuals -----------------------------------------------------------
+
+def _plant_nan_kdv(monkeypatch):
+    """spectral.kdv_residual NaN on every sample."""
+    monkeypatch.setattr(sp, "kdv_residual", lambda ctx, u3, u1: float("nan"))
+
+
+def _plant_nan_heat(monkeypatch):
+    """heat's q2 residual NaN on every sample (q0, first of the four, stays)."""
+    q_residuals = heat.q_residuals
+
+    def planted(ctx, u3, U1):
+        rep = q_residuals(ctx, u3, U1)
+        rep.residuals["q2"] = float("nan")
+        return rep
+    monkeypatch.setattr(heat, "q_residuals", planted)
+
+
+@pytest.mark.parametrize("plant,key,caught_by", [
+    (_plant_nan_kdv, "spectral", "kdv"),
+    (_plant_nan_heat, "heat", "max_residual"),
+], ids=["kdv-spectral", "q2-heat"])
+def test_nan_residual_fails_its_row(monkeypatch, plant, key, caught_by):
+    plant(monkeypatch)
+    result = vf.run_suite(key, 7)
+    assert not result.passed
+    assert np.isnan(result.details[caught_by])
+    failing = [k for k, b in vf.SUITES[key].bounds.items()
+            if isinstance(b, float) and not result.details[k] < b]
+    assert failing == [caught_by]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sigma2.errors import NumericalFailure
-from sigma2.numerics import cauchy_derivatives, continuous_log, require_finite, shc
+from sigma2.numerics import (cauchy_derivatives, continuous_log, peak,
+                             require_finite, shc)
 
 from oracles import cluster_points, quadrature_path, shc_both_branches
 
@@ -167,3 +168,10 @@ def test_shc_at_c_zero_is_z_without_a_warning():
             assert np.array_equal(got, np.broadcast_to(z, got.shape))
         assert shc(0.0, complex(z[0])) == z[0]
 
+
+def test_peak_is_max_unless_a_nan_is_among_the_values():
+    nan = float("nan")
+    for values in ([0.0, 3.0, 1.0], [0.0, np.float64(2.0), 2.0], [5.0], [0.0, float("inf")]):
+        assert peak(values) is max(values)
+    for values in ([0.0, nan], [0.0, 1e-12, nan, 1.0], [nan, 2.0], [0.0, np.float64(nan)]):
+        assert np.isnan(peak(iter(values)))
