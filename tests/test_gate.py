@@ -206,5 +206,5 @@ def test_nan_residual_fails_its_row(monkeypatch, plant, key, caught_by):
     assert not result.passed
     assert np.isnan(result.details[caught_by])
     failing = [k for k, b in vf.SUITES[key].bounds.items()
-            if isinstance(b, float) and not result.details[k] < b]
+               if isinstance(b, float) and not result.details[k] < b]
     assert failing == [caught_by]
