@@ -556,24 +556,20 @@ def sigma_ratio_log(ctx: EllipticContext, alpha, xi):
 
     The branch matters wherever this log feeds an exponent that is compared
     against quadrature (Abel integrals, Bloch factors); the value at xi=0 is 0.
-    A complex for a scalar xi; for an ndarray xi, the ndarray of the scalar
-    calls' values, every path's quotients of one step count from one sigma_w
-    call.
+    Elementwise on an ndarray xi, every path's quotients of one step count
+    from one sigma_w call.  A scalar xi is the one-element array call, and
+    its value that array's entry: a numpy complex128, so the arithmetic
+    callers do on it is numpy's, as for an array's entries.
     """
-    if isinstance(xi, np.ndarray):
-        xi = np.asarray(xi, dtype=complex)
-        out = np.zeros(xi.shape, dtype=complex)
-        live = xi != 0
-        if live.any():
-            col = xi[live][:, None]
-            out[live] = continuous_log(
-                lambda t, idx: _sigma_quotient(ctx, alpha, alpha, col[idx], t),
-                len(col))
-        return out
-    xi = complex(xi)
-    if xi == 0:
-        return 0.0j
-    return continuous_log(lambda t: _sigma_quotient(ctx, alpha, alpha, xi, t))
+    xs = np.asarray(xi, dtype=complex)
+    out = np.zeros(xs.shape, dtype=complex)
+    live = xs != 0
+    if live.any():
+        col = xs[live][:, None]
+        out[live] = continuous_log(
+            lambda t, idx: _sigma_quotient(ctx, alpha, alpha, col[idx], t),
+            len(col))
+    return out if isinstance(xi, np.ndarray) else out[()]
 
 
 def sigma_trig_limit(a, u) -> complex:

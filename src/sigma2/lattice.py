@@ -112,8 +112,8 @@ def period_increment(ctx: sg.DegenSigmaContext, xi, m: int, n: int):
     xi = complex(xi)
     ec = ctx.ectx
     per = m * ec.omega + n * ec.omegaP
-    dlog = continuous_log(
-        lambda t: el._sigma_quotient(ec, ctx.alpha - xi, ctx.alpha + xi, per, t))
+    dlog = continuous_log(lambda t, idx: el._sigma_quotient(
+        ec, ctx.alpha - xi, ctx.alpha + xi, per, t)[None], 1)[0]
     # the elliptic parts are exact: zeta picks up m*eta + n*eta' and wp' is
     # periodic; forming the raw differences instead would amplify roundoff
     # by wp'' when xi sits near a pole

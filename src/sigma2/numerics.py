@@ -70,24 +70,18 @@ def shc(c, z):
     return out
 
 
-def continuous_log(g, rows=None):
-    """Continued log increment log g(1) - log g(0) along t in [0, 1].
+def continuous_log(g, rows):
+    """Continued log increments log g(1) - log g(0) along t in [0, 1], one
+    per row: the ndarray of ``rows`` (a count) increments.
 
-    ``g``, nonvanishing on the segment, is called on the ndarray of nodes.
-    Step count doubles from 16 until every increment turns by less than pi/2,
-    which pins the branch (at most 4096 steps); the winding is part of the
-    answer, no principal-value reduction is applied.
-
-    With ``rows`` (a count), g(t, idx) returns a 2-D array, the values of
-    function idx[j] in row j, and the result is the ndarray of the rows'
-    increments.  Each row stops at the step count its own 1-D call would
-    stop at, with the same value, and only the rows still open are
-    evaluated again.
+    g(t, idx), nonvanishing on the segment, is called on the ndarray of
+    nodes t and the ndarray idx of the rows still open, and returns a 2-D
+    array, row idx[j]'s values in row j.  Step count doubles from 16 until
+    every increment of a row turns by less than pi/2, which pins that row's
+    branch (at most 4096 steps); the winding is part of the answer, no
+    principal-value reduction is applied.  A row's value depends on its own
+    values only, and a resolved row is not evaluated again.
     """
-    single = rows is None
-    if single:      # one function is one row: one loop serves both
-        f, rows = g, 1
-        g = lambda t, idx: np.asarray(f(t))[None]
     out = np.zeros(rows, dtype=complex)
     todo = np.arange(rows)
     steps = 16
@@ -100,7 +94,7 @@ def continuous_log(g, rows=None):
         out[todo[done]] = np.sum(np.log(ratios[done]), axis=1)
         todo = todo[~done]
         if not todo.size:
-            return out[0] if single else out
+            return out
         steps *= 2
     raise NumericalFailure("continuous_log could not resolve the branch")
 

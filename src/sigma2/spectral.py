@@ -51,8 +51,7 @@ def baker_psi(ctx: sg.DegenSigmaContext, B1, U3, U1):
     if any_true(den == 0):
         raise SingularConfiguration("U-point lies on the sigma2 divisor")
     num = sg.sigma2_u(ctx, vals.I1 - U3, B1 - U1)
-    val = num / den * np.exp(U1 * vals.I3)
-    return val if isinstance(val, np.ndarray) else complex(val)
+    return sg._result(num / den * np.exp(U1 * vals.I3))
 
 
 def _u1_ring(ctx, f, U1, nmax):

@@ -16,11 +16,11 @@ monomials on the columns of the normalized points, where numpy's complex
 arithmetic moves the magnitudes by rounding only.  Its ten root gaps per
 point give the partition where the close roots form disjoint pairs; only a
 point with three or more roots in one cluster goes through `_clusters`.
-The rows (point, partition, centers) of one partition are polished,
-recovered and round-tripped together on `_Complexes`, float arrays with
-CPython's complex formulas.  Both routes run the same chart and recovery
-helpers and the same gates (`_verdict`), so the batch gives each point
-classify's chart values and round trips bit for bit.
+The rows (point, partition, centers) of one partition are polished in one
+batched Newton loop, recovered and round-tripped together on `_Complexes`,
+float arrays with CPython's complex formulas.  Both routes run the same
+chart and recovery helpers and the same gates (`_verdict`), so the batch
+gives each point classify's chart values and round trips bit for bit.
 
 Polynomials are stored as monomial lists so the same code path evaluates them
 over complex floats and exactly over Python ints and Fractions.  det V = 16/5
@@ -422,11 +422,11 @@ def _clusters(roots):
 _POLISH_STEPS = 40
 
 
-def _polish_root(ds, m, z, steps=_POLISH_STEPS):
+def _polish_root(ds, m, z):
     """Newton on p^(m-1), where an m-fold root of p is a simple root."""
     g = ds[m - 1]
     dg = ds[m]
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         f = _horner(g, z)
         d = _horner(dg, z)
         if d == 0:
@@ -677,19 +677,16 @@ def _ordered(a, b):
     return _Complexes.where(swap, b, a), _Complexes.where(swap, a, b)
 
 
-# a batched Newton step costs about as much as this many one-point steps
-_FEW_ROWS = 16
-
-
 def _polish_many(ds, m, z):
     """_polish_root on every entry of the _Complexes z, ds holding the
     coefficient columns of each entry's polynomial: each entry takes the
-    steps _polish_root takes there and stops where it stops.  The last few
-    entries still moving finish one at a time."""
+    steps _polish_root takes there and stops where it stops, by the same
+    tests on the same CPython arithmetic."""
     g, dg = ds[m - 1], ds[m]
     todo = np.arange(len(z.real))
-    done = 0
-    while len(todo) > _FEW_ROWS and done < _POLISH_STEPS:
+    for _ in range(_POLISH_STEPS):
+        if not todo.size:
+            break
         zt = z[todo]
         f = _horner([c[todo] for c in g], zt)
         d = _horner([c[todo] for c in dg], zt)
@@ -698,12 +695,6 @@ def _polish_many(ds, m, z):
         zt = zt[go] - step
         z.real[todo], z.imag[todo] = zt.real, zt.imag
         todo = todo[~(abs(step) < 1e-15 * (1 + abs(zt)))]
-        done += 1
-    for k in todo.tolist():
-        p = [complex(c.real[k], c.imag[k]) for c in ds[0]]
-        w = _polish_root(_poly_derivs(p), m, complex(z.real[k], z.imag[k]),
-                         _POLISH_STEPS - done)
-        z.real[k], z.imag[k] = w.real, w.imag
     return z
 
 

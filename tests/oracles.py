@@ -4,8 +4,11 @@ The package evaluates every integral it needs in closed form; adaptive
 quadrature along explicit paths is the independent route those closed forms
 are checked with.  The paper's hand-restricted heat operators Q0..Q6 are the
 independent route for heat's q0..q6.  The scalar-call samplers are the
-reference streams of verify's block-drawing ones, and `shc_both_branches`
-is the bit-level reference of `numerics.shc`.
+reference streams of verify's block-drawing ones.  `shc_both_branches`,
+`continuous_log_1d` and `sigma_ratio_log_scalar` are the bit-level
+references of `numerics.shc`, `numerics.continuous_log` and
+`elliptic.sigma_ratio_log`: each is the second route the package once kept
+beside its one path.
 """
 
 import numpy as np
@@ -91,6 +94,30 @@ def shc_both_branches(c, z):
     big = abs(w) >= 1e-4
     series[big] = np.sinh(w[big]) / np.broadcast_to(c, w.shape)[big]
     return series
+
+
+def continuous_log_1d(f):
+    """numerics.continuous_log as it was for one function f(t) on the 1-D
+    ndarray of nodes: the same step doubling and branch test, one path."""
+    steps = 16
+    while steps <= 4096:
+        vals = np.asarray(f(np.linspace(0.0, 1.0, steps + 1)), dtype=complex)
+        if not vals.all():
+            raise NumericalFailure("continuous_log hit a zero of the function")
+        ratios = vals[1:] / vals[:-1]
+        if np.all(np.abs(np.angle(ratios)) < 1.5):
+            return np.sum(np.log(ratios))
+        steps *= 2
+    raise NumericalFailure("continuous_log could not resolve the branch")
+
+
+def sigma_ratio_log_scalar(ctx, alpha, xi):
+    """elliptic.sigma_ratio_log as it was for a scalar xi: 0j at xi = 0,
+    else the 1-D continued log of the quotients along the one path."""
+    xi = complex(xi)
+    if xi == 0:
+        return 0.0j
+    return continuous_log_1d(lambda t: el._sigma_quotient(ctx, alpha, alpha, xi, t))
 
 
 def cluster_points(points, radius):

@@ -13,7 +13,7 @@ from sigma2 import elliptic as el
 from sigma2.errors import DegenerateCurve, NumericalFailure, PoleAtArgument
 from sigma2.numerics import POLE_TOL, cauchy_derivatives
 
-from oracles import quadrature_path, roundoff_tie_pair
+from oracles import quadrature_path, roundoff_tie_pair, sigma_ratio_log_scalar
 
 
 def _sorted(zs):
@@ -639,14 +639,17 @@ def test_cubic_roots_against_mpmath(kind):
 
 
 def test_sigma_ratio_log_array_is_the_scalar_calls(ctx_generic, monkeypatch):
-    # an ndarray of xi gives the scalar calls' values to the bit, a xi of 0
-    # gives 0; each step count's quotients come from one sigma_w call, and
-    # a path resolved at fewer steps is not evaluated again
+    # an ndarray of xi and each scalar xi give the values of the 1-D scalar
+    # route (tests/oracles.py) to the bit, a xi of 0 gives 0; each step
+    # count's quotients come from one sigma_w call, and a path resolved at
+    # fewer steps is not evaluated again
     ec, alpha = ctx_generic.ectx, ctx_generic.alpha
     xi = np.array([0.3 + 0.1j, 0.0, 1.4 * ec.omega + 0.3 * ec.omegaP, -0.2 + 0.25j,
                    2.2 * ec.omegaP + 0.4 * ec.omega])
-    want = [el.sigma_ratio_log(ec, alpha, x) for x in xi.tolist()]
-    assert all(isinstance(w, complex) for w in want)
+    want = [sigma_ratio_log_scalar(ec, alpha, x) for x in xi.tolist()]
+    scalar = [el.sigma_ratio_log(ec, alpha, x) for x in xi.tolist()]
+    assert all(isinstance(v, complex) for v in scalar)
+    assert np.array(scalar).tobytes() == np.array(want).tobytes()
     sizes = []
 
     def counted(ctx, u, _fn=el.sigma_w):

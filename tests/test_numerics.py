@@ -7,7 +7,8 @@ from sigma2.errors import NumericalFailure
 from sigma2.numerics import (cauchy_derivatives, continuous_log, peak,
                              require_finite, shc)
 
-from oracles import cluster_points, quadrature_path, shc_both_branches
+from oracles import (cluster_points, continuous_log_1d, quadrature_path,
+                     shc_both_branches)
 
 
 def test_require_finite():
@@ -78,10 +79,12 @@ def test_quadrature_failure_attaches_estimate():
 
 def test_continuous_log_tracks_winding():
     # g(t) = exp(2 pi i n t) has log increment 2 pi i n, invisible to the
-    # principal branch
+    # principal branch; one function is one row, as period_increment asks
     for n in (1, 3, -2):
-        got = continuous_log(lambda t: np.exp(2j * np.pi * n * t))
-        assert abs(got - 2j * np.pi * n) < 1e-12
+        got = continuous_log(lambda t, idx: np.exp(2j * np.pi * n * t)[None], 1)
+        want = continuous_log_1d(lambda t: np.exp(2j * np.pi * n * t))
+        assert got.shape == (1,) and got.tobytes() == np.array([want]).tobytes()
+        assert abs(got[0] - 2j * np.pi * n) < 1e-12
 
 
 def test_continuous_log_rows_are_the_1d_calls():
@@ -99,7 +102,7 @@ def test_continuous_log_rows_are_the_1d_calls():
         return f(ns[idx, None], t)
 
     got = continuous_log(rows, len(ns))
-    want = np.array([continuous_log(lambda t: f(n, t)) for n in ns])
+    want = np.array([continuous_log_1d(lambda t: f(n, t)) for n in ns])
     assert got.tobytes() == want.tobytes()
     assert seen == [(16, [0, 1, 2, 3, 4]), (32, [1, 3]), (64, [3])]
     assert np.allclose(got, 2j * np.pi * ns + np.log(1.1), rtol=0, atol=1e-12)

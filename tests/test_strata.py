@@ -497,6 +497,60 @@ def test_classify_many_clusters_only_points_with_close_roots(monkeypatch):
             _as_classify(lam, cls)
 
 
+def _depressed(roots):
+    """Monic quintic coefficients (x^4 term 0) with the given roots."""
+    c = np.poly(roots)
+    assert abs(c[1]) < 1e-12
+    return [1.0 + 0j, 0j, *map(complex, c[2:])]
+
+
+def _polish_pool():
+    """(quintic, start) pairs for m = 2, in a fixed order: a triple root's
+    Newton on p' runs to the 40-step cap; at z = 0 with l6 = 0, p''(z) is
+    exactly 0 before the first step; the third entry's first step is
+    exactly 1e-15 (1 + |z|), then one more step moves z by 1e-33; the
+    double roots stop after a few steps and the other triple roots after
+    16 to 40."""
+    pool = [(_depressed([0.5, 0.5, 0.5, 0.5j, -1.5 - 0.5j]), 0.5 + 1e-4),
+            ([1.0 + 0j, 0j, 1.0 + 0j, 0j, 0.5 + 0j, 0.2 + 0j], 0j),
+            ([1.0 + 0j, 0j, 0j, 0.5 + 0j, 1e-33 + 0j, 0.3 + 0j], 1e-15 + 0j)]
+    rng = np.random.default_rng(29)
+    while len(pool) < 40:
+        a, r = (complex(*rng.uniform(-1, 1, 2)) for _ in range(2))
+        mult = 2 + len(pool) % 2
+        rest = [a] * mult + [r] * (4 - mult)
+        p = _depressed(rest + [-sum(rest)])
+        pool.append((p, a + 1e-4 * complex(*rng.uniform(-1, 1, 2))))
+    return pool
+
+
+def test_polish_many_is_polish_root_per_entry(monkeypatch):
+    # one batched loop gives every entry of a batch _polish_root's value
+    # to the bit, at 1, 2, 16, 17 and 40 entries, with each of the pool's
+    # three special entries in every size below 40
+    pool = _polish_pool()
+    horner = st._horner
+    calls = []
+
+    def counted(p, z):
+        calls.append(1)
+        return horner(p, z)
+
+    monkeypatch.setattr(st, "_horner", counted)
+    for (p, z), n in zip(pool, (2 * st._POLISH_STEPS, 2, 4)):    # two per step
+        calls.clear()
+        st._polish_root(st._poly_derivs(p), 2, z)
+        assert len(calls) == n
+    monkeypatch.undo()
+    batches = [[pool[k]] + pool[3:n + 2] for n in (1, 2, 16, 17) for k in range(3)]
+    for batch in batches + [pool]:
+        coeffs = np.array([p for p, _ in batch])
+        ds = st._poly_derivs([st._Complexes.of(c) for c in coeffs.T])
+        got = st._polish_many(ds, 2, st._Complexes.of([z for _, z in batch]))
+        want = [st._polish_root(st._poly_derivs(p), 2, z) for p, z in batch]
+        assert list(map(_bits, got.tolist())) == list(map(_bits, want))
+
+
 def _suite_classify_reference(rng, samples):
     """verify.suite_classify as a loop of one-point classify calls."""
     mis = 0
