@@ -508,9 +508,9 @@ def _polish_pool():
     """(quintic, start) pairs for m = 2, in a fixed order: a triple root's
     Newton on p' runs to the 40-step cap; at z = 0 with l6 = 0, p''(z) is
     exactly 0 before the first step; the third entry's first step is
-    exactly 1e-15 (1 + |z|), then one more step moves z by 1e-33; the
-    double roots stop after a few steps and the other triple roots after
-    16 to 40."""
+    exactly 1e-15 (1 + |z|), then one more step moves z by 1e-33.  The
+    seeded entries alternate triple and double roots: the triples take 16
+    steps or more (ten of them the cap), most doubles 3 or 4."""
     pool = [(_depressed([0.5, 0.5, 0.5, 0.5j, -1.5 - 0.5j]), 0.5 + 1e-4),
             ([1.0 + 0j, 0j, 1.0 + 0j, 0j, 0.5 + 0j, 0.2 + 0j], 0j),
             ([1.0 + 0j, 0j, 0j, 0.5 + 0j, 1e-33 + 0j, 0.3 + 0j], 1e-15 + 0j)]
