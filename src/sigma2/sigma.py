@@ -46,10 +46,11 @@ class DegenSigmaContext:
     """Cached data for evaluating the degenerate sigma-function.
 
     kind is "lambda1" or "lambda0".  For lambda1 the elliptic context and the
-    Abel preimage alpha (with wp(alpha) = (5/3) a2) are
-    cached together with the function values at alpha; branch_point marks the
-    wp'(alpha) ~ 0 regime.  norm_c, the u3-linear Taylor coefficient that the
-    ``normalized`` evaluation flag divides by, is a stratum constant.
+    Abel preimage alpha (with wp(alpha) = (5/3) a2) are cached together with
+    the function values at alpha.  branch_point (wp'(alpha) = 0) is set where
+    invert_wp snapped alpha to half_periods[branch_index - 1].  norm_c, the
+    u3-linear Taylor coefficient that the ``normalized`` evaluation flag
+    divides by, is a stratum constant.
     """
 
     kind: str
@@ -102,25 +103,15 @@ def context_lambda1(a2, gamma) -> DegenSigmaContext:
 def _lambda1_on_curve(ectx, a2) -> DegenSigmaContext:
     """context_lambda1(a2, ectx.params) on the curve's context ectx, built
     already: a ring in a2 at fixed gamma shares one."""
-    gamma = ectx.params
-    lam = lambda_from_lambda1(a2, gamma)
+    lam = lambda_from_lambda1(a2, ectx.params)
     alpha, (za, wpa, wppa) = el.invert_wp(ectx, 5.0 * a2 / 3.0)
-    g4, g6 = gamma.gamma4, gamma.gamma6
-    # The branch-point evaluation is the exact wp'(alpha) -> 0 limit, with
-    # O(wp') truncation away from it, while the generic bracket loses
-    # eps/|wp'| digits to cancellation; 1e-24 puts the switch at the
-    # crossover |wp'| ~ 1e-8 (weight-normalized) instead of at 1e-10,
-    # which would hand the branch form an O(1e-4) error band.
-    branch = abs(wppa) ** 3 < 1e-24 * (abs(g4) ** 1.5 + abs(g6) + 1e-300)
-    bidx = None
-    if branch:
-        hp = ectx.half_periods
-        bidx = 1 + int(np.argmin([abs(alpha - h) for h in hp]))
+    hp = ectx.half_periods
+    bidx = hp.index(alpha) + 1 if alpha in hp else None
     return DegenSigmaContext(
         kind="lambda1", lam=lam, a2=a2, ectx=ectx, alpha=alpha,
         wp_alpha=wpa, wpp_alpha=wppa,
         zeta_alpha=za, sigma_alpha=el.sigma_w(ectx, alpha),
-        branch_point=branch, branch_index=bidx)
+        branch_point=bidx is not None, branch_index=bidx)
 
 
 def context_lambda0(a2, b2) -> DegenSigmaContext:

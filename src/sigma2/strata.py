@@ -281,27 +281,6 @@ def _third_like(x):
     return Fraction(1, 3) if isinstance(x, Fraction) else 1.0 / 3.0
 
 
-def mu_from_gamma(a2, g4, g6):
-    """(mu4, mu6) of the residual cubic x^3 + 2 a2 x^2 + mu4 x + mu6."""
-    third = _third_like(a2)
-    mu4 = g4 + 4 * third * a2**2
-    mu6 = g6 + 2 * third * a2 * g4 + 8 * third**3 * a2**3
-    return mu4, mu6
-
-
-def _upsilon(vals, gamma, a2):
-    """The four defining polynomials of the double-point locus at the point
-    vals: zero exactly when the quintic equals (x-a2)^2 (x^3 + 2 a2 x^2 +
-    mu4 x + mu6) with mu expressed through gamma."""
-    g4, g6 = _gamma_pair(gamma)
-    mu4, mu6 = mu_from_gamma(a2, g4, g6)
-    l4, l6, l8, l10 = vals
-    return (l4 - (mu4 - 3 * a2**2),
-            l6 - (mu6 - 2 * a2 * mu4 + 2 * a2**3),
-            l8 - (-2 * a2 * mu6 + a2**2 * mu4),
-            l10 - a2**2 * mu6)
-
-
 # ---------------------------------------------------------------------------
 # classification
 
@@ -595,16 +574,15 @@ def _reading(mults, ln, zs):
 
 
 def _lambda1_reading(ln, a2):
-    """(a2, g4, g6, degenerate, round trip, upsilon): gamma recovered from
-    the double root a2, whether 4 g4^3 + 27 g6^2 vanishes, the chart round
-    trip and the largest |upsilon_i|."""
+    """(a2, g4, g6, degenerate, round trip): gamma recovered from the double
+    root a2, whether 4 g4^3 + 27 g6^2 vanishes, and the chart round trip,
+    the point's one measure of membership in the double-point locus."""
     mu4 = ln[0] + 3 * a2**2
     mu6 = ln[1] + 2 * a2 * mu4 - 2 * a2**3
     g4 = mu4 - 4 * a2**2 / 3
     g6 = mu6 - 2 * a2 * mu4 / 3 + 16 * a2**3 / 27
     return (a2, g4, g6, delta_gamma(g4, g6) == 0,
-            _rel(_lambda1_chart(a2, g4, g6), ln),
-            _top([abs(u) for u in _upsilon(ln, (g4, g6), a2)]))
+            _rel(_lambda1_chart(a2, g4, g6), ln))
 
 
 def _lambda0_reading(ln, zs):
@@ -618,7 +596,8 @@ def _lambda0_reading(ln, zs):
 def _verdict(lam, s, mults, delta_abs, gamma_norm, reading):
     """classify's answer for a point with weight scale s, partition mults,
     normalized |Delta| and max |Gamma_i| and chart reading: every magnitude
-    and round-trip gate, in order, then the unnormalized parameters."""
+    and round-trip gate, in order, then the unnormalized parameters.  Off
+    Lambda2 the round trip is the one chart-membership residual."""
     if mults not in RANK_BY_PARTITION:
         raise AmbiguousClassification(f"unrecognized multiplicity pattern {mults}")
     res = {"delta_abs": delta_abs, "gamma_norm": gamma_norm}
@@ -633,11 +612,10 @@ def _verdict(lam, s, mults, delta_abs, gamma_norm, reading):
             raise AmbiguousClassification(
                 f"partition {mults} but Delta/Gamma magnitudes disagree "
                 f"({delta_abs:.3g}, {gamma_norm:.3g})")
-        a2, g4, g6, degenerate, rt, ups = reading
+        a2, g4, g6, degenerate, rt = reading
         if degenerate:
             raise NotOnStratum("recovered gamma is degenerate")
         res["roundtrip"] = rt
-        res["upsilon"] = ups
         if rt > 1e-6:
             raise AmbiguousClassification(f"Lambda1 chart round trip residual {rt:.3g}")
         return StratumClassification(

@@ -8,7 +8,9 @@ reference streams of verify's block-drawing ones.  `shc_both_branches`,
 `continuous_log_1d` and `sigma_ratio_log_scalar` are the bit-level
 references of `numerics.shc`, `numerics.continuous_log` and
 `elliptic.sigma_ratio_log`: each is the second route the package once kept
-beside its one path.
+beside its one path.  `lambda1_upsilon` and `branch_point_threshold` are
+the second computations of a Lambda1 fact the package once made: classify's
+chart membership and context_lambda1's branch-point regime.
 """
 
 import numpy as np
@@ -147,6 +149,38 @@ def cluster_points(points, radius):
         clusters.append((sum(members) / len(members), members))
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
     return clusters
+
+
+def lambda1_upsilon(vals, a2, g4, g6):
+    """The four defining polynomials of the double-point locus at the point
+    vals (l4, l6, l8, l10): zero exactly when the quintic equals
+    (x - a2)^2 (x^3 + 2 a2 x^2 + mu4 x + mu6) with mu4, mu6 expressed
+    through gamma.  Each entry is l_i minus the Lambda1 chart's l_i at
+    (a2, gamma) in another order of operations, so max |upsilon_i| is
+    classify's round trip times (1 + max |l_i|) up to rounding: the second
+    membership residual classify once reported."""
+    third = 1.0 / 3.0
+    mu4 = g4 + 4 * third * a2**2
+    mu6 = g6 + 2 * third * a2 * g4 + 8 * third**3 * a2**3
+    l4, l6, l8, l10 = vals
+    return (l4 - (mu4 - 3 * a2**2),
+            l6 - (mu6 - 2 * a2 * mu4 + 2 * a2**3),
+            l8 - (-2 * a2 * mu6 + a2**2 * mu4),
+            l10 - a2**2 * mu6)
+
+
+def branch_point_threshold(ctx):
+    """(branch_point, branch_index) of a Lambda1 context by the rule
+    context_lambda1 once applied: the branch regime where
+    |wp'(alpha)|^3 < 1e-24 (|g4|^1.5 + |g6| + 1e-300), and there the index
+    of the half period nearest alpha.  The package sets both from
+    invert_wp's snap of alpha to a half period."""
+    g4, g6 = ctx.gamma.gamma4, ctx.gamma.gamma6
+    branch = abs(ctx.wpp_alpha) ** 3 < 1e-24 * (abs(g4) ** 1.5 + abs(g6) + 1e-300)
+    if not branch:
+        return False, None
+    hp = ctx.ectx.half_periods
+    return True, 1 + int(np.argmin([abs(ctx.alpha - h) for h in hp]))
 
 
 def restricted_q(ctx, u3, U1):

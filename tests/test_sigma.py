@@ -13,6 +13,8 @@ from sigma2.errors import (BranchPointCase, NotOnStratum, NumericalFailure,
 from sigma2.numerics import cauchy_derivatives
 from sigma2.verify import p_route_derivatives
 
+from oracles import branch_point_threshold
+
 
 def test_context_from_classification():
     ctx = sg.make_degen_context(st.G2Params(0, 1, 0, 0))
@@ -179,6 +181,48 @@ def test_branch_point_context_and_continuity():
         assert not ctx.branch_point
         diffs.append(abs(sg.sigma2(ctx, 0.2, 0.3) - v))
     assert diffs[0] < 1e-4 and diffs[1] < 1e-6 and diffs[2] < 1e-8
+
+
+# gamma of ROADMAP item 11's four curves, a real rectangular one and a small one
+_BRANCH_CURVES = [(1.0, 0.0), (0.4 - 0.2j, 0.5 + 0.3j), (-1.0, 0.3), (0.1, -0.9j),
+                  (-1.2, 0.1), (1e-4, 1e-6)]
+
+
+def test_branch_point_is_the_snap():
+    """branch_point and branch_index come from invert_wp's snap of alpha to
+    a half period.  They equal the old |wp'|^3 threshold with its nearest
+    half period (oracles.branch_point_threshold) at every root of six curves
+    at five Sato scales, with wp(alpha) at the root and 1e-16 .. 1e-3 rscale
+    from it in four directions, on both sides of the snap at 1e-12."""
+    sides, refused, built = set(), 0, 0
+    for g4, g6 in _BRANCH_CURVES:
+        for t in (1e-3, 0.1, 1.0, 10.0, 1e3):
+            gamma = (t**4 * g4, t**6 * g6)
+            ec = el.make_context(gamma)
+            rscale = max(1.0, max(abs(e) for e in ec.roots))
+            for e in ec.roots:
+                for d in (0.0, 1e-16, 1e-13, 1e-12, 1e-11, 1e-3):
+                    for w in ((1,) if d == 0 else (1, 1j, -1, -1j)):
+                        try:
+                            ctx = sg.context_lambda1(0.6 * (e + d * rscale * w), gamma)
+                        except NumericalFailure:
+                            # invert_wp's Newton stop is not scaled with the
+                            # roots (ROADMAP item 9): a few points at t = 1e3
+                            refused += 1
+                            continue
+                        built += 1
+                        want = branch_point_threshold(ctx)
+                        assert (ctx.branch_point, ctx.branch_index) == want
+                        assert ctx.branch_point == (ctx.alpha in ec.half_periods)
+                        sides.add((d, ctx.branch_point))
+    assert refused <= 0.01 * built
+    # every point at a root or within 1e-13 snaps, every one past 1e-12 does not
+    assert {b for d, b in sides if d <= 1e-13} == {True}
+    assert {b for d, b in sides if d >= 1e-11} == {False}
+    # the classify-derived (3, 1, 1) point x^3 (x^2 + 1): a2 = 0 at the root 0
+    ctx = sg.make_degen_context(st.G2Params(1, 0, 0, 0))
+    assert ctx.branch_point
+    assert (ctx.branch_point, ctx.branch_index) == branch_point_threshold(ctx)
 
 
 def test_branch_point_formula_is_characteristic_plus_derivative():

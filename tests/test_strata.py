@@ -13,7 +13,7 @@ from sigma2.errors import (AmbiguousClassification, DegenerateCurve,
 from sigma2.verify import (_cunit, _ring_gradient, random_gamma, run_suite,
                            suite_algebra, suite_classify)
 
-from oracles import cluster_points
+from oracles import cluster_points, lambda1_upsilon
 
 
 # --- polynomial values ------------------------------------------------------
@@ -165,7 +165,7 @@ def _reference_classify(lam):
     ln = [complex(v) for v in ln]
     if mults in ((2, 1, 1, 1), (3, 1, 1)):
         a2n = max(centers, key=lambda cm: cm[1])[0]
-        a2, g4, g6, _, _, _ = st._lambda1_reading(ln, a2n)
+        a2, g4, g6, _, _ = st._lambda1_reading(ln, a2n)
         return "Lambda1", mults, a2 * s**2, None, (g4 * s**4, g6 * s**6)
     zs = [c for c, m in sorted(centers, key=lambda cm: -cm[1]) if m > 1]
     a2, b2, _ = st._lambda0_reading(ln, zs)
@@ -451,6 +451,55 @@ def test_classify_many_matches_classify():
             if not isinstance(cls, Sigma2Error)} == {"Lambda2", "Lambda1", "Lambda0"}
     assert {cls.partition for cls in map(st.classify, RANK_TABLE_POINTS)} == set(
         st.RANK_BY_PARTITION)
+
+
+def test_lambda1_round_trip_is_the_upsilon_residual(monkeypatch):
+    """A Lambda1 result measures its chart membership once, by the round
+    trip: times (1 + max |ln|) it is the largest of the four defining
+    polynomials of the locus (oracles.lambda1_upsilon) at the normalized
+    point ln and its reading, within 8 eps (1 + max |ln|), on classify and
+    classify_many alike.  Seeded points on the stratum read O(eps), and
+    points pushed 1e-10 .. 1e-7 off it in l8 or l10 read O(push)."""
+    rng = np.random.default_rng(23)
+    pts, pushes = [], []
+    for _ in range(60):
+        lam = st.lambda_from_lambda1(_cunit(rng), random_gamma(rng))
+        s = st._setup(lam)[1]
+        pts.append(lam)
+        pushes.append(0.0)
+        for push in (1e-10, 1e-9, 1e-8, 1e-7):
+            k = int(rng.integers(2, 4))         # l8 or l10, weight 2k + 4
+            vals = list(lam.astuple())
+            vals[k] += push * s ** (2 * k + 4) * _cunit(rng)
+            pts.append(st.G2Params(*vals))
+            pushes.append(push)
+    batch = st.classify_many(pts)
+    readings = []
+    reading = st._lambda1_reading
+
+    def spy(ln, a2):
+        out = reading(ln, a2)
+        readings.append((ln, *out[:3]))
+        return out
+
+    monkeypatch.setattr(st, "_lambda1_reading", spy)
+    read = set()
+    for lam, push, got in zip(pts, pushes, batch):
+        try:
+            cls = st.classify(lam)
+        except Sigma2Error:
+            assert isinstance(got, Sigma2Error)
+            continue
+        assert cls.stratum == got.stratum == "Lambda1"
+        ln, a2, g4, g6 = readings[-1]
+        top = 1.0 + max(abs(v) for v in ln)
+        ups = max(abs(u) for u in lambda1_upsilon(ln, a2, g4, g6))
+        for res in (cls.residuals, got.residuals):
+            assert res.keys() == {"delta_abs", "gamma_norm", "roundtrip"}
+            assert abs(res["roundtrip"] * top - ups) <= 8 * _EPS * top
+        assert ups <= 64 * _EPS if push == 0 else 1e-2 * push < ups < 10 * push
+        read.add(push)
+    assert read == {0.0, 1e-10, 1e-9, 1e-8, 1e-7}
 
 
 def _in_triple(lam):
